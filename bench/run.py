@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import resource
 import statistics
@@ -32,7 +33,7 @@ import workloads as wl
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-SETUP_PROBES = 7
+SETUP_PROBES = 11
 
 
 def import_implicax():
@@ -49,19 +50,24 @@ def parse(implicax, inp):
 
 
 def setup_probe(workload, seed):
-    """What a fresh process pays before its first solve."""
+    """Print what a fresh process pays to import implicax and build and parse
+    the first round's inputs, in reference seconds (see untraced())."""
+    before = host_speed(SLICE_MIN_S)
+    t0 = perf_counter()
     implicax = import_implicax()
     for inp in wl.round_inputs(workload, seed, 0):
         parse(implicax, inp)
+    dt = perf_counter() - t0
+    print(dt * (before + host_speed(SLICE_MIN_S)) / 2)
 
 
 def setup_seconds(workload, seed):
+    """Median over fresh processes of their set-up time."""
     cmd = [sys.executable, os.path.abspath(__file__), "--setup-probe", "--workload", workload, "--seed", str(seed)]
     times = []
     for _ in range(SETUP_PROBES):
-        t0 = perf_counter()
-        subprocess.run(cmd, check=True)
-        times.append(perf_counter() - t0)
+        out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True)
+        times.append(float(out.stdout))
     return statistics.median(times)
 
 
@@ -106,16 +112,16 @@ def run_rounds(seconds, one_round):
 
 
 def tail(times):
-    """(value, percentile): the highest percentile with at least 10 solves above it.
+    """(p90 by nearest rank, the number of solves above it).
 
-    Below 20 solves that percentile lies under the median; the median is
-    reported instead.
+    A round holds one solve of each input, and inputs of different cost
+    form separate bands of times.  A fixed percentile lies in the same band
+    however many rounds fit in a run; a percentile chosen by the number of
+    solves above it jumps between bands as that number changes.
     """
     ordered = sorted(times)
-    rank = len(ordered) - 10
-    if 2 * rank <= len(ordered):
-        return statistics.median(ordered), 50.0
-    return ordered[rank - 1], 100.0 * rank / len(ordered)
+    rank = math.ceil(0.9 * len(ordered))
+    return ordered[rank - 1], len(ordered) - rank
 
 
 # Two sparse polynomials as {monomial key: coefficient}; multiplying them is
@@ -184,10 +190,10 @@ def untraced(implicax, args, checker):
     run_rounds(args.seconds, one_round)
     for tag, ts in sorted(by_tag.items()):
         print("  class %-34s n=%-4d median %.4f s wall" % (tag, len(ts), statistics.median(ts)))
-    value, pct = tail(scaled)
+    value, above = tail(scaled)
     print("  wall: median %.4f s, tail %.4f s, %.4f solves/s" % (statistics.median(wall), tail(wall)[0], len(wall) / sum(wall)))
     print("  host speed %.3f (median ratio of ref_s to wall s)" % statistics.median(r / w for r, w in zip(scaled, wall)))
-    print("  solve_s_tail is p%.1f of %d solves" % (pct, len(scaled)))
+    print("  solve_s_tail is p90 of %d solves, %d above it" % (len(scaled), above))
     print("  peak RSS %.1f MB after the first round, %.1f MB at the end" % (peak_mb, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))
     print("  fail_ratio = %.4f ratio (%d of %d)" % (checker.failed / checker.attempted, checker.failed, checker.attempted))
     return {

@@ -123,13 +123,14 @@ class Input:
         return tag if self.method == "det-complex" else "%s:%s" % (tag, self.method)
 
 
-def transformed(key, rng=None, method="det-complex", syzygetic=False, sparse=False):
+def transformed(key, rng=None, method="det-complex", syzygetic=False):
     """A seeded coordinate change of a base problem; the base itself when rng is None.
 
-    Sparse maps get the full change.  Dense bases only change signs: the
-    order of the X's and of the f's moves the cost of a resultant or
-    gcd-minors solve by a fifth, and dense runs should repeat the same work.
+    The shipped (sparse) maps get the full change.  Dense bases only change
+    signs: the order of the X's and of the f's moves the cost of a resultant
+    or gcd-minors solve by a fifth, and dense runs should repeat the same work.
     """
+    sparse = isinstance(key, str)
     field, nx, polys = base_problem(key)
     n = len(polys)
     x_perm, scale, t_perm = list(range(nx)), [1] * nx, tuple(range(n))
@@ -156,7 +157,7 @@ def round_inputs(workload, seed, index):
     """The inputs of round `index` of a run with `seed`; one list per seed and index."""
     rng = random.Random("%s:%d:%d" % (workload, seed, index))
     if workload == "sparse-maps":
-        return [transformed(name, rng, syzygetic=name.startswith("surface"), sparse=True) for name in SHIPPED]
+        return [transformed(name, rng, syzygetic=name.startswith("surface")) for name in SHIPPED]
     if workload == "curves":
         out = []
         for key in CURVES:
@@ -165,7 +166,7 @@ def round_inputs(workload, seed, index):
         return out
     if workload == "gcd-minors":
         out = [transformed(key, rng, "gcd-minors") for key in QUADRICS]
-        out.append(transformed("surface_quadric", rng, "gcd-minors", sparse=True))
+        out.append(transformed("surface_quadric", rng, "gcd-minors"))
         return out
     raise ValueError("unknown workload %r" % workload)
 
