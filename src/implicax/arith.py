@@ -1201,7 +1201,7 @@ def _uni_gcd_monic(a, b, field):
     return out
 
 
-_RECON_PRIME = (1 << 62) - 57  # prime; used only to accelerate kernel solves
+_RECON_PRIME = (1 << 62) - 57  # prime; modulus of kernel lifts and of QQ specializations
 
 
 def _rat_recon(a, q):
@@ -1225,63 +1225,17 @@ def _kernel_vector_modular(rows, width):
     Returns a primitive integer vector, or None when the modular image is
     degenerate (caller falls back to the exact solve).
     """
+    from .linalg import _kernel, _primitive
+
     q = _RECON_PRIME
-    a = []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            a.append([x % q for x in row])
-            continue
-        den = 1
-        for x in row:
-            if type(x) is not int:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        a.append([int(x * den) % q for x in row])
-    ncols = width
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(a)):
-            if a[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = pow(a[r][c], q - 2, q)
-        a[r] = [x * inv % q for x in a[r]]
-        prow = a[r]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % q for x, y in zip(a[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    if len(free) != 1:
+    _, basis, _ = _kernel(q, rows, width)
+    if len(basis) != 1:
         return None
-    f = free[0]
-    w = [0] * ncols
-    w[f] = 1
-    for rr, c in enumerate(pivots):
-        w[c] = -a[rr][f] % q
-    fracs = []
-    den = 1
-    for x in w:
-        fr = _rat_recon(x, q)
-        if fr is None:
-            return None
-        fracs.append(fr)
-        den = den * fr.denominator // math.gcd(den, fr.denominator)
-    ivec = [int(fr * den) for fr in fracs]
-    g = 0
-    for x in ivec:
-        g = math.gcd(g, x)
-    if g > 1:
-        ivec = [x // g for x in ivec]
-    return ivec
+    fracs = [_rat_recon(x, q) for x in basis[0]]
+    if None in fracs:
+        return None
+    den = math.lcm(*[fr.denominator for fr in fracs])
+    return _primitive([int(fr * den) for fr in fracs])
 
 
 def _line_powers_cache(field, alpha, beta, maxdeg):

@@ -9,11 +9,11 @@ ideal times A^n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import Poly, gcd_many
-from .errors import HypothesisViolation, ImplicaxError
+from .errors import ConsistencyError, HypothesisViolation, ImplicaxError
 from .linalg import ScalarMatrix, _rref, rank_and_kernel, scalar_rank
 from .strands import (
     boundary_basis,
@@ -86,33 +86,27 @@ def nu_bound(n, d):
 
 
 class _SpanReducer:
-    """Reduce vectors modulo the row span of a set of vectors."""
+    """Reduce integer vectors modulo the row span of a set of vectors."""
 
-    def __init__(self, field, vectors, width):
-        self.field = field
-        self.width = width
-        if vectors:
-            rank, rows, pivots = _rref(field, vectors)
-            self.rows = rows[:rank]
-            self.pivots = pivots
-        else:
-            self.rows = []
-            self.pivots = []
+    def __init__(self, field, vectors):
+        self.p = field.char
+        self.rows, self.pivots = _rref(self.p, vectors)
+        self.lcm = math.lcm(*[row[c] for row, c in zip(self.rows, self.pivots)])
 
     def reduce(self, vec):
-        field = self.field
-        p = field.char
-        v = list(vec)
+        """L times the residue of vec, with L the lcm of the pivot entries.
+
+        Every vector is scaled by the same L, which callers never see: they
+        only take kernels of the reduced vectors or test them for zero.
+        """
+        p = self.p
+        v = [self.lcm * x for x in vec]
         for row, c in zip(self.rows, self.pivots):
-            x = v[c]
-            if not x:
-                continue
-            if p:
-                f = x * pow(row[c], p - 2, p) % p
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-            else:
-                f = Fraction(x, row[c])
+            if v[c]:
+                f = v[c] // row[c]
                 v = [a - f * b for a, b in zip(v, row)]
+                if p:
+                    v = [a % p for a in v]
         return v
 
     def contains(self, vec):
@@ -130,8 +124,7 @@ def ideal_piece(param, nu):
         return []
     mult = koszul_differential_matrix(param, 1, nu - param.d)
     cols = [[mult.data[r][c] for r in range(mult.rows)] for c in range(mult.cols)]
-    rank, rows, _ = _rref(ring.field, cols)
-    return rows[:rank]
+    return _rref(ring.field.char, cols)[0]
 
 
 def saturation_piece(param, nu):
@@ -152,7 +145,7 @@ def saturation_piece(param, nu):
     while True:
         target_monos = ring.x_monomials(nu + s)
         index = {m: k for k, m in enumerate(target_monos)}
-        red = _SpanReducer(field, ideal_piece(param, nu + s), len(target_monos))
+        red = _SpanReducer(field, ideal_piece(param, nu + s))
         constraints = []
         for u in ring.x_monomials(s):
             # matrix of g -> residue of g*u mod I_(nu+s), row per residue coord
@@ -169,15 +162,10 @@ def saturation_piece(param, nu):
             _, kernel = rank_and_kernel(ScalarMatrix(field, constraints, width))
         else:
             kernel = [[1 if i == j else 0 for i in range(width)] for j in range(width)]
-        dim = len(kernel)
-        if prev is not None and dim == prev[0]:
-            rank, rows, _ = _rref(field, kernel) if kernel else (0, [], [])
-            return rows[:rank]
-        prev = (dim, kernel)
+        if len(kernel) == prev or s >= cap:
+            return _rref(field.char, kernel)[0]
+        prev = len(kernel)
         s += 1
-        if s > cap:
-            rank, rows, _ = _rref(field, prev[1]) if prev[1] else (0, [], [])
-            return rows[:rank]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +212,7 @@ def _restricted_syzygies(param, nu, z1_vectors, piece_rows):
     field = ring.field
     monos = ring.x_monomials(nu)
     width = len(monos)
-    red = _SpanReducer(field, piece_rows, width)
+    red = _SpanReducer(field, piece_rows)
     if not z1_vectors:
         return []
     constraints = []
@@ -285,11 +273,13 @@ def syzygetic_test(param, nu_max=None):
             plain_dim=len(inter_plain),
         )
         # sanity: boundaries always sit inside both intersections
-        if b1:
-            assert scalar_rank(field, inter_sat + b1) == len(inter_sat)
-            assert scalar_rank(field, inter_plain + b1) == len(inter_plain)
+        for inter in (inter_sat, inter_plain):
+            if b1 and scalar_rank(field, inter + b1) != len(inter):
+                raise ConsistencyError(
+                    "degree %d: a Koszul boundary lies outside Z_1 n (ideal) A^n" % nu
+                )
         if witness is None and not entry.saturated_equal:
-            bred = _SpanReducer(field, b1, param.n * len(param.ring.x_monomials(nu)))
+            bred = _SpanReducer(field, b1)
             for vec in inter_sat:
                 if not bred.contains(vec):
                     witness = (nu, vector_to_polys(param, nu, vec))

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over a field and over k[T].
 
 Two matrix flavors: ScalarMatrix (field entries) and PolyMatrix (Poly
-entries).  Rank/kernel work over the field; determinants are fraction-free
-(Bareiss) so polynomial matrices never leave the coefficient ring.  Over QQ
+entries).  Rank, kernel, span reduction and minor selection are read off one
+integer row reduction (`_rref`); determinants are fraction-free (Bareiss) so
+polynomial matrices never leave the coefficient ring.  Over QQ
 rows and columns are rescaled to primitive integer vectors internally; the
 exact value is restored at the end, so results are not "up to unit" here.
 """
@@ -10,10 +11,10 @@ exact value is restored at the end, so results are not "up to unit" here.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
-from .arith import ArithError, Poly, QQ
+from .arith import _RECON_PRIME, ArithError, Poly, QQ
+from .errors import ConsistencyError
 
 __all__ = [
     "ScalarMatrix",
@@ -21,7 +22,6 @@ __all__ = [
     "LinalgError",
     "rank_and_kernel",
     "det_fraction_free",
-    "nonsingular_minor_select",
     "specialize",
 ]
 
@@ -81,95 +81,86 @@ class ScalarMatrix:
         return "ScalarMatrix(%dx%d over %s)" % (self.rows, self.cols, self.field)
 
 
-def _int_rows(field, data):
-    """Copy rows; over QQ clear denominators so every entry is int."""
-    if field.char != 0:
-        p = field.char
-        return [[int(x) % p for x in row] for row in data]
+def _int_rows(p, data):
+    """Integer copies of the rows, reduced mod p when p > 0.
+
+    A row with fractions is first multiplied by the lcm of its denominators;
+    a nonzero scale keeps its span, so ranks and pivots are unchanged.
+    """
     out = []
     for row in data:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
-            continue
-        den = 1
-        for x in row:
-            if type(x) is not int:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
+        if any(type(x) is not int for x in row):
+            den = math.lcm(*[x.denominator for x in row])
+            row = [int(x * den) for x in row]
+        out.append([x % p for x in row] if p else list(row))
     return out
 
 
-def _primitive_int_row(row):
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-        if g == 1:
-            return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
-def _rref(field, data):
-    """Row reduce; returns (rank, rows, pivot_cols).
+def _rref(p, data):
+    """Reduced row echelon form of `data`: (nonzero rows, pivot columns).
 
-    Over QQ the rows stay integer (cross-multiplication with gcd trimming),
-    reduced above and below pivots.  Over GF(p) pivots are normalized to 1.
+    The one row reduction of the package; rank, kernel, span reduction and
+    minor selection are read off its output.  Rows stay integer: over QQ
+    (p = 0) they are eliminated fraction-free, cross-multiplying and then
+    dividing by the content; mod p every pivot is 1.  Each row is zero at the
+    other rows' pivot columns.
     """
-    rows = _int_rows(field, data)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    rows = _int_rows(p, data)
     pivots = []
-    r = 0
-    if field.char == 0:
-        for c in range(ncols):
-            sel = None
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    sel = i
-                    break
-            if sel is None:
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        if p:
+            s = pow(rows[r][c], -1, p)
+            prow = rows[r] = [x * s % p for x in rows[r]]
+        else:
+            prow = rows[r] = _primitive(rows[r])
+        pc = prow[c]
+        for i, row in enumerate(rows):
+            ic = row[c]
+            if not ic or i == r:
                 continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            prow = _primitive_int_row(rows[r])
-            rows[r] = prow
-            pc = prow[c]
-            for i in range(nrows):
-                if i == r:
-                    continue
-                ic = rows[i][c]
-                if ic:
-                    ri = rows[i]
-                    rows[i] = _primitive_int_row(
-                        [pc * a - ic * b for a, b in zip(ri, prow)]
-                    )
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-    else:
-        p = field.char
-        for c in range(ncols):
-            sel = None
-            for i in range(r, nrows):
-                if rows[i][c] % p:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = pow(rows[r][c], p - 2, p)
-            rows[r] = [a * inv % p for a in rows[r]]
-            prow = rows[r]
-            for i in range(nrows):
-                if i != r and rows[i][c] % p:
-                    f = rows[i][c]
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-    return len(pivots), rows, pivots
+            if p:
+                rows[i] = [(a - ic * b) % p for a, b in zip(row, prow)]
+            else:
+                rows[i] = _primitive([pc * a - ic * b for a, b in zip(row, prow)])
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows[: len(pivots)], pivots
+
+
+def _kernel(p, data, ncols):
+    """(rank, kernel basis, free columns) of the rows, read off their RREF.
+
+    With L the lcm of the pivot entries, the vector of free column f has L at
+    f and -(L / row[c]) * row[f] at the pivot column c of each row.  This is
+    exact because the rows vanish at each other's pivots.  Over QQ the vector
+    is then divided by its gcd, so it is primitive and positive at f; mod p
+    the pivots are 1, so L is 1.
+    """
+    rows, pivots = _rref(p, data)
+    taken = set(pivots)
+    free = [c for c in range(ncols) if c not in taken]
+    lcm = math.lcm(*[row[c] for row, c in zip(rows, pivots)])
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = lcm
+        for row, c in zip(rows, pivots):
+            if row[f]:
+                vec[c] = -(lcm // row[c]) * row[f]
+        basis.append([x % p for x in vec] if p else _primitive(vec))
+    return len(pivots), basis, free
 
 
 def rank_and_kernel(m):
@@ -184,131 +175,15 @@ def rank_and_kernel(m):
 
 def rref_kernel_data(m):
     """(rank, kernel basis, free columns) from one row-reduction pass."""
-    field = m.field
-    rank, rows, pivots = _rref(field, m.data)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    basis = []
-    if field.char == 0:
-        for f in free:
-            vec = [Fraction(0)] * m.cols
-            vec[f] = Fraction(1)
-            for r, c in enumerate(pivots):
-                if rows[r][f]:
-                    vec[c] = Fraction(-rows[r][f], rows[r][c])
-            den = 1
-            for x in vec:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-            ivec = [int(x * den) for x in vec]
-            g = 0
-            for x in ivec:
-                g = math.gcd(g, x)
-            if g > 1:
-                ivec = [x // g for x in ivec]
-            basis.append(ivec)
-    else:
-        p = field.char
-        for f in free:
-            vec = [0] * m.cols
-            vec[f] = 1
-            for r, c in enumerate(pivots):
-                if rows[r][f]:
-                    vec[c] = -rows[r][f] % p
-            basis.append(vec)
+    rank, basis, free = _kernel(m.field.char, m.data, m.cols)
     for v in basis:
-        assert _vec_is_in_kernel(m, v), "kernel vector fails A*v = 0"
+        if any(m.mul_vector(v)):
+            raise ConsistencyError("kernel vector fails A*v = 0")
     return rank, basis, free
 
 
-def _vec_is_in_kernel(m, v):
-    p = m.field.char
-    for row in m.data:
-        s = 0
-        for a, b in zip(row, v):
-            if a and b:
-                s += a * b
-        if p:
-            s %= p
-        if s:
-            return False
-    return True
-
-
-def kernel_free_columns(m):
-    """Free (non-pivot) columns matching rank_and_kernel's basis order."""
-    return rref_kernel_data(m)[2]
-
-
 def scalar_rank(field, data):
-    rank, _, _ = _rref(field, data)
-    return rank
-
-
-def det_scalar(m):
-    """Exact determinant of a square ScalarMatrix."""
-    if m.rows != m.cols:
-        raise LinalgError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    field = m.field
-    if field.char:
-        p = field.char
-        a = [[x % p for x in row] for row in m.data]
-        det = 1
-        for k in range(n):
-            sel = None
-            for i in range(k, n):
-                if a[i][k]:
-                    sel = i
-                    break
-            if sel is None:
-                return 0
-            if sel != k:
-                a[k], a[sel] = a[sel], a[k]
-                det = -det % p
-            det = det * a[k][k] % p
-            inv = pow(a[k][k], p - 2, p)
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    f = a[i][k] * inv % p
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-        return det % p
-    # QQ: Bareiss on integers after clearing row denominators
-    a = []
-    scale = Fraction(1)
-    for row in m.data:
-        if all(type(x) is int for x in row):
-            a.append(list(row))
-            continue
-        den = 1
-        for x in row:
-            if type(x) is not int:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        scale /= den
-        a.append([int(x * den) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        sel = None
-        for i in range(k, n):
-            if a[i][k]:
-                sel = i
-                break
-        if sel is None:
-            return 0
-        if sel != k:
-            a[k], a[sel] = a[sel], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            a[i] = [(akk * row_i[j] - aik * row_k[j]) // prev for j in range(k + 1, n)]
-            a[i] = [0] * (k + 1) + a[i]
-        prev = akk
-    val = sign * a[n - 1][n - 1] * scale
-    return QQ.canon(val)
+    return len(_rref(field.char, data)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +301,8 @@ def _column_primitive_scales(m):
     return data, total
 
 
-def _dict_mul(A, B, one_mono):
+def _dict_mul(A, B, one_mono, p):
+    """Product of term dicts, coefficients reduced mod p when p > 0."""
     if not A or not B:
         return {}
     if len(A) > len(B):
@@ -439,23 +315,9 @@ def _dict_mul(A, B, one_mono):
             k = off + mb
             prev = get(k)
             out[k] = ca * cb if prev is None else prev + ca * cb
+    if p:
+        return {m: r for m, c in out.items() if (r := c % p)}
     return {m: c for m, c in out.items() if c}
-
-
-def _dict_mul_mod(A, B, one_mono, p):
-    if not A or not B:
-        return {}
-    if len(A) > len(B):
-        A, B = B, A
-    out = {}
-    get = out.get
-    for ma, ca in A.items():
-        off = ma - one_mono
-        for mb, cb in B.items():
-            k = off + mb
-            prev = get(k)
-            out[k] = ca * cb if prev is None else prev + ca * cb
-    return {m: c % p for m, c in out.items() if c % p}
 
 
 def _dict_sub(A, B):
@@ -517,13 +379,11 @@ def _dict_exact_div(A, B, ring):
 
 
 def det_fraction_free(m):
-    """Exact determinant of a square matrix (PolyMatrix or ScalarMatrix).
+    """Exact determinant of a square PolyMatrix.
 
     Bareiss elimination with exact divisions; polynomial entries never leave
     the coefficient ring.  Internal rescaling over QQ is undone at the end.
     """
-    if isinstance(m, ScalarMatrix):
-        return det_scalar(m)
     if m.rows != m.cols:
         raise LinalgError("determinant of non-square matrix")
     ring = m.ring
@@ -535,9 +395,7 @@ def det_fraction_free(m):
     a, scale = _column_primitive_scales(m)
     field = ring.field
     p = field.char
-    mul = (lambda A, B: _dict_mul_mod(A, B, ring.one_mono, p)) if p else (
-        lambda A, B: _dict_mul(A, B, ring.one_mono)
-    )
+    one = ring.one_mono
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -564,13 +422,15 @@ def det_fraction_free(m):
             new_row = [{}] * (k + 1)
             if aik:
                 for j in range(k + 1, n):
-                    t = _dict_sub(mul(akk, row_i[j]), mul(aik, row_k[j]))
+                    t = _dict_sub(
+                        _dict_mul(akk, row_i[j], one, p), _dict_mul(aik, row_k[j], one, p)
+                    )
                     if prev is not None and t:
                         t = _dict_exact_div(t, prev, ring)
                     new_row.append(t)
             else:
                 for j in range(k + 1, n):
-                    t = mul(akk, row_i[j])
+                    t = _dict_mul(akk, row_i[j], one, p)
                     if prev is not None and t:
                         t = _dict_exact_div(t, prev, ring)
                     new_row.append(t)
@@ -601,81 +461,12 @@ def _random_point(ring, rng):
     return {nm: rng.randint(-997, 997) for nm in names}
 
 
-def _full_pivot_select(spec, target_rank, allowed_rows=None, allowed_cols=None):
-    """Greedy full-pivot Gaussian pass; returns (row_idx, col_idx) or None."""
-    field = spec.field
-    p = field.char
-    rows = list(range(spec.rows)) if allowed_rows is None else list(allowed_rows)
-    cols = list(range(spec.cols)) if allowed_cols is None else list(allowed_cols)
-    a = [[Fraction(spec.data[i][j]) if not p else spec.data[i][j] % p for j in cols] for i in rows]
-    nr, nc = len(rows), len(cols)
-    sel_rows, sel_cols = [], []
-    used_r = [False] * nr
-    used_c = [False] * nc
-    for _ in range(target_rank):
-        pi = pj = None
-        for i in range(nr):
-            if used_r[i]:
-                continue
-            for j in range(nc):
-                if used_c[j]:
-                    continue
-                if a[i][j]:
-                    pi, pj = i, j
-                    break
-            if pi is not None:
-                break
-        if pi is None:
-            return None
-        used_r[pi] = True
-        used_c[pj] = True
-        sel_rows.append(rows[pi])
-        sel_cols.append(cols[pj])
-        inv = field.invert(a[pi][pj]) if p else 1 / a[pi][pj]
-        for i in range(nr):
-            if used_r[i] or not a[i][pj]:
-                continue
-            f = a[i][pj] * inv
-            if p:
-                f %= p
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[pi])]
-            else:
-                a[i] = [x - f * y for x, y in zip(a[i], a[pi])]
-    return sorted(sel_rows), sorted(sel_cols)
+def _sampled_pivots(m, rng, rows):
+    """Pivot columns of m's rows `rows` at a random point of the T variables.
 
-
-def nonsingular_minor_select(m, target_rank, seed=DEFAULT_SEED, allowed_rows=None, max_tries=8):
-    """Row/column index sets of a verified nonsingular target_rank minor.
-
-    Candidate indices come from a seeded random specialization of the T
-    variables; the chosen submatrix is then verified symbolically, retrying
-    with fresh specializations a bounded number of times.
+    Over QQ the specialized values are reduced mod one large prime, so no
+    fractions enter the elimination.  The rank found this way can only fall
+    short of the generic rank; callers retry, or check the minor exactly.
     """
-    if target_rank == 0:
-        return [], []
-    if target_rank > min(m.rows if allowed_rows is None else len(allowed_rows), m.cols):
-        raise LinalgError("target rank %d exceeds matrix size" % target_rank)
-    rng = random.Random(seed)
-    last = None
-    for _ in range(max_tries):
-        spec = specialize(m, _random_point(m.ring, rng))
-        picked = _full_pivot_select(spec, target_rank, allowed_rows=allowed_rows)
-        if picked is None:
-            last = "specialized rank below %d" % target_rank
-            continue
-        rows_idx, cols_idx = picked
-        sub = m.submatrix(rows_idx, cols_idx)
-        if det_fraction_free(sub).terms:
-            return rows_idx, cols_idx
-        last = "candidate minor was singular symbolically"
-    raise LinalgError(
-        "no nonsingular %dx%d minor found (%s)" % (target_rank, target_rank, last)
-    )
-
-
-def generic_rank(m, rng):
-    """Rank of a PolyMatrix over k(T), estimated by one random specialization."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
     spec = specialize(m, _random_point(m.ring, rng))
-    return scalar_rank(spec.field, spec.data)
+    return _rref(m.ring.field.char or _RECON_PRIME, [spec.data[i] for i in rows])[1]

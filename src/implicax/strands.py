@@ -33,12 +33,10 @@ from .linalg import (
     DEFAULT_SEED,
     PolyMatrix,
     ScalarMatrix,
-    _full_pivot_select,
-    _random_point,
+    _rref,
+    _sampled_pivots,
     det_fraction_free,
     rref_kernel_data,
-    scalar_rank,
-    specialize,
 )
 
 __all__ = [
@@ -140,10 +138,7 @@ def boundary_basis(param, nu):
             for fm, fc in param.polys[l].terms.items():
                 vec[j * len(nm) + mono_index[ring.mono_mul(fm, u)]] -= fc
             rows.append(vec)
-    from .linalg import _rref
-
-    rank, red, pivots = _rref(ring.field, rows)
-    return [red[r] for r in range(rank)]
+    return _rref(ring.field.char, rows)[0]
 
 
 def vector_to_polys(param, nu, vec):
@@ -326,8 +321,7 @@ def _rank_profile(strand, rng):
         if m.rows == 0 or m.cols == 0:
             ranks.append(0)
             continue
-        spec = specialize(m, _random_point(m.ring, rng))
-        ranks.append(scalar_rank(spec.field, spec.data))
+        ranks.append(len(_sampled_pivots(m, rng, range(m.rows))))
     return ranks
 
 
@@ -375,12 +369,10 @@ def _select_chain_minor(m, row_subset, rng, max_tries=8):
         return [], m.ring.one
     last = "no candidate"
     for _ in range(max_tries):
-        spec = specialize(m, _random_point(m.ring, rng))
-        picked = _full_pivot_select(spec, target, allowed_rows=row_subset)
-        if picked is None:
+        cols = _sampled_pivots(m, rng, row_subset)
+        if len(cols) < target:
             last = "specialized rank below %d" % target
             continue
-        _, cols = picked
         det = det_fraction_free(m.submatrix(row_subset, cols))
         if det.terms:
             return cols, det
@@ -509,7 +501,7 @@ def gcd_of_maximal_minors(strand, seed=DEFAULT_SEED, enumerate_cap=220):
             continue
         try:
             exact_divide(det, g, verify=False)
-        except Exception:
+        except NotDivisibleError:
             g = _gcd_pair(g, det, seed)
         if g.total_degree() == 0:
             return normalize(g)
@@ -528,7 +520,7 @@ def gcd_of_maximal_minors(strand, seed=DEFAULT_SEED, enumerate_cap=220):
         try:
             exact_divide(det, g, verify=False)
             clean += 1
-        except Exception:
+        except NotDivisibleError:
             g = _gcd_pair(g, det, seed)
             clean = 0
     return normalize(g)

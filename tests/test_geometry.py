@@ -3,7 +3,8 @@
 import pytest
 
 from implicax.arith import QQ, make_parameterization, unit_multiple_of
-from implicax.errors import HypothesisViolation
+from implicax import geometry
+from implicax.errors import ConsistencyError, HypothesisViolation
 from implicax.geometry import (
     analyze_parameterization,
     base_locus_profile,
@@ -251,3 +252,17 @@ def test_analyze_degenerate():
     assert rep.predicted_degree == 0
     assert rep.generically_finite is False
     assert unit_multiple_of(rep.content_gcd, SQUARES.ring.poly("X1^2"))
+
+
+def test_boundary_outside_saturated_intersection_raises(monkeypatch):
+    # an empty saturation piece leaves no syzygy for the boundaries to sit in
+    monkeypatch.setattr(geometry, "saturation_piece", lambda param, nu: [])
+    with pytest.raises(ConsistencyError):
+        syzygetic_test(CONIC_FAT, nu_max=3)
+
+
+def test_boundary_outside_plain_intersection_raises(monkeypatch):
+    monkeypatch.setattr(geometry, "saturation_piece", ideal_piece)
+    monkeypatch.setattr(geometry, "ideal_piece", lambda param, nu: [])
+    with pytest.raises(ConsistencyError):
+        syzygetic_test(CONIC_FAT, nu_max=3)

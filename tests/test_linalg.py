@@ -1,23 +1,26 @@
 """Rank/kernel, fraction-free determinants, minor selection, specialization."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from implicax import linalg
 from implicax.arith import GF, QQ, Poly, Ring
+from implicax.errors import ConsistencyError, HypothesisViolation
 from implicax.linalg import (
     LinalgError,
     PolyMatrix,
     ScalarMatrix,
+    _rref,
     det_fraction_free,
-    det_scalar,
-    generic_rank,
-    nonsingular_minor_select,
     rank_and_kernel,
+    rref_kernel_data,
     scalar_rank,
     specialize,
 )
+from implicax.strands import _select_chain_minor
 
 T_RING = Ring(QQ, [], ["T1", "T2", "T3", "T4"])
 
@@ -101,11 +104,102 @@ def test_rank_invariance_random():
         # multiply by a random invertible matrix on the left
         while True:
             g = [[field.random(rng) for _ in range(n)] for _ in range(n)]
-            if det_scalar(ScalarMatrix(field, g)):
+            if scalar_rank(field, g) == n:
                 break
         prod = [[sum(g[i][k] * m.data[k][j] for k in range(n)) % 65521
                  for j in range(n + 1)] for i in range(n)]
         assert scalar_rank(field, prod) == r0
+
+
+def fraction_rref(field, data, ncols):
+    """Textbook Gauss-Jordan with field elements (Fractions over QQ)."""
+    rows = [[field.canon(x) for x in r] for r in data]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = field.invert(rows[r][c])
+        rows[r] = [field.canon(x * inv) for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [field.canon(a - f * b) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _random_matrix(rng, field, nrows, ncols, rank_cap, fractions):
+    """Random matrix of rank at most rank_cap (a product through rank_cap)."""
+
+    def entry():
+        if fractions:
+            return field.canon(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        return field.random(rng, -3, 3)
+
+    left = [[entry() for _ in range(rank_cap)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank_cap)]
+    return [
+        [field.canon(sum(left[i][k] * right[k][j] for k in range(rank_cap))) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+
+
+def test_elimination_core_matches_fraction_gauss():
+    from implicax.arith import _RECON_PRIME
+    from implicax.geometry import _SpanReducer
+
+    rng = random.Random(2002)
+    cases = [(QQ, False), (QQ, True), (GF(65521), False)]
+    for field, fractions in cases:
+        p = field.char
+        for trial in range(60):
+            nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+            cap = rng.randint(0, min(nrows, ncols)) if trial % 3 == 0 else min(nrows, ncols)
+            data = _random_matrix(rng, field, nrows, ncols, cap, fractions)
+            want_rows, want_pivots = fraction_rref(field, data, ncols)
+            rank = len(want_pivots)
+
+            rows, pivots = _rref(p, data)
+            assert pivots == want_pivots
+            assert all(type(x) is int for row in rows for x in row)
+            assert scalar_rank(field, data) == rank
+            if not p:
+                # reduced mod the specialization prime, small QQ data keeps its pivots
+                assert _rref(_RECON_PRIME, data)[1] == want_pivots
+
+            m = ScalarMatrix(field, data, ncols)
+            got_rank, basis, free = rref_kernel_data(m)
+            assert got_rank == rank and len(basis) == ncols - rank
+            assert free == [c for c in range(ncols) if c not in want_pivots]
+            for v, f in zip(basis, free):
+                assert all(type(x) is int for x in v)
+                assert not any(m.mul_vector(v))
+                if p:
+                    assert v[f] == 1
+                else:
+                    assert v[f] > 0 and math.gcd(*v) == 1
+                want = [0] * ncols
+                want[f] = 1
+                for row, c in zip(want_rows, want_pivots):
+                    want[c] = field.neg(row[f])
+                assert [field.canon(Fraction(x, v[f])) for x in v] == want
+
+            if not ncols:
+                continue
+            red = _SpanReducer(field, data)
+            for _ in range(3):
+                w = [field.random(rng, -3, 3) for _ in range(ncols)]
+                residue = list(w)
+                for row, c in zip(want_rows, want_pivots):
+                    x = residue[c]
+                    residue = [field.canon(a - x * b) for a, b in zip(residue, row)]
+                got = red.reduce(w)
+                assert all(type(x) is int for x in got)
+                assert [field.canon(x) for x in got] == [field.canon(red.lcm * x) for x in residue]
+                assert red.contains(w) == (scalar_rank(field, data + [w]) == rank)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +249,9 @@ def test_det_matches_cofactor_randomized():
         for _ in range(100):
             n = rng.randint(1, 4)
             if rng.random() < 0.5:
-                data = [[field.random(rng) for _ in range(n)] for _ in range(n)]
-                m = ScalarMatrix(field, data)
-                assert det_fraction_free(m) == field.canon(cofactor_det(m))
+                data = [[ring.const(field.random(rng)) for _ in range(n)] for _ in range(n)]
+                m = PolyMatrix(ring, data)
+                assert det_fraction_free(m) == cofactor_det(m)
             else:
                 data = []
                 for _ in range(n):
@@ -177,8 +271,8 @@ def test_det_matches_cofactor_randomized():
 
 
 def test_det_fraction_entries():
-    m = ScalarMatrix(QQ, [[Fraction(1, 2), 1], [1, Fraction(2, 3)]])
-    assert det_scalar(m) == Fraction(1, 3) - 1
+    m = pm([[Fraction(1, 2), 1], [1, Fraction(2, 3)]])
+    assert det_fraction_free(m) == T_RING.const(Fraction(1, 3) - 1) == cofactor_det(m)
 
 
 def test_det_poly_with_fraction_coeffs():
@@ -199,22 +293,22 @@ def test_det_singular_poly_matrix():
 
 def test_minor_select_full_rank():
     m = pm([[1, 0], [0, 1]])
-    rows, cols = nonsingular_minor_select(m, 2, seed=1)
-    assert rows == [0, 1] and cols == [0, 1]
+    cols, det = _select_chain_minor(m, [0, 1], random.Random(1))
+    assert cols == [0, 1] and det == T_RING.one
 
 
 def test_minor_select_rank_deficient_errors():
     m = pm([["T1", "T1"], ["T1", "T1"]])
-    with pytest.raises(LinalgError):
-        nonsingular_minor_select(m, 2, seed=1)
+    with pytest.raises(HypothesisViolation):
+        _select_chain_minor(m, [0, 1], random.Random(1))
 
 
 def test_minor_select_seed_independent_property():
     m = pm([["T1", "T2", "T1"], ["T3", "T4", "T3"], [0, "T1", "T2"]])
     for seed in (1, 2, 20020101):
-        rows, cols = nonsingular_minor_select(m, 3, seed=seed)
-        sub = m.submatrix(rows, cols)
-        assert det_fraction_free(sub).terms
+        cols, det = _select_chain_minor(m, [0, 1, 2], random.Random(seed))
+        assert det.terms
+        assert det == det_fraction_free(m.submatrix([0, 1, 2], cols))
 
 
 def test_specialize():
@@ -250,16 +344,15 @@ def test_specialize_commutes_with_det():
             data.append(row)
         m = PolyMatrix(ring, data)
         point = {nm: rng.randint(-5, 5) for nm in ring.names}
-        d1 = det_scalar(specialize(m, point))
+        d1 = cofactor_det(specialize(m, point))
         d2 = det_fraction_free(m).evaluate(point)
         assert d2.is_constant()
         assert d2.terms.get(ring.one_mono, 0) == d1
 
 
 def test_generic_rank():
-    rng = random.Random(5)
     m = pm([["T1", "T2"], ["2*T1", "2*T2"]])
-    assert generic_rank(m, rng) == 1
+    assert scalar_rank(QQ, specialize(m, {"T1": 3, "T2": -5, "T3": 0, "T4": 0}).data) == 1
 
 
 def test_require_t_linear():
@@ -272,3 +365,11 @@ def test_require_t_linear():
     bad2 = PolyMatrix(ring, [[ring.poly("T1 + 1"), ring.zero]])
     with pytest.raises(LinalgError):
         bad2.require_t_linear()
+
+
+def test_kernel_check_raises_on_a_wrong_vector(monkeypatch):
+    m = ScalarMatrix(QQ, [[1, 1, 0], [0, 0, 1]])
+    assert rank_and_kernel(m) == (2, [[-1, 1, 0]])
+    monkeypatch.setattr(linalg, "_kernel", lambda p, data, ncols: (2, [[1, 1, 0]], [1]))
+    with pytest.raises(ConsistencyError):
+        rank_and_kernel(m)
