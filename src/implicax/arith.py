@@ -69,13 +69,11 @@ class RationalField:
         return c
 
     def reduce_terms(self, terms):
-        out = {}
-        for m, c in terms.items():
-            if c:
-                if type(c) is not int and c.denominator == 1:
-                    c = int(c)
-                out[m] = c
-        return out
+        return {
+            m: c if type(c) is int or c.denominator != 1 else int(c)
+            for m, c in terms.items()
+            if c
+        }
 
     def div(self, a, b):
         if type(a) is int and type(b) is int:
@@ -83,6 +81,11 @@ class RationalField:
             if r == 0:
                 return q
         return self.canon(Fraction(a) / Fraction(b))
+
+    def _divider(self, b):
+        """The map a -> a / b for a fixed nonzero b."""
+        div = self.div
+        return lambda a: div(a, b)
 
     def invert(self, a):
         return self.canon(Fraction(1) / Fraction(a))
@@ -168,22 +171,22 @@ class PrimeField:
         self.p = p
         self.char = p
         self.name = "GF(%d)" % p
-        self._dlog = None
 
     def canon(self, c):
         return c % self.p
 
     def reduce_terms(self, terms):
         p = self.p
-        out = {}
-        for m, c in terms.items():
-            c %= p
-            if c:
-                out[m] = c
-        return out
+        return {m: r for m, c in terms.items() if (r := c % p)}
 
     def div(self, a, b):
         return a * pow(b, self.p - 2, self.p) % self.p
+
+    def _divider(self, b):
+        """The map a -> a / b for a fixed nonzero b, inverting b once."""
+        inv = self.invert(b)
+        p = self.p
+        return lambda a: a * inv % p
 
     def invert(self, a):
         return pow(a, self.p - 2, self.p)
@@ -208,36 +211,6 @@ class PrimeField:
 
     def random_nonzero(self, rng, lo=None, hi=None):
         return rng.randrange(1, self.p)
-
-    def nth_root(self, c, e):
-        """Some e-th root of c in GF(p), or None."""
-        c %= self.p
-        if c == 0:
-            return 0
-        g = math.gcd(e, self.p - 1)
-        if g == 1:
-            return pow(c, pow(e, -1, self.p - 1), self.p)
-        if self._dlog is None:
-            self._build_dlog()
-        gen, table = self._dlog
-        k = table[c]
-        if k % g:
-            return None
-        x = (k // g) * pow(e // g, -1, (self.p - 1) // g) % ((self.p - 1) // g)
-        return pow(gen, x, self.p)
-
-    def _build_dlog(self):
-        # full discrete-log table; p stays small (< 2**17) in practice
-        p = self.p
-        for gen in range(2, p):
-            if all(pow(gen, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1)):
-                break
-        table = {}
-        acc = 1
-        for k in range(p - 1):
-            table[acc] = k
-            acc = acc * gen % p
-        self._dlog = (gen, table)
 
     def __repr__(self):
         return self.name
@@ -271,19 +244,6 @@ def _is_prime(n):
         else:
             return False
     return True
-
-
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 QQ = RationalField()
@@ -442,6 +402,65 @@ class Ring:
         return hash((self.field, self.names, self.nx))
 
 
+def _mul_terms(A, B, ring):
+    """Product of two term dicts, reduced by the ring's field.
+
+    The one multiplication loop: Poly products and Bareiss steps both run it.
+    """
+    if not A or not B:
+        return {}
+    if len(A) > len(B):
+        A, B = B, A
+    one = ring.one_mono
+    out = {}
+    get = out.get
+    for ma, ca in A.items():
+        off = ma - one
+        for mb, cb in B.items():
+            k = off + mb
+            prev = get(k)
+            out[k] = ca * cb if prev is None else prev + ca * cb
+    return ring.field.reduce_terms(out)
+
+
+def _divide_terms(A, B, ring):
+    """Quotient of the term dict A by the nonzero term dict B.
+
+    The one division loop: exact_divide and Bareiss steps both run it.  The
+    quotient's coefficients are field quotients (over QQ, ints where the
+    division is integral).  A's and B's coefficients need not be reduced
+    mod p.  Raises NotDivisibleError unless B divides A.
+    """
+    p = ring.field.char
+    lt_b = max(B)
+    quo = ring.field._divider(B[lt_b])
+    one = ring.one_mono
+    tail = [(m - one, c) for m, c in B.items() if m != lt_b]
+    mono_div = ring.mono_div
+    rem = dict(A)
+    get = rem.get
+    q = {}
+    while rem:
+        lt_r = max(rem)
+        qc = quo(rem.pop(lt_r))
+        if not qc:
+            continue  # a multiple of p
+        qm = mono_div(lt_r, lt_b)
+        if qm is None:
+            raise NotDivisibleError("nonzero remainder: the divisor does not divide")
+        q[qm] = qc
+        for m, c in tail:
+            k = qm + m
+            v = get(k, 0) - qc * c
+            if p:
+                v %= p  # so that a cancelled term leaves the remainder now
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return q
+
+
 def _check_same_ring(a, b):
     if a.ring is not b.ring and a.ring != b.ring:
         raise ArithError("mixed rings: %r vs %r" % (a.ring, b.ring))
@@ -513,21 +532,7 @@ class Poly:
             terms = {m: c * other for m, c in self.terms.items()}
             return Poly(self.ring, self.ring.field.reduce_terms(terms))
         _check_same_ring(self, other)
-        A, B = self.terms, other.terms
-        if not A or not B:
-            return self.ring.zero
-        if len(A) > len(B):
-            A, B = B, A
-        one = self.ring.one_mono
-        out = {}
-        get = out.get
-        for ma, ca in A.items():
-            off = ma - one
-            for mb, cb in B.items():
-                k = off + mb
-                prev = get(k)
-                out[k] = ca * cb if prev is None else prev + ca * cb
-        return Poly(self.ring, self.ring.field.reduce_terms(out))
+        return Poly(self.ring, _mul_terms(self.terms, other.terms, self.ring))
 
     __rmul__ = __mul__
 
@@ -598,16 +603,6 @@ class Poly:
         off = _EXP_BITS * i
         return max(_MAXE - ((m >> off) & _MAXE) for m in self.terms)
 
-    def coeff_of_var_power(self, i, e):
-        """Coefficient of x_i**e, a polynomial in the remaining variables."""
-        off = _EXP_BITS * i
-        drop = self.ring.pack(tuple(e if j == i else 0 for j in range(self.ring.nv)))
-        out = {}
-        for m, c in self.terms.items():
-            if _MAXE - ((m >> off) & _MAXE) == e:
-                out[self.ring.mono_div(m, drop)] = c
-        return Poly(self.ring, out)
-
     def derivative(self, i):
         """Partial derivative with respect to variable index i."""
         ring = self.ring
@@ -660,10 +655,6 @@ class Poly:
                     k = off + fm
                     acc[k] = acc.get(k, 0) + c * fc
         return Poly(ring, ring.field.reduce_terms(acc))
-
-    def map_coeffs(self, fn):
-        out = {m: fn(c) for m, c in self.terms.items()}
-        return Poly(self.ring, self.ring.field.reduce_terms(out))
 
     # -- display -------------------------------------------------------------
 
@@ -806,41 +797,18 @@ def exact_divide(a, b, verify=True):
         raise NotDivisibleError("division by zero polynomial")
     if not a.terms:
         return ring.zero
-    bt = b.terms
-    lt_b = max(bt)
-    cb = bt[lt_b]
-    if len(bt) == 1:
+    if len(b.terms) == 1:
         # monomial divisor: divide every term directly
+        (lt_b, cb), = b.terms.items()
+        quo = field._divider(cb)
         qterms = {}
         for m, c in a.terms.items():
             q = ring.mono_div(m, lt_b)
             if q is None:
                 raise NotDivisibleError("%r does not divide %r" % (b, a))
-            qterms[q] = field.div(c, cb)
-        return Poly(ring, field.reduce_terms(qterms))
-    rem = dict(a.terms)
-    qterms = {}
-    one = ring.one_mono
-    mono_div = ring.mono_div
-    div = field.div
-    is_zero = field.is_zero
-    while rem:
-        lt_r = max(rem)
-        qm = mono_div(lt_r, lt_b)
-        if qm is None:
-            raise NotDivisibleError("%r does not divide %r" % (b, a))
-        qc = div(rem[lt_r], cb)
-        qterms[qm] = qc
-        off = qm - one
-        for m, c in bt.items():
-            k = off + m
-            prev = rem.get(k, 0)
-            nc = prev - qc * c
-            if is_zero(nc):
-                rem.pop(k, None)
-            else:
-                rem[k] = nc
-    q = Poly(ring, field.reduce_terms(qterms))
+            qterms[q] = quo(c)
+        return Poly(ring, qterms)
+    q = Poly(ring, _divide_terms(a.terms, b.terms, ring))
     if verify and q * b != a:
         raise NotDivisibleError("division verification failed")
     return q
@@ -857,11 +825,12 @@ def monomial_content(p):
     return g
 
 
-def rational_content(p):
-    """Positive rational c with p/c integer-primitive (QQ only)."""
+def rational_content(coeffs):
+    """Positive rational c with every coefficient / c an integer, and these
+    integers coprime (QQ only); 0 when every coefficient is 0."""
     num_gcd = 0
     den_lcm = 1
-    for c in p.terms.values():
+    for c in coeffs:
         if type(c) is int:
             num_gcd = math.gcd(num_gcd, c)
         else:
@@ -880,7 +849,7 @@ def normalize(p):
         return p
     field = p.ring.field
     if field.char == 0:
-        c = rational_content(p)
+        c = rational_content(p.terms.values())
         if p.terms[max(p.terms)] < 0:
             c = -c
         inv = 1 / c
@@ -1080,14 +1049,18 @@ def _divisors_desc(n):
 
 
 def _nth_root_poly(q, e):
-    """H with H**e == q, by greedy leading-term extraction; None on failure."""
+    """H with H**e == q, by greedy leading-term extraction; None on failure.
+
+    q is normalized, so over GF(p) it is monic and its root needs no
+    coefficient root.
+    """
     ring = q.ring
     field = ring.field
     lt_m, lt_c = q.leading()
     exps = ring.unpack(lt_m)
     if any(x % e for x in exps):
         return None
-    root_c = field.nth_root(lt_c, e)
+    root_c = 1 if lt_c == 1 else field.nth_root(lt_c, e)
     if root_c is None:
         return None
     h1_m = ring.pack(tuple(x // e for x in exps))
@@ -1167,38 +1140,27 @@ def _uni_gcd_monic(a, b, field):
             v.pop()
         return v
 
-    def to_field(v):
-        if field.char:
-            return [x % field.char for x in v]
-        return [Fraction(x) for x in v]
-
-    a = trim(to_field(list(a)))
-    b = trim(to_field(list(b)))
+    canon = field.canon
+    a = trim([canon(x) for x in a])
+    b = trim([canon(x) for x in b])
     while b:
         # a mod b
-        lb = b[-1]
-        inv = field.invert(lb) if field.char else 1 / lb
+        inv = field.invert(b[-1])
         r = list(a)
         for k in range(len(r) - 1, len(b) - 2, -1):
             c = r[k]
             if field.is_zero(c):
                 continue
-            f = c * inv
-            if field.char:
-                f %= field.char
+            f = canon(c * inv)
             for j in range(len(b)):
                 r[k - len(b) + 1 + j] -= f * b[j]
-            if field.char:
-                r = [x % field.char for x in r]
+            r = [canon(x) for x in r]
             r[k] = 0
         a, b = b, trim(r)
     if not a:
         return []
-    inv = field.invert(a[-1]) if field.char else 1 / a[-1]
-    out = [x * inv for x in a]
-    if field.char:
-        out = [x % field.char for x in out]
-    return out
+    inv = field.invert(a[-1])
+    return [canon(x * inv) for x in a]
 
 
 _RECON_PRIME = (1 << 62) - 57  # prime; modulus of kernel lifts and of QQ specializations
@@ -1269,6 +1231,28 @@ def _eval_on_line(p, affine_vars, hvar, caches, field):
     return out
 
 
+def _line_image(a, b, affine, hvar, rng):
+    """Images of a and b on a random affine line, and their monic gcd.
+
+    Returns (powers of the line's coordinates, gcd coefficient list), or None
+    when either image drops degree on the line.
+    """
+    field = a.ring.field
+    if field.char:
+        al = [field.random_nonzero(rng) for _ in affine]
+    else:
+        al = [rng.randint(-9, 9) or 1 for _ in affine]
+    be = [field.random(rng) for _ in affine]
+    maxdeg = max(a.total_degree(), b.total_degree())
+    caches = [_line_powers_cache(field, x, y, maxdeg) for x, y in zip(al, be)]
+    ia = _eval_on_line(a, affine, hvar, caches, field)
+    ib = _eval_on_line(b, affine, hvar, caches, field)
+    if not ia[-1] or not ib[-1]:
+        return None
+    g = _uni_gcd_monic(ia, ib, field)
+    return (caches, g) if g else None
+
+
 def gcd_homogeneous_by_lines(a, b, seed=20020101):
     """gcd of two homogeneous polynomials, reconstructed from line images.
 
@@ -1293,45 +1277,22 @@ def gcd_homogeneous_by_lines(a, b, seed=20020101):
         return normalize(g * Poly(ring, {mono: 1}))
     hvar = allvars[-1]
     affine = [v for v in allvars if v != hvar]
-    deg_a = a0.total_degree()
-    deg_b = b0.total_degree()
     rng = _random.Random(seed)
     for attempt in range(4):
         lines = []
-        images = []
-        degs = []
         want = 6 + 2 * attempt
         guard = 0
         while len(lines) < want and guard < 80:
             guard += 1
-            if field.char:
-                al = [field.random_nonzero(rng) for _ in affine]
-                be = [field.random(rng) for _ in affine]
-            else:
-                al = [rng.randint(-9, 9) or 1 for _ in affine]
-                be = [rng.randint(-9, 9) for _ in affine]
-            caches = [
-                _line_powers_cache(field, al[i], be[i], max(deg_a, deg_b))
-                for i in range(len(affine))
-            ]
-            ia = _eval_on_line(a0, affine, hvar, caches, field)
-            ib = _eval_on_line(b0, affine, hvar, caches, field)
-            if len(ia) < deg_a + 1 or not ia or not ia[-1]:
-                continue
-            if len(ib) < deg_b + 1 or not ib or not ib[-1]:
-                continue
-            g = _uni_gcd_monic(ia, ib, field)
-            if not g:
-                continue
-            lines.append((al, be, caches))
-            images.append(g)
-            degs.append(len(g) - 1)
-        if not degs:
+            line = _line_image(a0, b0, affine, hvar, rng)
+            if line is not None:
+                lines.append(line)
+        if not lines:
             continue
-        delta = min(degs)
+        delta = min(len(g) - 1 for _, g in lines)
         if delta == 0:
             return normalize(Poly(ring, {mono: 1}))
-        keep = [i for i, d in enumerate(degs) if d == delta]
+        keep = [line for line in lines if len(line[1]) - 1 == delta]
         # unknown dehomogenized coefficients: monomials of degree <= delta in
         # the affine variables
         unknown_monos = []
@@ -1346,40 +1307,18 @@ def gcd_homogeneous_by_lines(a, b, seed=20020101):
         # need enough equations: each kept line supplies delta of them
         needed = len(unknown_monos) + 2
         while len(keep) * delta < needed and len(lines) < 60:
-            if field.char:
-                al = [field.random_nonzero(rng) for _ in affine]
-                be = [field.random(rng) for _ in affine]
-            else:
-                al = [rng.randint(-9, 9) or 1 for _ in affine]
-                be = [rng.randint(-9, 9) for _ in affine]
-            caches = [
-                _line_powers_cache(field, al[i], be[i], max(deg_a, deg_b))
-                for i in range(len(affine))
-            ]
-            ia = _eval_on_line(a0, affine, hvar, caches, field)
-            ib = _eval_on_line(b0, affine, hvar, caches, field)
-            if len(ia) < deg_a + 1 or len(ib) < deg_b + 1 or not ia or not ib:
+            line = _line_image(a0, b0, affine, hvar, rng)
+            if line is None or len(line[1]) - 1 > delta:
                 continue
-            if not ia[-1] or not ib[-1]:
-                continue
-            g = _uni_gcd_monic(ia, ib, field)
-            if len(g) - 1 != delta:
-                if g and len(g) - 1 < delta:
-                    delta = len(g) - 1
-                    keep = []
-                    lines = []
-                    images = []
-                    break
-                continue
-            lines.append((al, be, caches))
-            images.append(g)
-            keep.append(len(lines) - 1)
+            if len(line[1]) - 1 < delta:
+                keep = []  # every kept image had a spurious factor
+                break
+            lines.append(line)
+            keep.append(line)
         if len(keep) * delta < len(unknown_monos):
             continue
         rows = []
-        for li in keep:
-            al, be, caches = lines[li]
-            u = images[li]
+        for caches, u in keep:
             # column c of "g composed with the line": [t^k] prod (a t + b)^mu
             col_polys = []
             for mu in unknown_monos:

@@ -325,7 +325,7 @@ class BasePointReport:
         }
 
 
-def analyze_parameterization(param, run_syzygetic=None, syzygetic_nu_max=None):
+def analyze_parameterization(param, run_syzygetic=None):
     """Assemble the BasePointReport; never raises on degenerate input."""
     content = gcd_many(list(param.polys))
     dim, e = base_locus_profile(param)
@@ -341,7 +341,7 @@ def analyze_parameterization(param, run_syzygetic=None, syzygetic_nu_max=None):
         run_syzygetic = param.ring.nx >= 3 and param.n <= 4
     syz = None
     if run_syzygetic:
-        syz = syzygetic_test(param, syzygetic_nu_max)
+        syz = syzygetic_test(param)
     return BasePointReport(
         content_gcd=content,
         base_locus_dim=dim,

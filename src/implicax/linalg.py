@@ -3,9 +3,11 @@
 Two matrix flavors: ScalarMatrix (field entries) and PolyMatrix (Poly
 entries).  Rank, kernel, span reduction and minor selection are read off one
 integer row reduction (`_rref`); determinants are fraction-free (Bareiss) so
-polynomial matrices never leave the coefficient ring.  Over QQ
-rows and columns are rescaled to primitive integer vectors internally; the
-exact value is restored at the end, so results are not "up to unit" here.
+polynomial matrices never leave the coefficient ring.  Bareiss steps run on
+term dicts through arith's multiplication and exact-division loops, the same
+ones Poly uses.  Over QQ rows and columns are rescaled to primitive integer
+vectors internally; the exact value is restored at the end, so results are
+not "up to unit" here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import _RECON_PRIME, ArithError, Poly, QQ
+from .arith import (
+    _RECON_PRIME,
+    ArithError,
+    NotDivisibleError,
+    Poly,
+    _divide_terms,
+    _mul_terms,
+    rational_content,
+)
 from .errors import ConsistencyError
 
 __all__ = [
@@ -51,16 +61,6 @@ class ScalarMatrix:
                 raise LinalgError("ragged rows")
         else:
             self.cols = 0 if cols is None else cols
-
-    @classmethod
-    def zero(cls, field, rows, cols):
-        return cls(field, [[0] * cols for _ in range(rows)], cols)
-
-    def entry(self, i, j):
-        return self.data[i][j]
-
-    def column(self, j):
-        return [r[j] for r in self.data]
 
     def submatrix(self, row_idx, col_idx):
         return ScalarMatrix(
@@ -206,13 +206,6 @@ class PolyMatrix:
         else:
             self.cols = 0 if cols is None else cols
 
-    @classmethod
-    def zero(cls, ring, rows, cols):
-        return cls(ring, [[ring.zero] * cols for _ in range(rows)], cols)
-
-    def entry(self, i, j):
-        return self.data[i][j]
-
     def submatrix(self, row_idx, col_idx):
         return PolyMatrix(
             self.ring, [[self.data[i][j] for j in col_idx] for i in row_idx], len(col_idx)
@@ -275,49 +268,19 @@ def _column_primitive_scales(m):
     Returns (scaled int-coefficient data as term dicts, product of the c_j).
     Over GF(p) it is the identity transform.
     """
-    ring = m.ring
-    if ring.field.char != 0:
-        return [[dict(m.data[i][j].terms) for j in range(m.cols)] for i in range(m.rows)], 1
-    data = [[None] * m.cols for _ in range(m.rows)]
+    data = [[dict(e.terms) for e in row] for row in m.data]
     total = Fraction(1)
+    if m.ring.field.char:
+        return data, total
     for j in range(m.cols):
-        den = 1
-        num_gcd = 0
-        for i in range(m.rows):
-            for c in m.data[i][j].terms.values():
-                if type(c) is int:
-                    num_gcd = math.gcd(num_gcd, c)
-                else:
-                    num_gcd = math.gcd(num_gcd, c.numerator)
-                    den = den * c.denominator // math.gcd(den, c.denominator)
-        if num_gcd == 0:
-            for i in range(m.rows):
-                data[i][j] = {}
+        content = rational_content(c for row in data for c in row[j].values())
+        if not content:
             continue
-        cj = Fraction(den, num_gcd)
+        cj = 1 / content
         total *= cj
-        for i in range(m.rows):
-            data[i][j] = {mm: int(c * cj) for mm, c in m.data[i][j].terms.items()}
+        for row in data:
+            row[j] = {mm: int(c * cj) for mm, c in row[j].items()}
     return data, total
-
-
-def _dict_mul(A, B, one_mono, p):
-    """Product of term dicts, coefficients reduced mod p when p > 0."""
-    if not A or not B:
-        return {}
-    if len(A) > len(B):
-        A, B = B, A
-    out = {}
-    get = out.get
-    for ma, ca in A.items():
-        off = ma - one_mono
-        for mb, cb in B.items():
-            k = off + mb
-            prev = get(k)
-            out[k] = ca * cb if prev is None else prev + ca * cb
-    if p:
-        return {m: r for m, c in out.items() if (r := c % p)}
-    return {m: c for m, c in out.items() if c}
 
 
 def _dict_sub(A, B):
@@ -331,50 +294,18 @@ def _dict_sub(A, B):
     return out
 
 
-def _dict_exact_div(A, B, ring):
-    """Exact division of term dicts (int or GF coefficients)."""
-    if not B:
-        raise LinalgError("internal division by zero in elimination")
-    if not A:
-        return {}
-    p = ring.field.char
-    lt_b = max(B)
-    cb = B[lt_b]
-    if p:
-        cb_inv = pow(cb, p - 2, p)
-    rem = dict(A)
-    q = {}
-    mono_div = ring.mono_div
-    one = ring.one_mono
-    while rem:
-        lt_r = max(rem)
-        qm = mono_div(lt_r, lt_b)
-        if qm is None:
-            raise LinalgError("internal exact division failed (non-divisible)")
-        if p:
-            qc = rem[lt_r] * cb_inv % p
-        else:
-            qc, rr = divmod(rem[lt_r], cb)
-            if rr:
-                raise LinalgError("internal exact division failed (coefficient)")
-        q[qm] = qc
-        off = qm - one
-        if p:
-            for m, c in B.items():
-                k = off + m
-                v = (rem.get(k, 0) - qc * c) % p
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-        else:
-            for m, c in B.items():
-                k = off + m
-                v = rem.get(k, 0) - qc * c
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
+def _bareiss_divide(A, B, ring):
+    """The exact quotient A / B of one Bareiss step.
+
+    Sylvester's identity makes it exact, with integer coefficients over QQ
+    (the columns were scaled to integers); anything else is a defect.
+    """
+    try:
+        q = _divide_terms(A, B, ring)
+    except NotDivisibleError:
+        raise LinalgError("internal exact division failed (non-divisible)") from None
+    if any(type(c) is not int for c in q.values()):
+        raise LinalgError("internal exact division failed (coefficient)")
     return q
 
 
@@ -393,9 +324,6 @@ def det_fraction_free(m):
     if n == 1:
         return m.data[0][0]
     a, scale = _column_primitive_scales(m)
-    field = ring.field
-    p = field.char
-    one = ring.one_mono
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -420,31 +348,22 @@ def det_fraction_free(m):
             row_i = a[i]
             row_k = a[k]
             new_row = [{}] * (k + 1)
-            if aik:
-                for j in range(k + 1, n):
-                    t = _dict_sub(
-                        _dict_mul(akk, row_i[j], one, p), _dict_mul(aik, row_k[j], one, p)
-                    )
-                    if prev is not None and t:
-                        t = _dict_exact_div(t, prev, ring)
-                    new_row.append(t)
-            else:
-                for j in range(k + 1, n):
-                    t = _dict_mul(akk, row_i[j], one, p)
-                    if prev is not None and t:
-                        t = _dict_exact_div(t, prev, ring)
-                    new_row.append(t)
+            for j in range(k + 1, n):
+                t = _mul_terms(akk, row_i[j], ring)
+                if aik:
+                    t = _dict_sub(t, _mul_terms(aik, row_k[j], ring))
+                if prev is not None and t:
+                    t = _bareiss_divide(t, prev, ring)
+                new_row.append(t)
             a[i] = new_row
         prev = akk
     final = a[n - 1][n - 1]
     if sign < 0:
         final = {mm: -c for mm, c in final.items()}
-        if p:
-            final = {mm: c % p for mm, c in final.items()}
-    det = Poly(ring, field.reduce_terms(final))
-    if p or scale == 1:
+    det = Poly(ring, ring.field.reduce_terms(final))
+    if scale == 1:
         return det
-    return det * QQ.canon(Fraction(1) / scale)
+    return det * (1 / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,9 @@ class ImplicitResult:
         return self.determinant.total_degree()
 
 
-def analyze(param, run_syzygetic=None, syzygetic_nu_max=None):
+def analyze(param, run_syzygetic=None):
     """Base-point diagnostics; never raises on degenerate input."""
-    return analyze_parameterization(
-        param, run_syzygetic=run_syzygetic, syzygetic_nu_max=syzygetic_nu_max
-    )
+    return analyze_parameterization(param, run_syzygetic=run_syzygetic)
 
 
 def verify(reduced, param, trials=20, seed=DEFAULT_SEED):
@@ -73,10 +71,7 @@ def verify(reduced, param, trials=20, seed=DEFAULT_SEED):
             raise ImplicaxError(
                 "could not sample %d points off the base locus" % trials
             )
-        if field.char:
-            pt = {nm: field.random(rng) for nm in x_names}
-        else:
-            pt = {nm: rng.randint(-9, 9) for nm in x_names}
+        pt = {nm: field.random(rng) for nm in x_names}
         vals = [p.evaluate(pt) for p in param.polys]
         if all(v.is_zero() for v in vals):
             continue

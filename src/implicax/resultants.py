@@ -40,12 +40,6 @@ class BinaryForm:
     def is_zero(self):
         return all(not c.terms for c in self.coeffs)
 
-    def shifted(self, s):
-        """Coefficient of S^m in the dehomogenization, m descending."""
-        # p(S,1) = sum_j c_j S^(d-j): row [c_0, c_1, ..., c_d] already lists
-        # coefficients by descending S power
-        return self.coeffs
-
     def __repr__(self):
         return "BinaryForm(deg %d; %s)" % (
             self.degree,

@@ -16,9 +16,9 @@ rightmost map.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .arith import (
     NotDivisibleError,
@@ -209,7 +209,7 @@ def _dT_components(param, kb_src, kb_dst, vec):
     return comps
 
 
-def z_strand(param, nu, check=True):
+def z_strand(param, nu):
     """Assemble the degree-nu strand with verified differentials."""
     if nu < 0:
         raise ImplicaxError("strand degree must be nonnegative")
@@ -247,7 +247,7 @@ def z_strand(param, nu, check=True):
         src_vecs = bases[i]
         dst_vecs = bases[i - 1]
         dst_free = frees[i - 1]
-        pivots = [dst_vecs[r][dst_free[r]] for r in range(len(dst_vecs))]
+        inverses = [field.invert(v[f]) for v, f in zip(dst_vecs, dst_free)]
         rows = len(dst_vecs)
         cols = len(src_vecs)
         data = [[None] * cols for _ in range(rows)]
@@ -256,32 +256,22 @@ def z_strand(param, nu, check=True):
             coords = []
             for j in range(n):
                 w = comps[j]
-                if field.char:
-                    xs = [
-                        w[dst_free[r]] * pow(pivots[r], field.char - 2, field.char) % field.char
-                        for r in range(rows)
-                    ]
-                else:
-                    xs = [Fraction(w[dst_free[r]], pivots[r]) for r in range(rows)]
+                xs = [field.canon(w[dst_free[r]] * inverses[r]) for r in range(rows)]
                 coords.append(xs)
-                if check and not _combination_matches(dst_vecs, xs, w, field):
+                if not _combination_matches(dst_vecs, xs, w, field):
                     raise ImplicaxError(
                         "strand grading error: contraction image left the cycle space"
                     )
             for r in range(rows):
-                data[r][s] = t_form(
-                    [field.canon(coords[j][r]) if field.char else coords[j][r] for j in range(n)]
-                )
+                data[r][s] = t_form([coords[j][r] for j in range(n)])
         maps.append(PolyMatrix(ring, data if rows else [], cols))
-    strand = ZStrand(param, nu, dims, maps, bases)
-    if check:
-        for m in maps:
-            m.require_t_linear()
-        for i in range(len(maps) - 1):
-            if maps[i].cols and maps[i + 1].cols:
-                if not maps[i].matmul(maps[i + 1]).is_zero():
-                    raise ImplicaxError("strand differentials do not compose to zero")
-    return strand
+    for m in maps:
+        m.require_t_linear()
+    for i in range(len(maps) - 1):
+        if maps[i].cols and maps[i + 1].cols:
+            if not maps[i].matmul(maps[i + 1]).is_zero():
+                raise ImplicaxError("strand differentials do not compose to zero")
+    return ZStrand(param, nu, dims, maps, bases)
 
 
 def _combination_matches(vectors, xs, target, field):
@@ -291,9 +281,7 @@ def _combination_matches(vectors, xs, target, field):
             for k, c in enumerate(v):
                 if c:
                     acc[k] += x * c
-    if field.char:
-        return all((a - b) % field.char == 0 for a, b in zip(acc, target))
-    return all(a == b for a, b in zip(acc, target))
+    return all(field.is_zero(a - b) for a, b in zip(acc, target))
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +350,16 @@ def check_rank_profile(strand, seed=DEFAULT_SEED):
     )
 
 
-def _select_chain_minor(m, row_subset, rng, max_tries=8):
+_CHAIN_MINOR_TRIES = 8  # random points tried per minor before giving up
+
+
+def _select_chain_minor(m, row_subset, rng):
     """Columns making m[row_subset, cols] nonsingular; returns (cols, det)."""
     target = len(row_subset)
     if target == 0:
         return [], m.ring.one
     last = "no candidate"
-    for _ in range(max_tries):
+    for _ in range(_CHAIN_MINOR_TRIES):
         cols = _sampled_pivots(m, rng, row_subset)
         if len(cols) < target:
             last = "specialized rank below %d" % target
@@ -433,22 +424,7 @@ def complex_determinant(strand, seed=DEFAULT_SEED):
 # gcd of maximal minors
 
 
-def _pm_times_int_matrix(m, R):
-    """PolyMatrix times an integer matrix (columns recombined)."""
-    ring = m.ring
-    cols = len(R[0])
-    out = []
-    for i in range(m.rows):
-        row = []
-        for j in range(cols):
-            acc = ring.zero
-            for k in range(m.cols):
-                r = R[k][j]
-                if r and m.data[i][k].terms:
-                    acc = acc + m.data[i][k] * r
-            row.append(acc)
-        out.append(row)
-    return PolyMatrix(ring, out, cols)
+_ENUMERATE_CAP = 220  # most column choices for which every maximal minor is taken
 
 
 def _gcd_pair(a, b, seed):
@@ -457,7 +433,7 @@ def _gcd_pair(a, b, seed):
     return multivariate_gcd(a, b)
 
 
-def gcd_of_maximal_minors(strand, seed=DEFAULT_SEED, enumerate_cap=220):
+def gcd_of_maximal_minors(strand, seed=DEFAULT_SEED):
     """gcd of the z_0 x z_0 minors of the rightmost strand map.
 
     Small matrices are enumerated exhaustively.  Otherwise the gcd is taken
@@ -467,17 +443,16 @@ def gcd_of_maximal_minors(strand, seed=DEFAULT_SEED, enumerate_cap=220):
     sound divisibility witness for the whole family).
     """
     m = strand.maps[0]
+    ring = m.ring
     z0, z1 = m.rows, m.cols
     if z1 < z0:
         raise HypothesisViolation(
             "rightmost map is %dx%d; need at least as many syzygies as monomials" % (z0, z1)
         )
-    import math as _math
-
-    total = _math.comb(z1, z0)
+    total = math.comb(z1, z0)
     rng = random.Random("%s:minors" % (seed,))
     g = None
-    if total <= enumerate_cap:
+    if total <= _ENUMERATE_CAP:
         for cols in itertools.combinations(range(z1), z0):
             det = det_fraction_free(m.submatrix(range(z0), cols))
             if not det.terms:
@@ -512,9 +487,8 @@ def gcd_of_maximal_minors(strand, seed=DEFAULT_SEED, enumerate_cap=220):
     attempts = 0
     while clean < 2 and attempts < 12:
         attempts += 1
-        R = [[rng.choice((-1, 1)) for _ in range(z0)] for _ in range(z1)]
-        comb = _pm_times_int_matrix(m, R)
-        det = det_fraction_free(comb)
+        R = PolyMatrix(ring, [[ring.const(rng.choice((-1, 1))) for _ in range(z0)] for _ in range(z1)])
+        det = det_fraction_free(m.matmul(R))
         if not det.terms:
             continue
         try:

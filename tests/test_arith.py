@@ -1,6 +1,7 @@
 """Polynomial arithmetic: ring ops, parsing, gcd, squarefree, perfect powers."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -208,6 +209,42 @@ def test_exact_divide_roundtrip_randomized():
             if not a.terms or not b.terms:
                 continue
             assert exact_divide(a * b, b) == a
+
+
+def test_exact_divide_raises_on_a_remainder_randomized():
+    # verify=False: the division loops themselves must refuse, not the
+    # product check behind them
+    rng = random.Random(303)
+    for field, fractions in ((QQ, False), (QQ, True), (GF(65521), False)):
+        ring = xt_ring(field)
+
+        def draw(nterms):
+            p = rand_poly(ring, rng, nterms=nterms)
+            if fractions:
+                p = Poly(ring, QQ.reduce_terms(
+                    {m: Fraction(c, rng.randint(2, 7)) for m, c in p.terms.items()}
+                ))
+            return p
+
+        tried = 0
+        while tried < 30:
+            q, b = draw(rng.randint(1, 5)), draw(rng.randint(2, 5))
+            if not q.terms or len(b.terms) < 2:
+                continue
+            tried += 1
+            lt_b = max(b.terms)
+            assert exact_divide(q * b, b, verify=False) == q
+            # a nonzero remainder none of whose terms lt(b) divides
+            r = {m: c for m, c in draw(4).terms.items() if ring.mono_div(m, lt_b) is None}
+            r = Poly(ring, r) + ring.const(field.random_nonzero(rng))
+            if r.terms:
+                with pytest.raises(NotDivisibleError):
+                    exact_divide(q * b + r, b, verify=False)
+            # a monomial of higher degree than every term
+            mono = ring.const(field.random_nonzero(rng)) * ring.var("X1") ** (q.total_degree() + 1)
+            with pytest.raises(NotDivisibleError):
+                exact_divide(q, mono, verify=False)
+            assert exact_divide(q * mono, mono, verify=False) == q
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +469,3 @@ def test_parameterization_square_shape_allowed():
     assert not p.is_map_shape()
     with pytest.raises(ArithError):
         p.require_map_shape()
-
-
-def test_gf_nth_root():
-    field = GF(65521)
-    rng = random.Random(3)
-    for e in (2, 3, 4, 5):
-        for _ in range(10):
-            c = field.random_nonzero(rng)
-            v = pow(c, e, 65521)
-            r = field.nth_root(v, e)
-            assert r is not None and pow(r, e, 65521) == v

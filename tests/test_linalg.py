@@ -373,3 +373,15 @@ def test_kernel_check_raises_on_a_wrong_vector(monkeypatch):
     monkeypatch.setattr(linalg, "_kernel", lambda p, data, ncols: (2, [[1, 1, 0]], [1]))
     with pytest.raises(ConsistencyError):
         rank_and_kernel(m)
+
+
+def test_bareiss_integer_guard_raises(monkeypatch):
+    # without the column scaling the second step divides -3/4 by 1/2; Bareiss
+    # over QQ must refuse a non-integer quotient instead of carrying Fractions
+    monkeypatch.setattr(
+        linalg, "_column_primitive_scales",
+        lambda m: ([[dict(e.terms) for e in row] for row in m.data], 1),
+    )
+    m = pm([["1/2", 1, 1], [1, 1, 0], [1, 0, 1]])
+    with pytest.raises(LinalgError):
+        det_fraction_free(m)

@@ -1,13 +1,22 @@
 """The implicitization pipeline end to end."""
 
+import dataclasses
 import random
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from implicax.arith import GF, QQ, make_parameterization, unit_multiple_of
+from implicax.arith import GF, QQ, Poly, make_parameterization, unit_multiple_of
 from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError
 from implicax.pipeline import analyze, implicitize, verify
+from implicax.problems import load_problem
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+MAP_PROBLEMS = (
+    "curve_conic", "curve_with_base_point", "surface_quadric", "surface_cubic", "surface_lci"
+)
 
 CONIC = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
 CONIC_FAT = make_parameterization(QQ, ["X1", "X2"], ["X1^3", "X1^2*X2", "X1*X2^2"])
@@ -189,6 +198,21 @@ def test_gf_pipeline():
     res = implicitize(conic_p)
     assert unit_multiple_of(res.reduced, conic_p.ring.poly("T2^2 - T1*T3"))
     assert res.verified
+
+
+@pytest.mark.parametrize("name", MAP_PROBLEMS)
+def test_qq_answer_mod_p_is_the_gf_answer(name):
+    p = 65521
+    problem = load_problem(PROBLEMS / (name + ".txt"))
+    over_qq = implicitize(problem.parameterization())
+    over_gf = implicitize(dataclasses.replace(problem, field_spec="GF(%d)" % p).parameterization())
+    ring = over_gf.reduced.ring
+    residues = {}
+    for m, c in over_qq.reduced.terms.items():
+        c = Fraction(c)
+        residues[m] = c.numerator * pow(c.denominator, -1, p)
+    assert unit_multiple_of(Poly(ring, ring.field.reduce_terms(residues)), over_gf.reduced)
+    assert over_qq.exponent == over_gf.exponent
 
 
 def test_gf_surface_pipeline():

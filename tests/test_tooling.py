@@ -1,9 +1,11 @@
 """Source-tree rules that no single module test covers."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "implicax"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "implicax"
 
 
 def test_invariants_raise_instead_of_assert():
@@ -16,3 +18,18 @@ def test_invariants_raise_instead_of_assert():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert not found, "assert statements in implicax: %s" % ", ".join(found)
+
+
+def test_traced_names_are_module_attributes():
+    # the benchmark's tracer wraps these names where callers look them up; a
+    # renamed or inlined one would otherwise only break a traced benchmark run
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        "%s.%s" % (owner.__name__, attr)
+        for _, owners, _, _ in tracer._targets()
+        for owner, attr in owners
+        if attr not in owner.__dict__
+    ]
+    assert not missing, "traced names missing: %s" % ", ".join(missing)
