@@ -29,6 +29,7 @@ from .errors import (
     NotDivisibleError,
     ParseError,
     SmallCharacteristicError,
+    UsageError,
 )
 from .geometry import (
     BasePointReport,

@@ -8,8 +8,10 @@
                                      [--emit-matrix] [--format text|json]
 
 Exit codes: 0 success, 2 parse/usage error, 3 hypothesis violation,
-4 internal consistency failure.  Results go to stdout, diagnostics to stderr.
-The IMPLICAX_SEED environment variable overrides the default seed.
+4 internal consistency failure, 5 runtime failure (any other error, such as
+the evaluation oracle failing to sample points).  Results go to stdout,
+diagnostics to stderr.  The IMPLICAX_SEED environment variable overrides the
+default seed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import time
 import warnings
 
 from .arith import ParseError, normalize
-from .errors import ConsistencyError, HypothesisViolation, ImplicaxError
+from .errors import ConsistencyError, HypothesisViolation, ImplicaxError, UsageError
 from .linalg import DEFAULT_SEED, det_fraction_free
 from .pipeline import analyze, implicitize
 from .problems import load_problem
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_CONSISTENCY = 4
+EXIT_RUNTIME = 5
 
 
 def _default_seed():
@@ -243,6 +246,9 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
+    except UsageError as exc:
+        print("usage error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
     except HypothesisViolation as exc:
         print("hypothesis violation: %s" % exc, file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -250,8 +256,8 @@ def main(argv=None):
         print("internal consistency failure: %s" % exc, file=sys.stderr)
         return EXIT_CONSISTENCY
     except ImplicaxError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+        print("runtime failure: %s" % exc, file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ __all__ = [
     "SmallCharacteristicError",
     "HypothesisViolation",
     "ConsistencyError",
+    "UsageError",
 ]
 
 ImplicaxError = ArithError
@@ -24,3 +25,9 @@ class HypothesisViolation(ImplicaxError):
 
 class ConsistencyError(ImplicaxError):
     """An internal cross-check failed (degree mismatch, evaluation oracle)."""
+
+
+class UsageError(ImplicaxError):
+    """A request the pipeline does not take as given: an unknown method, a
+    strand degree below the proven bound without allow_sub_bound, a negative
+    strand degree, no oracle trials, or the resultant route on a surface."""

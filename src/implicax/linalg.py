@@ -67,16 +67,6 @@ class ScalarMatrix:
             self.field, [[self.data[i][j] for j in col_idx] for i in row_idx], len(col_idx)
         )
 
-    def mul_vector(self, v):
-        out = []
-        for row in self.data:
-            s = 0
-            for a, b in zip(row, v):
-                if a and b:
-                    s += a * b
-            out.append(self.field.canon(s))
-        return out
-
     def __repr__(self):
         return "ScalarMatrix(%dx%d over %s)" % (self.rows, self.cols, self.field)
 
@@ -176,9 +166,13 @@ def rank_and_kernel(m):
 def rref_kernel_data(m):
     """(rank, kernel basis, free columns) from one row-reduction pass."""
     rank, basis, free = _kernel(m.field.char, m.data, m.cols)
-    for v in basis:
-        if any(m.mul_vector(v)):
-            raise ConsistencyError("kernel vector fails A*v = 0")
+    if basis:
+        is_zero = m.field.is_zero
+        sparse = [[(j, a) for j, a in enumerate(row) if a] for row in m.data]
+        for v in basis:
+            for row in sparse:
+                if not is_zero(sum([a * v[j] for j, a in row])):
+                    raise ConsistencyError("kernel vector fails A*v = 0")
     return rank, basis, free
 
 

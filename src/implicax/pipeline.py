@@ -10,7 +10,7 @@ import warnings
 from dataclasses import dataclass
 
 from .arith import Poly, normalize, perfect_power_decompose, unit_multiple_of
-from .errors import ConsistencyError, HypothesisViolation, ImplicaxError
+from .errors import ConsistencyError, HypothesisViolation, ImplicaxError, UsageError
 from .geometry import BasePointReport, analyze_parameterization
 from .linalg import DEFAULT_SEED
 from .resultants import curve_implicitize_resultant
@@ -57,7 +57,7 @@ def verify(reduced, param, trials=20, seed=DEFAULT_SEED):
     enough valid points is an error.
     """
     if trials < 1:
-        raise ImplicaxError("need at least one trial")
+        raise UsageError("need at least one trial")
     ring = param.ring
     field = ring.field
     rng = random.Random("%s:verify" % (seed,))
@@ -98,7 +98,7 @@ def implicitize(
     carries the full diagnostics report and the verification status.
     """
     if method not in METHODS:
-        raise ImplicaxError("unknown method %r (choose from %s)" % (method, METHODS))
+        raise UsageError("unknown method %r (choose from %s)" % (method, METHODS))
     param.require_map_shape()
     report = analyze(param, run_syzygetic=run_syzygetic)
     if report.base_locus_dim > 0:
@@ -117,7 +117,7 @@ def implicitize(
         nu_used = nu
         if nu_used < bound:
             if not allow_sub_bound:
-                raise ImplicaxError(
+                raise UsageError(
                     "degree %d is below the proven bound %d; pass "
                     "allow_sub_bound to try it anyway" % (nu_used, bound)
                 )
@@ -140,7 +140,7 @@ def implicitize(
             minor_sizes = cd.minor_sizes()
         else:
             check_rank_profile(strand, seed=seed)
-            det = gcd_of_maximal_minors(strand, seed=seed)
+            det = gcd_of_maximal_minors(strand, report.predicted_degree, seed=seed)
     det = normalize(det)
     predicted = report.predicted_degree
     if det.total_degree() != predicted:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import Poly, multivariate_gcd, normalize
-from .errors import HypothesisViolation, ImplicaxError
+from .errors import HypothesisViolation, ImplicaxError, UsageError
 from .linalg import PolyMatrix, det_fraction_free
 
 __all__ = [
@@ -185,7 +185,7 @@ def curve_implicitize_resultant(param):
     homogeneous pencil determinant.
     """
     if param.n != 3:
-        raise ImplicaxError("resultant implicitization needs exactly 3 polynomials")
+        raise UsageError("resultant implicitization needs exactly 3 polynomials")
     param.require_map_shape()
     if any(not p.terms for p in param.polys):
         raise ImplicaxError("zero entry in the parameterization")

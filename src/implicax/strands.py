@@ -28,7 +28,7 @@ from .arith import (
     multivariate_gcd,
     normalize,
 )
-from .errors import HypothesisViolation, ImplicaxError
+from .errors import HypothesisViolation, ImplicaxError, UsageError
 from .linalg import (
     DEFAULT_SEED,
     PolyMatrix,
@@ -212,7 +212,7 @@ def _dT_components(param, kb_src, kb_dst, vec):
 def z_strand(param, nu):
     """Assemble the degree-nu strand with verified differentials."""
     if nu < 0:
-        raise ImplicaxError("strand degree must be nonnegative")
+        raise UsageError("strand degree must be nonnegative")
     ring = param.ring
     field = ring.field
     n = param.n
@@ -433,14 +433,59 @@ def _gcd_pair(a, b, seed):
     return multivariate_gcd(a, b)
 
 
-def gcd_of_maximal_minors(strand, seed=DEFAULT_SEED):
+def _fold_minors(g, dets, degree, seed, stable):
+    """Fold the nonzero minors of `dets` into their running gcd g.
+
+    A minor that g divides leaves g as it is, and no gcd is taken.  Stops
+    once deg g <= degree, or once `stable` minors in a row left g unchanged
+    (None: fold them all).  g is None until the first nonzero minor.
+    """
+    dets = iter(dets)
+    clean = 0
+    while g is None or g.total_degree() > degree:
+        if stable is not None and clean >= stable:
+            break
+        det = next(dets, None)
+        if det is None:
+            break
+        if not det.terms:
+            continue
+        if g is None:
+            g = det
+            continue
+        try:
+            exact_divide(det, g, verify=False)
+        except NotDivisibleError:
+            g = _gcd_pair(g, det, seed)
+            clean = 0
+        else:
+            clean += 1
+    return g
+
+
+def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):
     """gcd of the z_0 x z_0 minors of the rightmost strand map.
 
-    Small matrices are enumerated exhaustively.  Otherwise the gcd is taken
-    over a seeded sample of column choices until it stabilizes, then verified
-    to divide random integer column-recombinations of the map (each such
-    determinant is an integer combination of all maximal minors, so it is a
-    sound divisibility witness for the whole family).
+    `degree` is the predicted degree of the answer, d^(n-2) - e(I) for
+    isolated base points; the pipeline passes `report.predicted_degree`.
+    Minors are folded into a running gcd g, and the fold stops as soon as
+    deg g <= degree.  Why that is exact: under the hypotheses the strand is
+    acyclic and its determinant divides every maximal minor, so the gcd of
+    any set of minors is a multiple of the gcd G of all of them, and
+    deg G >= degree.  Once deg g = degree = deg G, g is a unit times G.
+
+    Small matrices offer every minor, in an order that the seed shuffles;
+    the order breaks ties only.  Larger ones offer one nonsingular minor, a
+    seeded sample of four more, then determinants of the map times random
+    sign matrices, until two in a row leave g unchanged.  These are
+    integer combinations of all the maximal minors (Cauchy-Binet), so they
+    reach minors the sample missed; but that g divides them does not prove
+    that g divides every minor.  Only the degree equality does.
+
+    When the target is never reached, small matrices return the gcd of all
+    the minors and large ones the gcd of what they folded.  Its degree is
+    then above the target, and the pipeline's degree check raises
+    ConsistencyError.
     """
     m = strand.maps[0]
     ring = m.ring
@@ -449,52 +494,24 @@ def gcd_of_maximal_minors(strand, seed=DEFAULT_SEED):
         raise HypothesisViolation(
             "rightmost map is %dx%d; need at least as many syzygies as monomials" % (z0, z1)
         )
-    total = math.comb(z1, z0)
+    rows = range(z0)
     rng = random.Random("%s:minors" % (seed,))
-    g = None
-    if total <= _ENUMERATE_CAP:
-        for cols in itertools.combinations(range(z1), z0):
-            det = det_fraction_free(m.submatrix(range(z0), cols))
-            if not det.terms:
-                continue
-            g = det if g is None else _gcd_pair(g, det, seed)
-            if g.total_degree() == 0:
-                break
+    if math.comb(z1, z0) <= _ENUMERATE_CAP:
+        combos = list(itertools.combinations(range(z1), z0))
+        rng.shuffle(combos)
+        minors = (det_fraction_free(m.submatrix(rows, cols)) for cols in combos)
+        g = _fold_minors(None, minors, degree, seed, None)
         if g is None:
             raise HypothesisViolation("all maximal minors vanish")
         return normalize(g)
-    # one verified nonsingular minor to seed the gcd
-    cols0, det0 = _select_chain_minor(m, list(range(z0)), rng)
-    g = det0
-    # a few more sampled minors
-    for _ in range(4):
-        cols = sorted(rng.sample(range(z1), z0))
-        if cols == cols0:
-            continue
-        det = det_fraction_free(m.submatrix(range(z0), cols))
-        if not det.terms:
-            continue
-        try:
-            exact_divide(det, g, verify=False)
-        except NotDivisibleError:
-            g = _gcd_pair(g, det, seed)
-        if g.total_degree() == 0:
-            return normalize(g)
-    # dense sign recombinations: each determinant below is an integer
-    # combination of *all* maximal minors (Cauchy-Binet), so divisibility
-    # constrains minors the sample never visited
-    clean = 0
-    attempts = 0
-    while clean < 2 and attempts < 12:
-        attempts += 1
-        R = PolyMatrix(ring, [[ring.const(rng.choice((-1, 1))) for _ in range(z0)] for _ in range(z1)])
-        det = det_fraction_free(m.matmul(R))
-        if not det.terms:
-            continue
-        try:
-            exact_divide(det, g, verify=False)
-            clean += 1
-        except NotDivisibleError:
-            g = _gcd_pair(g, det, seed)
-            clean = 0
-    return normalize(g)
+    cols0, det0 = _select_chain_minor(m, list(rows), rng)
+    samples = (sorted(rng.sample(range(z1), z0)) for _ in range(4))
+    minors = (det_fraction_free(m.submatrix(rows, cols)) for cols in samples if cols != cols0)
+    g = _fold_minors(det0, minors, degree, seed, None)
+
+    def recombinations():
+        for _ in range(12):
+            signs = [[ring.const(rng.choice((-1, 1))) for _ in range(z0)] for _ in range(z1)]
+            yield det_fraction_free(m.matmul(PolyMatrix(ring, signs)))
+
+    return normalize(_fold_minors(g, recombinations(), degree, seed, 2))

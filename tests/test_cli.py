@@ -9,6 +9,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from implicax.arith import RationalField
 from implicax.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,6 +148,16 @@ def test_degree_mismatch_exit_four(capsys):
     )
     assert code == 4
     assert "consistency" in err
+
+
+def test_oracle_sampling_failure_exit_five(capsys, monkeypatch):
+    # every sampled point is the origin, where all f vanish: the oracle
+    # cannot find points off the base locus, a runtime failure
+    monkeypatch.setattr(RationalField, "random", lambda self, rng, lo=-9, hi=9: 0)
+    code, out, err = run_cli(capsys, "implicitize", str(PROBLEMS / "curve_conic.txt"))
+    assert code == 5
+    assert "runtime failure" in err and "could not sample" in err
+    assert not out.strip()
 
 
 def test_sub_bound_lci_succeeds_with_flag(capsys):

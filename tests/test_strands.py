@@ -1,17 +1,23 @@
 """Koszul differentials, cycle/boundary bases, strand determinants."""
 
+import dataclasses
+import itertools
+import math
 import random
 
 import pytest
 
+from implicax import pipeline, strands
 from implicax.arith import (
     GF,
     QQ,
+    gcd_many,
     make_parameterization,
     unit_multiple_of,
 )
-from implicax.errors import HypothesisViolation
-from implicax.linalg import scalar_rank
+from implicax.errors import ConsistencyError, HypothesisViolation
+from implicax.geometry import predicted_degree
+from implicax.linalg import det_fraction_free, scalar_rank
 from implicax.strands import (
     boundary_basis,
     complex_determinant,
@@ -115,7 +121,7 @@ def test_cycles_annihilate_f():
         vecs = cycle_basis(CONIC, i, nu)
         m = koszul_differential_matrix(CONIC, i, nu)
         for v in vecs:
-            assert all(s == 0 for s in m.mul_vector(v))
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.data)
 
 
 def test_boundary_basis_cases():
@@ -261,19 +267,19 @@ def test_degenerate_parameterization_gives_degree_zero():
 
 def test_gcd_minors_square_case():
     st = z_strand(CONIC, 1)
-    g = gcd_of_maximal_minors(st)
+    g = gcd_of_maximal_minors(st, predicted_degree(CONIC))
     assert unit_multiple_of(g, CONIC.ring.poly("T2^2 - T1*T3"))
 
 
 def test_gcd_minors_fat_conic():
     st = z_strand(CONIC_FAT, 2)
-    g = gcd_of_maximal_minors(st)
+    g = gcd_of_maximal_minors(st, predicted_degree(CONIC_FAT))
     assert unit_multiple_of(g, CONIC_FAT.ring.poly("T1*T3 - T2^2"))
 
 
 def test_gcd_minors_matches_determinant_on_lci():
     st = z_strand(LCI_SURF, 4)
-    g = gcd_of_maximal_minors(st)
+    g = gcd_of_maximal_minors(st, predicted_degree(LCI_SURF))
     cd = complex_determinant(st)
     assert unit_multiple_of(g, cd.value)
 
@@ -281,7 +287,7 @@ def test_gcd_minors_matches_determinant_on_lci():
 def test_gcd_minors_matches_determinant_on_surfaces():
     for param, nu in ((QUADRIC, 2), (CUBIC_SURF, 4)):
         st = z_strand(param, nu)
-        g = gcd_of_maximal_minors(st)
+        g = gcd_of_maximal_minors(st, predicted_degree(param))
         assert unit_multiple_of(g, complex_determinant(st).value)
 
 
@@ -292,3 +298,78 @@ def test_degree_bookkeeping():
         for (_, rows, _, det, sign) in cd.chain:
             total += sign * det.total_degree()
         assert total == expected == cd.value.total_degree()
+
+
+def _dense_quadric(field, seed):
+    rng = random.Random(seed)
+    monos = ["X1^2", "X2^2", "X3^2", "X1*X2", "X1*X3", "X2*X3"]
+    forms = [" + ".join("%d*%s" % (rng.randint(1, 5), m) for m in monos) for _ in range(4)]
+    return make_parameterization(field, ["X1", "X2", "X3"], forms)
+
+
+def _all_minors_gcd(st):
+    m = st.maps[0]
+    rows = range(m.rows)
+    return gcd_many(
+        det_fraction_free(m.submatrix(rows, cols))
+        for cols in itertools.combinations(range(m.cols), m.rows)
+    )
+
+
+@pytest.mark.parametrize(
+    "param, nu",
+    [
+        (CONIC_FAT, 2),
+        (QUADRIC, 2),
+        (LCI_SURF, 2),
+        (_dense_quadric(QQ, 7), 2),
+        (_dense_quadric(GF(65521), 7), 2),
+    ],
+    ids=["conic_fat", "quadric", "lci", "dense_quadric_qq", "dense_quadric_gf"],
+)
+def test_gcd_minors_early_stop_keeps_the_answer(param, nu):
+    st = z_strand(param, nu)
+    full = _all_minors_gcd(st)
+    for seed in (1, 2, 3):
+        g = gcd_of_maximal_minors(st, predicted_degree(param), seed=seed)
+        assert unit_multiple_of(g, full)
+
+
+def test_gcd_minors_unreachable_target_folds_every_minor(monkeypatch):
+    st = z_strand(QUADRIC, 2)
+    dets = []
+
+    def counted(m):
+        dets.append(m.rows)
+        return det_fraction_free(m)
+
+    monkeypatch.setattr(strands, "det_fraction_free", counted)
+    g = gcd_of_maximal_minors(st, predicted_degree(QUADRIC) - 1)
+    assert len(dets) == math.comb(9, 6)
+    assert unit_multiple_of(g, QUADRIC.ring.poly("T1+T2+T3-T4") ** 4)
+    # the pipeline's degree check still rejects a target the minors miss
+    analyze = pipeline.analyze
+
+    def low_target(param, run_syzygetic=None):
+        report = analyze(param, run_syzygetic=run_syzygetic)
+        return dataclasses.replace(report, predicted_degree=report.predicted_degree - 1)
+
+    monkeypatch.setattr(pipeline, "analyze", low_target)
+    with pytest.raises(ConsistencyError):
+        pipeline.implicitize(QUADRIC, method="gcd-minors")
+
+
+def test_gcd_minors_divisibility_skips_gcds(monkeypatch):
+    calls = []
+    gcd_pair = strands._gcd_pair
+
+    def counted(a, b, seed):
+        calls.append(seed)
+        return gcd_pair(a, b, seed)
+
+    monkeypatch.setattr(strands, "_gcd_pair", counted)
+    st = z_strand(QUADRIC, 2)
+    # with this seed, a gcd per nonzero minor would take 5 calls
+    g = gcd_of_maximal_minors(st, predicted_degree(QUADRIC), seed=5)
+    assert unit_multiple_of(g, QUADRIC.ring.poly("T1+T2+T3-T4") ** 4)
+    assert len(calls) <= 3
