@@ -2,12 +2,14 @@
 
 Two matrix flavors: ScalarMatrix (field entries) and PolyMatrix (Poly
 entries).  Rank, kernel, span reduction and minor selection are read off one
-integer row reduction (`_rref`); determinants are fraction-free (Bareiss) so
-polynomial matrices never leave the coefficient ring.  Bareiss steps run on
-term dicts through arith's multiplication and exact-division loops, the same
-ones Poly uses.  Over QQ rows and columns are rescaled to primitive integer
-vectors internally; the exact value is restored at the end, so results are
-not "up to unit" here.
+integer row reduction (`_rref`).  `det_fraction_free` has two engines, chosen
+by the ring: with at most three T variables (plane curves) the determinant
+is interpolated from integer determinants on a grid (`_det_on_grid`); with
+more (surfaces) Bareiss elimination runs on the polynomial entries
+(`_det_bareiss`), through arith's multiplication and exact-division loops,
+the same ones Poly uses.  Over QQ rows or columns are rescaled to primitive
+integer vectors internally; the exact value is restored at the end, so
+results are not "up to unit" here.
 """
 
 from __future__ import annotations
@@ -304,19 +306,39 @@ def _bareiss_divide(A, B, ring):
 
 
 def det_fraction_free(m):
-    """Exact determinant of a square PolyMatrix.
+    """Exact determinant of a square PolyMatrix, by one of two engines.
 
-    Bareiss elimination with exact divisions; polynomial entries never leave
-    the coefficient ring.  Internal rescaling over QQ is undone at the end.
+    When the ring has at most three T variables (plane-curve maps: strand
+    maps and their minors, Sylvester matrices, Kravitsky pencils) and no
+    entry involves an X variable, the determinant is interpolated from
+    scalar determinants on an integer grid (`_det_on_grid`).  Otherwise, and
+    over GF(p) when a degree bound reaches p, Bareiss elimination runs on the
+    polynomial entries (`_det_bareiss`).  Both give the same polynomial: over
+    QQ each undoes its internal rescaling, so the result is exact, not up to
+    a unit.
     """
     if m.rows != m.cols:
         raise LinalgError("determinant of non-square matrix")
     ring = m.ring
-    n = m.rows
-    if n == 0:
+    if m.rows == 0:
         return ring.one
-    if n == 1:
+    if m.rows == 1:
         return m.data[0][0]
+    if ring.nv - ring.nx <= _GRID_MAX_T:
+        det = _det_on_grid(m)
+        if det is not None:
+            return det
+    return _det_bareiss(m)
+
+
+def _det_bareiss(m):
+    """Determinant of a square PolyMatrix of size >= 1 by Bareiss elimination.
+
+    Exact divisions keep the polynomial entries in the coefficient ring; the
+    column rescaling over QQ is undone at the end.
+    """
+    ring = m.ring
+    n = m.rows
     a, scale = _column_primitive_scales(m)
     sign = 1
     prev = None
@@ -358,6 +380,184 @@ def det_fraction_free(m):
     if scale == 1:
         return det
     return det * (1 / scale)
+
+
+# ---------------------------------------------------------------------------
+# determinants by evaluation and interpolation
+
+_GRID_MAX_T = 3  # the grid engine takes rings with at most this many T's
+
+
+def _det_on_grid(m):
+    """Determinant of a square PolyMatrix of size >= 1 by evaluation and
+    interpolation (Marco & Martinez, CAGD 18, 2001); None where it does not
+    apply: an entry involves an X variable, or over GF(p) a degree bound
+    reaches p.
+
+    When every entry is a linear form in T, the determinant is homogeneous
+    of degree n: one occurring T is set to 1 (the one leaving the smallest
+    grid) and restored at the end.  `_degree_bounds` bounds the degree in
+    each remaining T and the total degree; the determinant is evaluated at
+    the integer points within these bounds (`_grid`) and read back by Newton
+    interpolation (`_interpolate`).  Over QQ each row is first made a
+    primitive integer row, and the product of the scales is kept, so every
+    value is an integer determinant.
+    """
+    ring = m.ring
+    field = ring.field
+    p = field.char
+    n, nx = m.rows, ring.nx
+    entries = []  # per row: [(column, exponents of the T's, coefficient)]
+    for row in m.data:
+        terms = [(j, ring.unpack(mono), c) for j, e in enumerate(row) for mono, c in e.terms.items()]
+        if not terms:
+            return ring.zero
+        if any(any(exps[:nx]) for _, exps, _ in terms):
+            return None
+        entries.append([(j, exps[nx:], c) for j, exps, c in terms])
+    used = sorted({i for row in entries for _, exps, _ in row for i, e in enumerate(exps) if e})
+    one = None  # the T set to 1 when the determinant is homogeneous
+    axes = used
+    if used and all(sum(exps) == 1 for row in entries for _, exps, _ in row):
+        one = min(used, key=lambda t: len(_grid(*_degree_bounds(entries, [a for a in used if a != t]))))
+        axes = [a for a in used if a != one]
+    bounds, total = _degree_bounds(entries, axes)
+    if p and any(b >= p for b in bounds):
+        return None
+    scale = 1
+    rows = []  # per row: [(exponents of the axes, coefficient row)]
+    for row in entries:
+        by_mono = {}
+        for j, exps, c in row:
+            by_mono.setdefault(tuple(exps[a] for a in axes), [0] * n)[j] += c
+        if not p:
+            content = rational_content(c for vec in by_mono.values() for c in vec)
+            scale *= content
+            by_mono = {key: [int(c / content) for c in vec] for key, vec in by_mono.items()}
+        rows.append(list(by_mono.items()))
+    monos = {key for row in rows for key, _ in row}
+    values = {}
+    for point in _grid(bounds, total):
+        ws = {key: math.prod([x**e for x, e in zip(point, key)]) for key in monos}
+        mat = []
+        for row in rows:
+            acc = [0] * n
+            for key, vec in row:
+                w = ws[key]
+                acc = [a + w * x for a, x in zip(acc, vec)]
+            mat.append(acc)
+        values[point] = _det_scalar(mat, p)
+    terms = {}
+    for point, c in _interpolate(values, len(axes), p).items():
+        if c:
+            exps = [0] * (ring.nv - nx)
+            for a, e in zip(axes, point):
+                exps[a] = e
+            if one is not None:
+                exps[one] = n - sum(point)
+            terms[ring.pack((0,) * nx + tuple(exps))] = c if p else field.canon(c * scale)
+    return Poly(ring, terms)
+
+
+def _degree_bounds(entries, axes):
+    """(per-axis bounds, total bound) on the degree of the determinant: the
+    sum over the rows of the largest degree of an entry in the row."""
+    bounds = [0] * (len(axes) + 1)
+    for row in entries:
+        degs = [[exps[a] for a in axes] for _, exps, _ in row]
+        for t, col in enumerate(zip(*[d + [sum(d)] for d in degs])):
+            bounds[t] += max(col)
+    return bounds[:-1], bounds[-1]
+
+
+def _grid(bounds, total):
+    """The integer points of the box [0, b_1] x ... x [0, b_k] with
+    coordinate sum at most `total`, a lower set."""
+    points = [()]
+    for b in bounds:
+        points = [pt + (x,) for pt in points for x in range(b + 1) if sum(pt) + x <= total]
+    return points
+
+
+def _det_scalar(rows, p):
+    """Determinant of a square integer matrix (the rows are consumed): mod p
+    by Gaussian elimination, over ZZ (p = 0) by fraction-free Bareiss
+    elimination, whose divisions are exact by Sylvester's identity.
+
+    Each step drops the pivot column, so row k holds columns k.. only.
+    """
+    if p:
+        rows = [[x % p for x in r] for r in rows]
+    n = len(rows)
+    det = prev = 1
+    for k in range(n):
+        sel = next((i for i in range(k, n) if rows[i][0]), None)
+        if sel is None:
+            return 0
+        if sel != k:
+            rows[k], rows[sel] = rows[sel], rows[k]
+            det = -det
+        pivot = rows[k][0]
+        rest = rows[k][1:]
+        if p:
+            det = det * pivot % p
+            inv = pow(pivot, -1, p)
+        for i in range(k + 1, n):
+            row = rows[i]
+            a = row[0] * inv % p if p else row[0]
+            if not a:
+                rows[i] = row[1:] if p else [pivot * x // prev for x in row[1:]]
+            elif p:
+                rows[i] = [(x - a * y) % p for x, y in zip(row[1:], rest)]
+            else:
+                rows[i] = [(pivot * x - a * y) // prev for x, y in zip(row[1:], rest)]
+        prev = pivot
+    return det if p else det * prev
+
+
+def _interpolate(values, k, p):
+    """Monomial coefficients {exponents: c} of the polynomial in k variables
+    that takes `values` ({point: value}) on a lower set of integer points.
+
+    The polynomial's support must lie in that set.  Newton divided
+    differences run along each axis in turn at the nodes 0, 1, 2, ...; then
+    each axis goes back from the Newton basis prod_{l<i} (x - l) to powers
+    of x.  Over QQ (p = 0) the values are those of an integer polynomial, so
+    every divided difference is an integer; a remainder is a defect and
+    raises LinalgError.
+    """
+    c = dict(values)
+    lines = []
+    for axis in range(k):
+        by_rest = {}
+        for point in sorted(c):
+            by_rest.setdefault(point[:axis] + point[axis + 1:], []).append(point)
+        lines.append(list(by_rest.values()))
+    for axis_lines in lines:
+        for line in axis_lines:
+            f = [c[pt] for pt in line]
+            for j in range(1, len(f)):
+                inv = pow(j, -1, p) if p else None
+                for i in range(len(f) - 1, j - 1, -1):
+                    d = f[i] - f[i - 1]
+                    if p:
+                        f[i] = d * inv % p
+                    else:
+                        f[i], r = divmod(d, j)
+                        if r:
+                            raise LinalgError("interpolation: inexact divided difference")
+            c.update(zip(line, f))
+    for axis_lines in lines:
+        for line in axis_lines:
+            f = [c[pt] for pt in line]
+            poly = [f[-1]]
+            for j in range(len(f) - 2, -1, -1):
+                # poly * (x - j) + f[j]
+                poly = [f[j] - j * poly[0]] + [
+                    a - j * b for a, b in zip(poly, poly[1:] + [0])
+                ]
+            c.update(zip(line, [x % p for x in poly] if p else poly))
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -54,15 +54,17 @@ def verify(reduced, param, trials=20, seed=DEFAULT_SEED):
     """Evaluation oracle: reduced(f(x)) == 0 at `trials` random points.
 
     Points with f identically zero are rejected (resampled); failing to find
-    enough valid points is an error.
+    enough valid points is an error.  Everything is evaluated on field
+    scalars: the f's at x, then `reduced` at T = f(x).
     """
     if trials < 1:
         raise UsageError("need at least one trial")
     ring = param.ring
     field = ring.field
     rng = random.Random("%s:verify" % (seed,))
-    x_names = ring.names[: ring.nx]
-    t_names = param.t_names()
+    fs = [_scalar_value(f) for f in param.polys]
+    value = _scalar_value(reduced)
+    t_index = [ring.var_index(nm) for nm in param.t_names()]
     done = 0
     attempts = 0
     while done < trials:
@@ -71,15 +73,36 @@ def verify(reduced, param, trials=20, seed=DEFAULT_SEED):
             raise ImplicaxError(
                 "could not sample %d points off the base locus" % trials
             )
-        pt = {nm: field.random(rng) for nm in x_names}
-        vals = [p.evaluate(pt) for p in param.polys]
-        if all(v.is_zero() for v in vals):
+        point = [field.random(rng) for _ in range(ring.nx)] + [0] * (ring.nv - ring.nx)
+        vals = [f(point) for f in fs]
+        if not any(vals):
             continue
-        sub = {nm: v for nm, v in zip(t_names, vals)}
-        if not reduced.evaluate(sub).is_zero():
+        for i, v in zip(t_index, vals):
+            point[i] = v
+        if value(point):
             return False
         done += 1
     return True
+
+
+def _scalar_value(poly):
+    """The map from a point (one field scalar per ring variable) to the
+    value of `poly` there."""
+    p = poly.ring.field.char
+    unpack = poly.ring.unpack
+    terms = [
+        (c, [(i, e) for i, e in enumerate(unpack(m)) if e]) for m, c in poly.terms.items()
+    ]
+
+    def value(point):
+        total = 0
+        for c, factors in terms:
+            for i, e in factors:
+                c *= pow(point[i], e, p) if p else point[i] ** e
+            total += c
+        return total % p if p else total
+
+    return value
 
 
 def implicitize(

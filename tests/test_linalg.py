@@ -385,3 +385,115 @@ def test_bareiss_integer_guard_raises(monkeypatch):
     m = pm([["1/2", 1, 1], [1, 1, 0], [1, 0, 1]])
     with pytest.raises(LinalgError):
         det_fraction_free(m)
+
+
+# ---------------------------------------------------------------------------
+# the grid engine against Bareiss
+
+
+def linear_form_matrix(ring, n, rng, fractions=False):
+    """n x n matrix of random linear forms in the ring's T's (some zero)."""
+    field = ring.field
+    t_names = ring.names[ring.nx:]
+    data = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            e = ring.zero
+            for nm in rng.sample(t_names, rng.randint(0, len(t_names))):
+                c = field.random_nonzero(rng)
+                if fractions and rng.random() < 0.4:
+                    c = Fraction(c, rng.randint(2, 7))
+                e = e + ring.var(nm) * c
+            row.append(e)
+        data.append(row)
+    return PolyMatrix(ring, data)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+def test_grid_engine_equals_bareiss_on_linear_forms(field, fractions):
+    rng = random.Random(2001)
+    ring = Ring(field, ["X1", "X2"], ["T1", "T2", "T3"])
+    for _ in range(25):
+        m = linear_form_matrix(ring, rng.randint(1, 6), rng, fractions and field is QQ)
+        grid = linalg._det_on_grid(m)
+        assert grid is not None
+        assert grid.terms == linalg._det_bareiss(m).terms
+        assert det_fraction_free(m) == grid
+
+
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
+def test_grid_engine_equals_bareiss_on_resultant_matrices(field):
+    from implicax.resultants import BinaryForm, kravitsky_pencil, sylvester_matrix
+
+    rng = random.Random(2002)
+    ring = Ring(field, ["X1", "X2"], ["T1", "T2", "T3"])
+    t1, t2 = ring.var("T1"), ring.var("T2")
+    for d in (1, 2, 3, 4, 5):
+        fs = [[field.random_nonzero(rng) for _ in range(d + 1)] for _ in range(3)]
+        forms = [BinaryForm(ring, [ring.const(c) for c in f]) for f in fs]
+        p = BinaryForm(ring, [ring.const(a) - t1 * c for a, c in zip(fs[0], fs[2])])
+        q = BinaryForm(ring, [ring.const(b) - t2 * c for b, c in zip(fs[1], fs[2])])
+        for m in (sylvester_matrix(p, q), kravitsky_pencil(*forms)):
+            grid = linalg._det_on_grid(m)
+            assert grid is not None
+            assert grid.terms == linalg._det_bareiss(m).terms
+
+
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
+def test_grid_engine_equals_bareiss_on_constant_and_one_by_one(field):
+    rng = random.Random(2003)
+    ring = Ring(field, [], ["T1", "T2"])
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            m = PolyMatrix(ring, [[ring.const(field.random(rng)) for _ in range(n)] for _ in range(n)])
+            assert linalg._det_on_grid(m).terms == linalg._det_bareiss(m).terms
+    for text in ("3*T1^2*T2 - 1/2*T2", "T1^4", "0", "5"):
+        text = text if field is QQ else text.replace("1/2*", "")
+        m = pm([[text]], ring)
+        assert linalg._det_on_grid(m) == linalg._det_bareiss(m) == det_fraction_free(m) == m.data[0][0]
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_grid_engine_falls_back_when_a_degree_bound_reaches_p(p):
+    ring = Ring(GF(p), [], ["T1", "T2"])
+    # linear entries in two T's: T2 is set to 1 and T1 has degree up to p
+    n = p
+    m = PolyMatrix(ring, [
+        [ring.poly("T1 + %d*T2" % ((i * j + 1) % p)) for j in range(n)] for i in range(n)
+    ])
+    assert linalg._det_on_grid(m) is None
+    assert det_fraction_free(m) == linalg._det_bareiss(m)
+    # below p the grid applies and agrees
+    small = m.submatrix(range(p - 1), range(p - 1))
+    assert linalg._det_on_grid(small).terms == linalg._det_bareiss(small).terms
+
+
+def test_engine_dispatch_counts_the_rings_t_variables(monkeypatch):
+    plane = Ring(QQ, ["X1", "X2"], ["T1", "T2", "T3"])
+    curve = pm([["T1", "T2"], ["T3", "T1 + T2"]], plane)
+    surface = pm([["T1", "T2"], ["T3", "T4"]])
+
+    def refuse(m):
+        raise AssertionError("wrong engine")
+
+    monkeypatch.setattr(linalg, "_det_on_grid", refuse)
+    assert det_fraction_free(surface) == T_RING.poly("T1*T4 - T2*T3")
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_det_bareiss", refuse)
+    assert det_fraction_free(curve) == plane.poly("T1^2 + T1*T2 - T2*T3")
+
+
+def test_grid_engine_declines_entries_with_x_variables():
+    ring = Ring(QQ, ["X1"], ["T1"])
+    m = pm([["X1", "T1"], ["1", "X1"]], ring)
+    assert linalg._det_on_grid(m) is None
+    assert det_fraction_free(m) == ring.poly("X1^2 - T1")
+
+
+def test_interpolation_raises_on_an_inexact_divided_difference():
+    # x(3 - x)/2 takes the integer values 0, 1, 1 but is no integer polynomial
+    with pytest.raises(LinalgError):
+        linalg._interpolate({(0,): 0, (1,): 1, (2,): 1}, 1, 0)
+    assert linalg._interpolate({(0,): 0, (1,): 1, (2,): 4}, 1, 0) == {(0,): 0, (1,): 0, (2,): 1}

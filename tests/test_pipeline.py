@@ -200,18 +200,23 @@ def test_gf_pipeline():
     assert res.verified
 
 
+def residues_mod(poly, ring):
+    """The QQ polynomial `poly` reduced into `ring` over GF(p)."""
+    p = ring.field.char
+    terms = {}
+    for m, c in poly.terms.items():
+        c = Fraction(c)
+        terms[m] = c.numerator * pow(c.denominator, -1, p)
+    return Poly(ring, ring.field.reduce_terms(terms))
+
+
 @pytest.mark.parametrize("name", MAP_PROBLEMS)
 def test_qq_answer_mod_p_is_the_gf_answer(name):
     p = 65521
     problem = load_problem(PROBLEMS / (name + ".txt"))
     over_qq = implicitize(problem.parameterization())
     over_gf = implicitize(dataclasses.replace(problem, field_spec="GF(%d)" % p).parameterization())
-    ring = over_gf.reduced.ring
-    residues = {}
-    for m, c in over_qq.reduced.terms.items():
-        c = Fraction(c)
-        residues[m] = c.numerator * pow(c.denominator, -1, p)
-    assert unit_multiple_of(Poly(ring, ring.field.reduce_terms(residues)), over_gf.reduced)
+    assert unit_multiple_of(residues_mod(over_qq.reduced, over_gf.reduced.ring), over_gf.reduced)
     assert over_qq.exponent == over_gf.exponent
 
 
@@ -246,3 +251,39 @@ def test_rational_coefficient_parameterization():
     res = implicitize(frac)
     assert res.verified
     assert unit_multiple_of(res.reduced, frac.ring.poly("3*T2^2 - 2*T1*T3"))
+
+
+@pytest.mark.parametrize("name", MAP_PROBLEMS)
+def test_verify_accepts_every_shipped_answer_and_rejects_a_shifted_one(name):
+    param = load_problem(PROBLEMS / (name + ".txt")).parameterization()
+    reduced = implicitize(param, check_eval=0).reduced
+    assert verify(reduced, param)
+    assert not verify(reduced + 1, param)
+
+
+def dense_curve_text(d, rng):
+    """Three dense binary forms of degree d with random integer coefficients."""
+    monos = ["X1^%d*X2^%d" % (d - j, j) for j in range(d + 1)]
+    return [
+        " ".join("%+d*%s" % (rng.randint(-9, 9) or 1, m) for m in monos) for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_random_plane_curves_routes_and_fields_agree(d):
+    p = 65521
+    rng = random.Random("plane-curve:%d" % d)
+    for _ in range(2):
+        texts = dense_curve_text(d, rng)
+        answers = {}
+        for field in (QQ, GF(p)):
+            param = make_parameterization(field, ["X1", "X2"], texts)
+            results = [implicitize(param, method=m) for m in ("det-complex", "gcd-minors", "resultant")]
+            assert all(r.verified for r in results)
+            assert results[0].reduced == results[1].reduced == results[2].reduced
+            assert results[0].exponent == results[1].exponent == results[2].exponent
+            answers[field.char] = results[0]
+        over_qq, over_gf = answers[0], answers[p]
+        assert over_qq.reduced.total_degree() * over_qq.exponent == d
+        assert unit_multiple_of(residues_mod(over_qq.reduced, over_gf.reduced.ring), over_gf.reduced)
+        assert over_qq.exponent == over_gf.exponent

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,3 +34,23 @@ def test_traced_names_are_module_attributes():
         if attr not in owner.__dict__
     ]
     assert not missing, "traced names missing: %s" % ", ".join(missing)
+
+
+def test_imports_are_stdlib_only():
+    # implicax has no runtime dependency and no native extension: every import
+    # under src/implicax is relative or names a standard-library module
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                "%s:%d %s" % (path.name, node.lineno, name)
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not found, "non-stdlib imports in implicax: %s" % ", ".join(found)
