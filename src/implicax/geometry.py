@@ -2,9 +2,10 @@
 
 Everything here is exact linear algebra on graded pieces: Hilbert values of
 A/I, the eventual (stable) value as the total multiplicity of the base
-locus, the predicted implicit degree d^(n-2) - e, degreewise saturation, and
-the Koszul-syzygy comparison B_1 vs Z_1 intersected with the (saturated)
-ideal times A^n.
+locus (proven stable from one or two values past the regularity bound
+unless it exceeds that bound), the predicted implicit degree d^(n-2) - e,
+degreewise saturation, and the Koszul-syzygy comparison B_1 vs Z_1
+intersected with the (saturated) ideal times A^n.
 """
 
 from __future__ import annotations
@@ -46,22 +47,50 @@ def hilbert_value(param, nu):
     return dim_a - scalar_rank(param.ring.field, mult.data)
 
 
+def _certified_profile(param):
+    """(dim, e, certificate, {degree: Hilbert value read}); see base_locus_profile.
+
+    The certificate names what decided: "empty" (H(t) = 0), "persistence"
+    (Gotzmann) or "window" (two values differ, or a plateau e > t).
+    """
+    n, d = param.n, param.d
+    t = (n - 1) * (d - 1) + 1
+    e = hilbert_value(param, t)
+    values = {t: e}
+    if e == 0:
+        return -1, 0, "empty", values
+    values[t + 1] = hilbert_value(param, t + 1)
+    if values[t + 1] == e:
+        if e <= t:
+            return 0, e, "persistence", values
+        for nu in range(t + 2, t + max(n, d) + 1):
+            values[nu] = hilbert_value(param, nu)
+        if all(v == e for v in values.values()):
+            return 0, e, "window", values
+    return 1, None, "window", values
+
+
 def base_locus_profile(param):
     """(dim flag, total multiplicity): -1 empty, 0 finite, 1 positive-dimensional.
 
-    Reads the Hilbert value of A/I over a stabilization window starting past
-    the classical regularity bound; a constant nonzero plateau is the total
-    multiplicity e of the base locus, a non-plateau signals dimension >= 1.
+    Reads H, the Hilbert function of A/I, from t = (n-1)(d-1)+1, the
+    classical regularity bound, on, and stops as soon as a proof decides:
+
+    * H(t) = 0: I_t = A_t, and I_(nu+1) contains A_1 * I_nu, so I_nu = A_nu
+      for every nu >= t and the base locus is empty: (-1, 0).
+    * H(t+1) = H(t) = e with 0 < e <= t: I is generated in degree d <= t,
+      and e <= t makes the Macaulay bound e^<t> equal to e, so by Gotzmann's
+      persistence theorem (Math. Z. 158, 1978; Bruns-Herzog, Cohen-Macaulay
+      Rings, Thm 4.3.3) H stays at e for good; e is the total multiplicity of
+      the finite base locus: (0, e).
+    * H(t+1) != H(t): H has no plateau at t, which signals a base locus of
+      dimension >= 1: (1, None).
+
+    Only when H(t+1) = H(t) > t does a window of max(n, d) + 1 values from t
+    decide: a constant plateau is e, anything else signals dimension >= 1.
     """
-    n, d = param.n, param.d
-    start = (n - 1) * (d - 1) + 1
-    window = max(n, d)
-    values = [hilbert_value(param, nu) for nu in range(start, start + window + 1)]
-    if all(v == 0 for v in values):
-        return -1, 0
-    if all(v == values[0] for v in values):
-        return 0, values[0]
-    return 1, None
+    dim, e, _, _ = _certified_profile(param)
+    return dim, e
 
 
 def predicted_degree(param):
@@ -130,8 +159,10 @@ def ideal_piece(param, nu):
 def saturation_piece(param, nu):
     """Basis of the degree-nu piece of the saturation of I.
 
-    {g in A_nu : g * A_s is contained in I_(nu+s)} for s grown until two
-    consecutive rounds agree in dimension; always contains I_nu.
+    {g in A_nu : g * A_s is contained in I_(nu+s)} for the one shift
+    s = max(1, t - nu) with t = nx(d-1)+1, past which I agrees with its
+    saturation (on a map, nx = n-1 and t is the bound of base_locus_profile),
+    so no larger shift adds anything; always contains I_nu.
     """
     ring = param.ring
     field = ring.field
@@ -139,33 +170,27 @@ def saturation_piece(param, nu):
     width = len(monos_nu)
     if width == 0:
         return []
-    prev = None
-    s = 1
-    cap = nu + 2 * param.d + param.n + 4
-    while True:
-        target_monos = ring.x_monomials(nu + s)
-        index = {m: k for k, m in enumerate(target_monos)}
-        red = _SpanReducer(field, ideal_piece(param, nu + s))
-        constraints = []
-        for u in ring.x_monomials(s):
-            # matrix of g -> residue of g*u mod I_(nu+s), row per residue coord
-            images = []
-            for g in monos_nu:
-                vec = [0] * len(target_monos)
-                vec[index[ring.mono_mul(g, u)]] = 1
-                images.append(red.reduce(vec))
-            for coord in range(len(target_monos)):
-                row = [images[gi][coord] for gi in range(width)]
-                if any(row):
-                    constraints.append(row)
-        if constraints:
-            _, kernel = rank_and_kernel(ScalarMatrix(field, constraints, width))
-        else:
-            kernel = [[1 if i == j else 0 for i in range(width)] for j in range(width)]
-        if len(kernel) == prev or s >= cap:
-            return _rref(field.char, kernel)[0]
-        prev = len(kernel)
-        s += 1
+    s = max(1, ring.nx * (param.d - 1) + 1 - nu)
+    target_monos = ring.x_monomials(nu + s)
+    index = {m: k for k, m in enumerate(target_monos)}
+    red = _SpanReducer(field, ideal_piece(param, nu + s))
+    constraints = []
+    for u in ring.x_monomials(s):
+        # matrix of g -> residue of g*u mod I_(nu+s), row per residue coord
+        images = []
+        for g in monos_nu:
+            vec = [0] * len(target_monos)
+            vec[index[ring.mono_mul(g, u)]] = 1
+            images.append(red.reduce(vec))
+        for coord in range(len(target_monos)):
+            row = [images[gi][coord] for gi in range(width)]
+            if any(row):
+                constraints.append(row)
+    if constraints:
+        _, kernel = rank_and_kernel(ScalarMatrix(field, constraints, width))
+    else:
+        kernel = [[1 if i == j else 0 for i in range(width)] for j in range(width)]
+    return _rref(field.char, kernel)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +327,8 @@ class BasePointReport:
     predicted_degree: int | None
     generically_finite: bool | None
     nu_bound: int
+    base_locus_certificate: str  # "empty", "persistence" or "window"
+    hilbert_values: dict  # {degree: Hilbert value of A/I} read by the profile
     syzygetic: SyzygeticReport | None = None
 
     @property
@@ -318,6 +345,8 @@ class BasePointReport:
             "predicted_degree": self.predicted_degree,
             "generically_finite": self.generically_finite,
             "nu_bound": self.nu_bound,
+            "base_locus_certificate": self.base_locus_certificate,
+            "hilbert_values": {str(nu): h for nu, h in self.hilbert_values.items()},
             "syzygetic_verdict": self.syzygetic_verdict,
             "syzygetic_plain_verdict": (
                 None if self.syzygetic is None else self.syzygetic.plain_verdict
@@ -328,7 +357,7 @@ class BasePointReport:
 def analyze_parameterization(param, run_syzygetic=None):
     """Assemble the BasePointReport; never raises on degenerate input."""
     content = gcd_many(list(param.polys))
-    dim, e = base_locus_profile(param)
+    dim, e, certificate, values = _certified_profile(param)
     if dim > 0:
         pdeg = None
         genfin = None
@@ -349,5 +378,7 @@ def analyze_parameterization(param, run_syzygetic=None):
         predicted_degree=pdeg,
         generically_finite=genfin,
         nu_bound=nu_bound(param.n, param.d),
+        base_locus_certificate=certificate,
+        hilbert_values=values,
         syzygetic=syz,
     )

@@ -101,6 +101,9 @@ def test_analyze_lci_diagnostics(capsys):
     assert code == 0
     d = doc["diagnostics"]
     assert d["e_total"] == 6 and d["predicted_degree"] == 3
+    # H(7) = H(8) = 6 <= 7 closes the profile by persistence
+    assert d["base_locus_certificate"] == "persistence"
+    assert d["hilbert_values"] == {"7": 6, "8": 6}
     # the boundary comparison genuinely fails for this example in degree 4
     # (see test_geometry for the explicit witness)
     assert d["syzygetic_verdict"].startswith("fail")

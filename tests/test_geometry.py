@@ -1,8 +1,18 @@
 """Hilbert values, base locus profiles, saturation, Koszul-syzygy tests."""
 
+import random
+from pathlib import Path
+
 import pytest
 
-from implicax.arith import QQ, make_parameterization, unit_multiple_of
+from implicax.arith import (
+    GF,
+    QQ,
+    Parameterization,
+    Ring,
+    make_parameterization,
+    unit_multiple_of,
+)
 from implicax import geometry
 from implicax.errors import ConsistencyError, HypothesisViolation
 from implicax.geometry import (
@@ -16,6 +26,7 @@ from implicax.geometry import (
     syzygetic_test,
 )
 from implicax.linalg import scalar_rank
+from implicax.problems import load_problem
 from implicax.strands import boundary_basis, cycle_basis, polys_to_vector
 
 CONIC = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
@@ -27,6 +38,26 @@ LCI_SURF = make_parameterization(
     ["X1", "X2", "X3"],
     ["X1*X3^2", "X1*X2^2 + X2^2*X3", "X1^2*X2 + X1*X2*X3", "X1*X2*X3 + X2*X3^2"],
 )
+POSITIVE_DIM = make_parameterization(
+    QQ, ["X1", "X2", "X3"], ["X1*X2", "X1*X2", "X1*X2", "X1*X2"]
+)
+# (X1^3, X2^3): nine base points, more than t = 7, so only the window decides
+NINE_POINTS = make_parameterization(
+    QQ, ["X1", "X2", "X3"], ["X1^3", "X2^3", "X1^3", "X2^3"]
+)
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+# every shipped map; bezout_squares.txt holds two forms for the resultant commands
+SHIPPED = [
+    PROBLEMS / name
+    for name in (
+        "curve_conic.txt",
+        "curve_conic.json",
+        "curve_with_base_point.txt",
+        "surface_quadric.txt",
+        "surface_cubic.txt",
+        "surface_lci.txt",
+    )
+]
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +108,111 @@ def test_profile_squares():
 
 def test_profile_positive_dimensional():
     # one polynomial repeated in three variables: V(I) is a curve in P^2
-    p = make_parameterization(
-        QQ, ["X1", "X2", "X3"], ["X1*X2", "X1*X2", "X1*X2", "X1*X2"]
-    )
-    dim, e = base_locus_profile(p)
+    dim, e = base_locus_profile(POSITIVE_DIM)
     assert dim == 1 and e is None
+
+
+def window_profile(param):
+    """The profile read over the full window of max(n, d) + 1 Hilbert values."""
+    t = (param.n - 1) * (param.d - 1) + 1
+    values = [hilbert_value(param, nu) for nu in range(t, t + max(param.n, param.d) + 1)]
+    if all(v == 0 for v in values):
+        return -1, 0
+    if all(v == values[0] for v in values):
+        return 0, values[0]
+    return 1, None
+
+
+def random_curve(field, d, rng, root):
+    """Three dense random binary forms of degree d; with `root`, all three
+    vanish at one random point of P^1 (a common linear factor, in two
+    variables), to a random multiplicity."""
+    ring = Ring(field, ("X1", "X2"), ("T1", "T2", "T3"))
+    mult = rng.randint(1, d) if root else 0
+    factor = ring.poly("X1 - %d*X2" % rng.randint(1, 9)) ** mult
+    monos = ["X1^%d*X2^%d" % (d - mult - j, j) for j in range(d - mult + 1)]
+    forms = [
+        " ".join("%+d*%s" % (rng.randint(-9, 9) or 1, m) for m in monos) for _ in range(3)
+    ]
+    return Parameterization(ring, [factor * ring.poly(form) for form in forms])
+
+
+def random_curves():
+    rng = random.Random("certified-profile")
+    for field in (QQ, GF(65521)):
+        for d in range(2, 7):
+            for root in (False, True):
+                for _ in range(2):
+                    yield random_curve(field, d, rng, root)
+
+
+def count_hilbert_calls(monkeypatch):
+    calls = []
+
+    def counted(param, nu, _inner=geometry.hilbert_value):
+        calls.append(nu)
+        return _inner(param, nu)
+
+    monkeypatch.setattr(geometry, "hilbert_value", counted)
+    return calls
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.name)
+def test_certified_profile_equals_window_on_shipped_problems(path):
+    param = load_problem(path).parameterization()
+    assert base_locus_profile(param) == window_profile(param)
+
+
+def test_certified_profile_equals_window_on_examples():
+    for param in (CONIC, CONIC_FAT, SQUARES, LCI_SURF, POSITIVE_DIM, NINE_POINTS):
+        assert base_locus_profile(param) == window_profile(param)
+    assert base_locus_profile(NINE_POINTS) == (0, 9)
+
+
+def test_certified_profile_equals_window_on_random_curves():
+    seen = set()
+    for param in random_curves():
+        profile = base_locus_profile(param)
+        assert profile == window_profile(param)
+        seen.add(profile[0])
+    assert seen == {-1, 0}
+
+
+def test_certified_profile_reads_one_value_without_base_points(monkeypatch):
+    rng = random.Random("dense-curves")
+    dense = [random_curve(field, d, rng, False) for field in (QQ, GF(65521)) for d in (6, 8, 10)]
+    calls = count_hilbert_calls(monkeypatch)
+    for param in [CONIC] + dense:
+        del calls[:]
+        assert base_locus_profile(param) == (-1, 0)
+        assert calls == [(param.n - 1) * (param.d - 1) + 1]
+
+
+def test_certified_profile_reads_two_values_at_finite_base_loci(monkeypatch):
+    calls = count_hilbert_calls(monkeypatch)
+    for param, e in ((CONIC_FAT, 1), (LCI_SURF, 6)):
+        del calls[:]
+        assert base_locus_profile(param) == (0, e)
+        t = (param.n - 1) * (param.d - 1) + 1
+        assert calls == [t, t + 1]
+
+
+def test_report_names_the_certificate_and_the_values_read():
+    cases = (
+        (CONIC, "empty", {3: 0}),
+        (CONIC_FAT, "persistence", {5: 1, 6: 1}),
+        (LCI_SURF, "persistence", {7: 6, 8: 6}),
+        (NINE_POINTS, "window", {nu: 9 for nu in range(7, 12)}),
+    )
+    for param, certificate, values in cases:
+        rep = analyze_parameterization(param, run_syzygetic=False)
+        assert rep.base_locus_certificate == certificate
+        assert rep.hilbert_values == values
+        out = rep.to_dict()
+        assert out["base_locus_certificate"] == certificate
+        assert out["hilbert_values"] == {str(nu): h for nu, h in values.items()}
+    rep = analyze_parameterization(POSITIVE_DIM, run_syzygetic=False)
+    assert rep.base_locus_certificate == "window" and len(rep.hilbert_values) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +227,8 @@ def test_predicted_degree_examples():
 
 
 def test_predicted_degree_positive_dim_errors():
-    p = make_parameterization(
-        QQ, ["X1", "X2", "X3"], ["X1*X2", "X1*X2", "X1*X2", "X1*X2"]
-    )
     with pytest.raises(HypothesisViolation):
-        predicted_degree(p)
+        predicted_degree(POSITIVE_DIM)
 
 
 def test_nu_bound():
@@ -144,6 +272,28 @@ def test_saturation_picks_up_removable_factor():
     x1_vec = [0] * len(monos)
     x1_vec[monos.index(ring.poly("X1").leading()[0])] = 1
     assert rows_span_equal(sat + [x1_vec], sat)
+
+
+@pytest.mark.parametrize(
+    "name, dims",
+    [
+        # no base points: I^sat = A in every degree
+        ("surface_quadric", [1, 3, 6, 10, 15, 21, 28]),
+        ("surface_cubic", [1, 3, 6, 10, 15, 21, 28]),
+        ("surface_lci", [0, 0, 1, 4, 9, 15, 22]),
+    ],
+)
+def test_saturation_piece_dimensions(name, dims):
+    param = load_problem(PROBLEMS / (name + ".txt")).parameterization()
+    assert [len(saturation_piece(param, nu)) for nu in range(7)] == dims
+
+
+def test_saturation_of_a_primary_ideal_is_everything():
+    # three cubes in three variables: (X1^3, X2^3, X3^3) is primary to the
+    # maximal ideal, and its socle sits in degree 6 = nx(d-1)
+    ci = make_parameterization(QQ, ["X1", "X2", "X3"], ["X1^3", "X2^3", "X3^3"])
+    dims = [len(saturation_piece(ci, nu)) for nu in range(8)]
+    assert dims == [len(ci.ring.x_monomials(nu)) for nu in range(8)]
 
 
 def test_saturation_contains_ideal():

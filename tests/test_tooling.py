@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -54,3 +55,16 @@ def test_imports_are_stdlib_only():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert not found, "non-stdlib imports in implicax: %s" % ", ".join(found)
+
+
+def test_report_keys_match_schema():
+    # every diagnostic the report emits is declared in the schema, and every
+    # declared one is emitted, so `--format json` and the schema cannot drift
+    from implicax.arith import QQ, make_parameterization
+    from implicax.geometry import analyze_parameterization
+
+    schema = json.loads((SRC / "schema" / "result.schema.json").read_text())
+    declared = set(schema["properties"]["diagnostics"]["properties"])
+    conic = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
+    emitted = set(analyze_parameterization(conic).to_dict())
+    assert emitted == declared
