@@ -562,9 +562,6 @@ class Poly:
             return -1
         return max(self.ring.mono_bank_deg(m, start, stop) for m in self.terms)
 
-    def x_degree(self):
-        return self.bank_degree(0, self.ring.nx)
-
     def t_degree(self):
         return self.bank_degree(self.ring.nx, self.ring.nv)
 

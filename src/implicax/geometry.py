@@ -17,6 +17,7 @@ from .arith import Poly, gcd_many
 from .errors import ConsistencyError, HypothesisViolation, ImplicaxError
 from .linalg import ScalarMatrix, _rref, rank_and_kernel, scalar_rank
 from .strands import (
+    _koszul_image,
     boundary_basis,
     cycle_basis,
     koszul_differential_matrix,
@@ -47,6 +48,12 @@ def hilbert_value(param, nu):
     return dim_a - scalar_rank(param.ring.field, mult.data)
 
 
+def _regularity_bound(param):
+    """t = nx(d-1)+1 for forms of degree d in nx variables (n-1 on a map):
+    from degree t on, I agrees with its saturation."""
+    return param.ring.nx * (param.d - 1) + 1
+
+
 def _certified_profile(param):
     """(dim, e, certificate, {degree: Hilbert value read}); see base_locus_profile.
 
@@ -54,7 +61,7 @@ def _certified_profile(param):
     (Gotzmann) or "window" (two values differ, or a plateau e > t).
     """
     n, d = param.n, param.d
-    t = (n - 1) * (d - 1) + 1
+    t = _regularity_bound(param)
     e = hilbert_value(param, t)
     values = {t: e}
     if e == 0:
@@ -73,8 +80,9 @@ def _certified_profile(param):
 def base_locus_profile(param):
     """(dim flag, total multiplicity): -1 empty, 0 finite, 1 positive-dimensional.
 
-    Reads H, the Hilbert function of A/I, from t = (n-1)(d-1)+1, the
-    classical regularity bound, on, and stops as soon as a proof decides:
+    Reads H, the Hilbert function of A/I, from t = nx(d-1)+1, the classical
+    regularity bound ((n-1)(d-1)+1 on a map), on, and stops as soon as a
+    proof decides:
 
     * H(t) = 0: I_t = A_t, and I_(nu+1) contains A_1 * I_nu, so I_nu = A_nu
       for every nu >= t and the base locus is empty: (-1, 0).
@@ -148,21 +156,15 @@ class _SpanReducer:
 
 def ideal_piece(param, nu):
     """Echelon basis (coefficient rows over the A_nu monomials) of I_nu."""
-    ring = param.ring
-    if nu < param.d:
-        return []
-    mult = koszul_differential_matrix(param, 1, nu - param.d)
-    cols = [[mult.data[r][c] for r in range(mult.rows)] for c in range(mult.cols)]
-    return _rref(ring.field.char, cols)[0]
+    return _koszul_image(param, 1, nu)
 
 
 def saturation_piece(param, nu):
     """Basis of the degree-nu piece of the saturation of I.
 
     {g in A_nu : g * A_s is contained in I_(nu+s)} for the one shift
-    s = max(1, t - nu) with t = nx(d-1)+1, past which I agrees with its
-    saturation (on a map, nx = n-1 and t is the bound of base_locus_profile),
-    so no larger shift adds anything; always contains I_nu.
+    s = max(1, t - nu) with t = `_regularity_bound`, past which I agrees with
+    its saturation, so no larger shift adds anything; always contains I_nu.
     """
     ring = param.ring
     field = ring.field
@@ -170,7 +172,7 @@ def saturation_piece(param, nu):
     width = len(monos_nu)
     if width == 0:
         return []
-    s = max(1, ring.nx * (param.d - 1) + 1 - nu)
+    s = max(1, _regularity_bound(param) - nu)
     target_monos = ring.x_monomials(nu + s)
     index = {m: k for k, m in enumerate(target_monos)}
     red = _SpanReducer(field, ideal_piece(param, nu + s))

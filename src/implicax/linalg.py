@@ -1,15 +1,18 @@
 """Exact dense linear algebra over a field and over k[T].
 
-Two matrix flavors: ScalarMatrix (field entries) and PolyMatrix (Poly
-entries).  Rank, kernel, span reduction and minor selection are read off one
-integer row reduction (`_rref`).  `det_fraction_free` has two engines, chosen
-by the ring: with at most three T variables (plane curves) the determinant
-is interpolated from integer determinants on a grid (`_det_on_grid`); with
-more (surfaces) Bareiss elimination runs on the polynomial entries
-(`_det_bareiss`), through arith's multiplication and exact-division loops,
-the same ones Poly uses.  Over QQ rows or columns are rescaled to primitive
-integer vectors internally; the exact value is restored at the end, so
-results are not "up to unit" here.
+Two matrix flavors: ScalarMatrix (field entries) and PolyMatrix, a matrix
+affine in T stored as its scalar parts A_0 + sum_i T_i*A_i (strand maps,
+Sylvester and Bezout matrices, Kravitsky pencils).  Rank, kernel, span
+reduction and minor selection are read off one integer row reduction
+(`_rref`); a PolyMatrix is reduced at a random point of T, where its value
+is a combination of the parts' rows.  `det_fraction_free` has two engines,
+chosen by the ring: with at most three T variables (plane curves) the
+determinant is interpolated from integer determinants on a grid
+(`_det_on_grid`); with more (surfaces) Bareiss elimination runs on the
+entries as polynomials (`_det_bareiss`), through arith's multiplication and
+exact-division loops, the same ones Poly uses.  Over QQ rows or columns are
+rescaled to primitive integer vectors internally; the exact value is
+restored at the end, so results are not "up to unit" here.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "LinalgError",
     "rank_and_kernel",
     "det_fraction_free",
-    "specialize",
 ]
 
 DEFAULT_SEED = 20020101
@@ -183,79 +185,84 @@ def scalar_rank(field, data):
 
 
 # ---------------------------------------------------------------------------
-# polynomial matrices
+# T-affine matrices
+
+
+def _part_monos(ring):
+    """The monomials 1, T_1 .. T_k that the parts A_0, A_1 .. A_k multiply."""
+    return [ring.one_mono] + [ring.var_mono(i) for i in range(ring.nx, ring.nv)]
 
 
 class PolyMatrix:
-    """Dense matrix with Poly entries sharing one ring."""
+    """Matrix over k[T] with entries affine in T: A_0 + T_1*A_1 + ... + T_k*A_k.
 
-    __slots__ = ("ring", "rows", "cols", "data")
+    `parts` holds the scalar matrices A_0 .. A_k (row major), one per T of
+    the ring in declared order; entries are canonical field elements.  The
+    constructor takes rows of Poly entries and raises LinalgError on an
+    entry that is not affine in T; `from_parts` takes the parts themselves.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "parts")
 
     def __init__(self, ring, data, cols=None):
-        self.ring = ring
-        self.data = [list(r) for r in data]
-        self.rows = len(self.data)
-        if self.rows:
-            self.cols = len(self.data[0])
-            if any(len(r) != self.cols for r in self.data):
+        data = [list(r) for r in data]
+        rows = len(data)
+        if rows:
+            cols = len(data[0])
+            if any(len(r) != cols for r in data):
                 raise LinalgError("ragged rows")
-        else:
-            self.cols = 0 if cols is None else cols
+        cols = cols or 0
+        slot = {mono: t for t, mono in enumerate(_part_monos(ring))}
+        parts = [[[0] * cols for _ in range(rows)] for _ in slot]
+        for i, row in enumerate(data):
+            for j, e in enumerate(row):
+                for mono, c in e.terms.items():
+                    t = slot.get(mono)
+                    if t is None:
+                        raise LinalgError("entry %r is not affine in T" % e)
+                    parts[t][i][j] = c
+        self.ring, self.rows, self.cols, self.parts = ring, rows, cols, parts
+
+    @classmethod
+    def from_parts(cls, ring, parts, cols):
+        """The matrix with parts A_0 .. A_k, taken as they are (not copied)."""
+        if len(parts) != ring.nv - ring.nx + 1:
+            raise LinalgError("%d parts for %d T variables" % (len(parts), ring.nv - ring.nx))
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.cols, m.parts = ring, len(parts[0]), cols, parts
+        return m
 
     def submatrix(self, row_idx, col_idx):
-        return PolyMatrix(
-            self.ring, [[self.data[i][j] for j in col_idx] for i in row_idx], len(col_idx)
-        )
+        parts = [[[P[i][j] for j in col_idx] for i in row_idx] for P in self.parts]
+        return PolyMatrix.from_parts(self.ring, parts, len(col_idx))
 
-    def require_t_linear(self):
-        """Every entry must be zero or a k-linear form in the T bank."""
-        nx, nv = self.ring.nx, self.ring.nv
-        for row in self.data:
-            for e in row:
-                if e.terms and (
-                    e.homogeneous_degree(nx, nv) != 1 or e.x_degree() > 0
-                ):
-                    raise LinalgError("entry %r is not a linear form in T" % e)
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise LinalgError("shape mismatch %dx%d * %dx%d"
-                              % (self.rows, self.cols, other.rows, other.cols))
-        ring = self.ring
+    def evaluate(self, values, rows=None):
+        """Rows `rows` (default all) of A_0 + values[0]*A_1 + ... + values[k-1]*A_k."""
+        if len(values) != len(self.parts) - 1:
+            raise LinalgError("%d values for %d T variables" % (len(values), len(self.parts) - 1))
+        canon = self.ring.field.canon
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ring.zero
-                for k in range(self.cols):
-                    a = self.data[i][k]
-                    b = other.data[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(ring, out, other.cols)
+        for i in range(self.rows) if rows is None else rows:
+            acc = self.parts[0][i]
+            for x, P in zip(values, self.parts[1:]):
+                if x:
+                    acc = [a + x * b for a, b in zip(acc, P[i])]
+            out.append([canon(a) for a in acc])
+        return out
 
-    def is_zero(self):
-        return all(not e.terms for row in self.data for e in row)
+    @property
+    def data(self):
+        """The entries as rows of Polys."""
+        ring = self.ring
+        monos = _part_monos(ring)
+        return [
+            [Poly(ring, {mono: P[i][j] for mono, P in zip(monos, self.parts) if P[i][j]})
+             for j in range(self.cols)]
+            for i in range(self.rows)
+        ]
 
     def __repr__(self):
         return "PolyMatrix(%dx%d over %s)" % (self.rows, self.cols, self.ring)
-
-
-def specialize(m, point):
-    """Evaluate every entry at T values in `point` (variable name -> scalar)."""
-    field = m.ring.field
-    out = []
-    for row in m.data:
-        orow = []
-        for e in row:
-            v = e.evaluate(point)
-            if not v.is_constant():
-                raise LinalgError("specialization left variables in %r" % v)
-            orow.append(v.terms.get(m.ring.one_mono, 0))
-        out.append(orow)
-    return ScalarMatrix(field, out, m.cols)
 
 
 def _column_primitive_scales(m):
@@ -264,7 +271,7 @@ def _column_primitive_scales(m):
     Returns (scaled int-coefficient data as term dicts, product of the c_j).
     Over GF(p) it is the identity transform.
     """
-    data = [[dict(e.terms) for e in row] for row in m.data]
+    data = [[e.terms for e in row] for row in m.data]
     total = Fraction(1)
     if m.ring.field.char:
         return data, total
@@ -309,13 +316,13 @@ def det_fraction_free(m):
     """Exact determinant of a square PolyMatrix, by one of two engines.
 
     When the ring has at most three T variables (plane-curve maps: strand
-    maps and their minors, Sylvester matrices, Kravitsky pencils) and no
-    entry involves an X variable, the determinant is interpolated from
-    scalar determinants on an integer grid (`_det_on_grid`).  Otherwise, and
-    over GF(p) when a degree bound reaches p, Bareiss elimination runs on the
-    polynomial entries (`_det_bareiss`).  Both give the same polynomial: over
-    QQ each undoes its internal rescaling, so the result is exact, not up to
-    a unit.
+    maps and their minors, Sylvester matrices, Kravitsky pencils), the
+    determinant is interpolated from scalar determinants of the parts'
+    combinations on an integer grid (`_det_on_grid`).  Otherwise, and over
+    GF(p) when a degree bound reaches p, Bareiss elimination runs on the
+    entries as polynomials (`_det_bareiss`).  Both give the same polynomial:
+    over QQ each undoes its internal rescaling, so the result is exact, not
+    up to a unit.
     """
     if m.rows != m.cols:
         raise LinalgError("determinant of non-square matrix")
@@ -391,83 +398,66 @@ _GRID_MAX_T = 3  # the grid engine takes rings with at most this many T's
 def _det_on_grid(m):
     """Determinant of a square PolyMatrix of size >= 1 by evaluation and
     interpolation (Marco & Martinez, CAGD 18, 2001); None where it does not
-    apply: an entry involves an X variable, or over GF(p) a degree bound
-    reaches p.
+    apply: over GF(p), when a degree bound reaches p.
 
-    When every entry is a linear form in T, the determinant is homogeneous
-    of degree n: one occurring T is set to 1 (the one leaving the smallest
-    grid) and restored at the end.  `_degree_bounds` bounds the degree in
-    each remaining T and the total degree; the determinant is evaluated at
-    the integer points within these bounds (`_grid`) and read back by Newton
-    interpolation (`_interpolate`).  Over QQ each row is first made a
-    primitive integer row, and the product of the scales is kept, so every
-    value is an integer determinant.
+    With m = A_0 + sum_i T_i*A_i, the determinant has degree at most the
+    number of rows where A_i is nonzero in T_i, and total degree at most the
+    number of rows where some A_i with i >= 1 is.  When A_0 = 0 it is
+    homogeneous of degree n: one occurring T is set to 1 (the one leaving
+    the smallest grid) and restored at the end.  The determinant is
+    evaluated at the integer points within these bounds (`_grid`) and read
+    back by Newton interpolation (`_interpolate`).  Over QQ each row is
+    first made a primitive integer row, and the product of the scales is
+    kept, so every value is an integer determinant.
     """
     ring = m.ring
     field = ring.field
     p = field.char
-    n, nx = m.rows, ring.nx
-    entries = []  # per row: [(column, exponents of the T's, coefficient)]
-    for row in m.data:
-        terms = [(j, ring.unpack(mono), c) for j, e in enumerate(row) for mono, c in e.terms.items()]
-        if not terms:
-            return ring.zero
-        if any(any(exps[:nx]) for _, exps, _ in terms):
-            return None
-        entries.append([(j, exps[nx:], c) for j, exps, c in terms])
-    used = sorted({i for row in entries for _, exps, _ in row for i, e in enumerate(exps) if e})
+    n, parts = m.rows, m.parts
+    live = [{t for t, part in enumerate(parts) if any(part[i])} for i in range(n)]
+    if not all(live):
+        return ring.zero
+
+    def bounds(axes):
+        return [sum(a in ts for ts in live) for a in axes], sum(not ts.isdisjoint(axes) for ts in live)
+
+    used = sorted(set().union(*live) - {0})
     one = None  # the T set to 1 when the determinant is homogeneous
-    axes = used
-    if used and all(sum(exps) == 1 for row in entries for _, exps, _ in row):
-        one = min(used, key=lambda t: len(_grid(*_degree_bounds(entries, [a for a in used if a != t]))))
-        axes = [a for a in used if a != one]
-    bounds, total = _degree_bounds(entries, axes)
-    if p and any(b >= p for b in bounds):
+    if not any(0 in ts for ts in live):
+        one = min(used, key=lambda t: len(_grid(*bounds([a for a in used if a != t]))))
+    axes = [a for a in used if a != one]
+    degs, total = bounds(axes)
+    if p and any(b >= p for b in degs):
         return None
     scale = 1
-    rows = []  # per row: [(exponents of the axes, coefficient row)]
-    for row in entries:
-        by_mono = {}
-        for j, exps, c in row:
-            by_mono.setdefault(tuple(exps[a] for a in axes), [0] * n)[j] += c
+    rows = []  # per row: (base row, [(axis position, coefficient row)])
+    for i in range(n):
+        vecs = [parts[0 if one is None else one][i]] + [parts[a][i] for a in axes]
         if not p:
-            content = rational_content(c for vec in by_mono.values() for c in vec)
+            content = rational_content(c for vec in vecs for c in vec)
             scale *= content
-            by_mono = {key: [int(c / content) for c in vec] for key, vec in by_mono.items()}
-        rows.append(list(by_mono.items()))
-    monos = {key for row in rows for key, _ in row}
+            vecs = [[int(c / content) for c in vec] for vec in vecs]
+        rows.append((vecs[0], [(k, vec) for k, vec in enumerate(vecs[1:]) if any(vec)]))
     values = {}
-    for point in _grid(bounds, total):
-        ws = {key: math.prod([x**e for x, e in zip(point, key)]) for key in monos}
+    for point in _grid(degs, total):
         mat = []
-        for row in rows:
-            acc = [0] * n
-            for key, vec in row:
-                w = ws[key]
-                acc = [a + w * x for a, x in zip(acc, vec)]
+        for acc, terms in rows:
+            for k, vec in terms:
+                x = point[k]
+                if x:
+                    acc = [a + x * b for a, b in zip(acc, vec)]
             mat.append(acc)
         values[point] = _det_scalar(mat, p)
     terms = {}
     for point, c in _interpolate(values, len(axes), p).items():
         if c:
-            exps = [0] * (ring.nv - nx)
+            exps = [0] * (ring.nv - ring.nx)
             for a, e in zip(axes, point):
-                exps[a] = e
+                exps[a - 1] = e
             if one is not None:
-                exps[one] = n - sum(point)
-            terms[ring.pack((0,) * nx + tuple(exps))] = c if p else field.canon(c * scale)
+                exps[one - 1] = n - sum(point)
+            terms[ring.pack((0,) * ring.nx + tuple(exps))] = c if p else field.canon(c * scale)
     return Poly(ring, terms)
-
-
-def _degree_bounds(entries, axes):
-    """(per-axis bounds, total bound) on the degree of the determinant: the
-    sum over the rows of the largest degree of an entry in the row."""
-    bounds = [0] * (len(axes) + 1)
-    for row in entries:
-        degs = [[exps[a] for a in axes] for _, exps, _ in row]
-        for t, col in enumerate(zip(*[d + [sum(d)] for d in degs])):
-            bounds[t] += max(col)
-    return bounds[:-1], bounds[-1]
 
 
 def _grid(bounds, total):
@@ -564,22 +554,13 @@ def _interpolate(values, k, p):
 # minor selection
 
 
-def _random_point(ring, rng):
-    field = ring.field
-    names = ring.names[ring.nx:]
-    if not names:
-        names = ring.names
-    if field.char:
-        return {nm: rng.randrange(1, field.char) for nm in names}
-    return {nm: rng.randint(-997, 997) for nm in names}
-
-
 def _sampled_pivots(m, rng, rows):
     """Pivot columns of m's rows `rows` at a random point of the T variables.
 
-    Over QQ the specialized values are reduced mod one large prime, so no
-    fractions enter the elimination.  The rank found this way can only fall
-    short of the generic rank; callers retry, or check the minor exactly.
+    Over QQ the values are reduced mod one large prime, so no fractions
+    enter the elimination.  The rank found this way can only fall short of
+    the generic rank; callers retry, or check the minor exactly.
     """
-    spec = specialize(m, _random_point(m.ring, rng))
-    return _rref(m.ring.field.char or _RECON_PRIME, [spec.data[i] for i in rows])[1]
+    p = m.ring.field.char
+    point = [rng.randrange(1, p) if p else rng.randint(-997, 997) for _ in m.parts[1:]]
+    return _rref(p or _RECON_PRIME, m.evaluate(point, rows))[1]

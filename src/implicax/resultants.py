@@ -150,23 +150,16 @@ def kravitsky_pencil(f1, f2, f3):
     """T1*Bez(f2,f3) + T2*Bez(f3,f1) + T3*Bez(f1,f2) as a d x d pencil."""
     if not (f1.degree == f2.degree == f3.degree):
         raise ImplicaxError("pencil needs three forms of one degree")
+    if not all(c.is_constant() for f in (f1, f2, f3) for c in f.coeffs):
+        raise ImplicaxError("pencil needs forms with constant coefficients")
     ring = f1.ring
-    names = ring.names[ring.nx : ring.nx + 3]
-    if len(names) < 3:
+    k = ring.nv - ring.nx
+    if k < 3:
         raise ImplicaxError("ring carries fewer than three T variables")
-    b23 = bezout_matrix(f2, f3)
-    b31 = bezout_matrix(f3, f1)
-    b12 = bezout_matrix(f1, f2)
-    t1, t2, t3 = (ring.var(nm) for nm in names)
     d = f1.degree
-    data = [
-        [
-            t1 * b23.data[i][j] + t2 * b31.data[i][j] + t3 * b12.data[i][j]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    return PolyMatrix(ring, data, d)
+    zero = [[0] * d for _ in range(d)]
+    bez = [bezout_matrix(a, b).parts[0] for a, b in ((f2, f3), (f3, f1), (f1, f2))]
+    return PolyMatrix.from_parts(ring, [zero] + bez + [zero] * (k - 3), d)
 
 
 @dataclass

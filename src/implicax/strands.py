@@ -118,27 +118,23 @@ def cycle_basis(param, i, nu):
     return vectors
 
 
+def _koszul_image(param, i, nu):
+    """Echelon basis of the degree-nu image of the Koszul differential from
+    exterior degree i (coefficient rows over the degree-nu basis of exterior
+    degree i-1); empty below degree d."""
+    if nu < param.d:
+        return []
+    m = koszul_differential_matrix(param, i, nu - param.d)
+    return _rref(param.ring.field.char, [list(col) for col in zip(*m.data)])[0]
+
+
 def boundary_basis(param, nu):
     """Echelon basis of the degree-nu span of the Koszul syzygies.
 
     Monomial multiples of f_j e_l - f_l e_j with multiplier degree nu - d;
     empty below degree d.
     """
-    ring = param.ring
-    if nu < param.d:
-        return []
-    nm = ring.x_monomials(nu)
-    mono_index = {m: k for k, m in enumerate(nm)}
-    rows = []
-    for j, l in itertools.combinations(range(param.n), 2):
-        for u in ring.x_monomials(nu - param.d):
-            vec = [0] * (param.n * len(nm))
-            for fm, fc in param.polys[j].terms.items():
-                vec[l * len(nm) + mono_index[ring.mono_mul(fm, u)]] += fc
-            for fm, fc in param.polys[l].terms.items():
-                vec[j * len(nm) + mono_index[ring.mono_mul(fm, u)]] -= fc
-            rows.append(vec)
-    return _rref(ring.field.char, rows)[0]
+    return _koszul_image(param, 2, nu)
 
 
 def vector_to_polys(param, nu, vec):
@@ -216,7 +212,6 @@ def z_strand(param, nu):
     ring = param.ring
     field = ring.field
     n = param.n
-    t_names = param.t_names()
     kbs = [KoszulBasis(param, i, nu) for i in range(n)]
     z0 = len(kbs[0].monos)
     bases = []
@@ -227,21 +222,18 @@ def z_strand(param, nu):
         frees.append(fr)
     dims = [z0] + [len(b) for b in bases]
 
-    def t_form(coeffs):
-        """Poly sum_j coeffs[j] * T_j."""
-        terms = {}
-        for j, c in enumerate(coeffs):
-            if c:
-                terms[ring.var_mono(ring.var_index(t_names[j]))] = c
-        return Poly(ring, field.reduce_terms(terms))
+    def zero_parts(rows, cols):
+        """Parts A_0 .. A_k of a rows x cols zero matrix; T_j's part is j + 1."""
+        return [[[0] * cols for _ in range(rows)] for _ in range(ring.nv - ring.nx + 1)]
 
     maps = []
     # rightmost map: (Z_1)_nu -> A_nu[T], expressed on the monomial basis
-    m0 = [[None] * dims[1] for _ in range(z0)]
+    parts = zero_parts(z0, dims[1])
     for s, vec in enumerate(bases[0]):
-        for r in range(z0):
-            m0[r][s] = t_form([vec[j * z0 + r] for j in range(n)])
-    maps.append(PolyMatrix(ring, m0 if z0 else [], dims[1]))
+        for j in range(n):
+            for r in range(z0):
+                parts[j + 1][r][s] = vec[j * z0 + r]
+    maps.append(PolyMatrix.from_parts(ring, parts, dims[1]))
     # deeper maps: re-express T-contractions in the next cycle basis
     for i in range(1, n - 1):
         src_vecs = bases[i]
@@ -250,28 +242,49 @@ def z_strand(param, nu):
         inverses = [field.invert(v[f]) for v, f in zip(dst_vecs, dst_free)]
         rows = len(dst_vecs)
         cols = len(src_vecs)
-        data = [[None] * cols for _ in range(rows)]
+        parts = zero_parts(rows, cols)
         for s, vec in enumerate(src_vecs):
             comps = _dT_components(param, kbs[i + 1], kbs[i], vec)
-            coords = []
             for j in range(n):
                 w = comps[j]
                 xs = [field.canon(w[dst_free[r]] * inverses[r]) for r in range(rows)]
-                coords.append(xs)
                 if not _combination_matches(dst_vecs, xs, w, field):
                     raise ImplicaxError(
                         "strand grading error: contraction image left the cycle space"
                     )
-            for r in range(rows):
-                data[r][s] = t_form([coords[j][r] for j in range(n)])
-        maps.append(PolyMatrix(ring, data if rows else [], cols))
-    for m in maps:
-        m.require_t_linear()
-    for i in range(len(maps) - 1):
-        if maps[i].cols and maps[i + 1].cols:
-            if not maps[i].matmul(maps[i + 1]).is_zero():
-                raise ImplicaxError("strand differentials do not compose to zero")
+                for r in range(rows):
+                    parts[j + 1][r][s] = xs[r]
+        maps.append(PolyMatrix.from_parts(ring, parts, cols))
+    for a, b in zip(maps, maps[1:]):
+        if a.cols and b.cols and not _composes_to_zero(a, b, field):
+            raise ImplicaxError("strand differentials do not compose to zero")
     return ZStrand(param, nu, dims, maps, bases)
+
+
+def _composes_to_zero(a, b, field):
+    """Whether the product of the T-affine matrices a and b is zero.
+
+    With T_0 = 1, the coefficient of T_s*T_t in the product is
+    A_s*B_t + A_t*B_s for s < t and A_s*B_s for s = t; each must vanish.  A
+    row of the product is summed over the nonzero entries of a's row only.
+    """
+    b_rows = [[(t, B[c]) for t, B in enumerate(b.parts) if any(B[c])] for c in range(b.rows)]
+    for r in range(a.rows):
+        coeffs = {}
+        for s, A in enumerate(a.parts):
+            for c, x in enumerate(A[r]):
+                if not x:
+                    continue
+                for t, row in b_rows[c]:
+                    key = (s, t) if s <= t else (t, s)
+                    acc = coeffs.get(key)
+                    if acc is None:
+                        coeffs[key] = [x * y for y in row]
+                    else:
+                        coeffs[key] = [u + x * y for u, y in zip(acc, row)]
+        if not all(field.is_zero(u) for acc in coeffs.values() for u in acc):
+            return False
+    return True
 
 
 def _combination_matches(vectors, xs, target, field):
@@ -510,8 +523,13 @@ def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):
     g = _fold_minors(det0, minors, degree, seed, None)
 
     def recombinations():
+        canon = ring.field.canon
         for _ in range(12):
-            signs = [[ring.const(rng.choice((-1, 1))) for _ in range(z0)] for _ in range(z1)]
-            yield det_fraction_free(m.matmul(PolyMatrix(ring, signs)))
+            signs = list(zip(*[[rng.choice((-1, 1)) for _ in range(z0)] for _ in range(z1)]))
+            parts = [
+                [[canon(sum(a * s for a, s in zip(row, col))) for col in signs] for row in part]
+                for part in m.parts
+            ]
+            yield det_fraction_free(PolyMatrix.from_parts(ring, parts, z0))
 
     return normalize(_fold_minors(g, recombinations(), degree, seed, 2))

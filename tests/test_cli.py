@@ -219,6 +219,55 @@ def test_resultant_sylvester_coordinates(capsys, tmp_path):
     assert code == 0 and doc["determinant"] == "1"
 
 
+# --emit-matrix output of the resultant kinds, pinned entry by entry
+EMITTED = [
+    (
+        "kravitsky",
+        "field: QQ\nx_vars: X1 X2\nf1 = X1^3 + 2*X2^3\nf2 = X1^2*X2 - 1/2*X2^3\nf3 = X1*X2^2 + 3*X1^3\n",
+        [
+            ["1/2*T1 + 2*T2", "-2*T3", "3/2*T1 + 6*T2 - 1/2*T3"],
+            ["-2*T3", "5/2*T1 + 6*T2 - 1/2*T3", "-T2"],
+            ["3/2*T1 + 6*T2 - 1/2*T3", "-T2", "-3*T1 + T3"],
+        ],
+        "-75/8*T1^3 - 165/2*T1^2*T2 - 469/2*T1*T2^2 - 218*T2^3 + 55/8*T1^2*T3"
+        " + 50*T1*T2*T3 + 90*T2^2*T3 + 83/8*T1*T3^2 - 15/2*T2*T3^2 - 31/8*T3^3",
+    ),
+    (
+        "kravitsky",
+        "field: GF(65521)\nx_vars: X1 X2\nf1 = X1^2 + 5*X2^2\nf2 = X1*X2 - 2*X2^2\nf3 = 3*X1^2 + X1*X2\n",
+        [
+            ["2*T1 + 5*T2 + 65516*T3", "6*T1 + 15*T2 + 65519*T3"],
+            ["6*T1 + 15*T2 + 65519*T3", "65518*T1 + 65520*T2 + T3"],
+        ],
+        "65479*T1^2 + 65324*T1*T2 + 65291*T2^2 + 41*T1*T3 + 70*T2*T3 + 65512*T3^2",
+    ),
+    (
+        "sylvester",
+        "field: QQ\nx_vars: X1 X2\nf1 = X1^2 - 3*X1*X2\nf2 = 2*X1 + X2\n",
+        [["1", "-3", "0"], ["2", "1", "0"], ["0", "2", "1"]],
+        "7",
+    ),
+    (
+        "sylvester",
+        "field: GF(65521)\nx_vars: X1 X2\nf1 = X1^2 - 3*X1*X2\nf2 = 2*X1 + X2\n",
+        [["1", "65518", "0"], ["2", "1", "0"], ["0", "2", "1"]],
+        "7",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, text, matrix, det", EMITTED, ids=["krav_qq", "krav_gf", "syl_qq", "syl_gf"])
+def test_resultant_emit_matrix_is_pinned(capsys, tmp_path, kind, text, matrix, det):
+    f = tmp_path / "forms.txt"
+    f.write_text(text)
+    code, doc, _ = run_json(
+        capsys, "resultant", str(f), "--kind", kind, "--emit-matrix", "--format", "json"
+    )
+    assert code == 0
+    assert doc["matrix"] == matrix
+    assert doc["determinant"] == det
+
+
 def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("IMPLICAX_SEED", "424242")
     code, doc, _ = run_json(

@@ -114,7 +114,7 @@ def test_profile_positive_dimensional():
 
 def window_profile(param):
     """The profile read over the full window of max(n, d) + 1 Hilbert values."""
-    t = (param.n - 1) * (param.d - 1) + 1
+    t = param.ring.nx * (param.d - 1) + 1
     values = [hilbert_value(param, nu) for nu in range(t, t + max(param.n, param.d) + 1)]
     if all(v == 0 for v in values):
         return -1, 0
@@ -213,6 +213,17 @@ def test_report_names_the_certificate_and_the_values_read():
         assert out["hilbert_values"] == {str(nu): h for nu, h in values.items()}
     rep = analyze_parameterization(POSITIVE_DIM, run_syzygetic=False)
     assert rep.base_locus_certificate == "window" and len(rep.hilbert_values) == 2
+
+
+def test_profile_reads_from_nx_d_minus_1_plus_1_off_a_map():
+    # three cubes in three variables: H(5) = 3, H(6) = 1, H(7) = 0, so the
+    # base locus is empty, read at t = nx(d-1)+1 = 7 (not (n-1)(d-1)+1 = 5)
+    cubes = make_parameterization(QQ, ["X1", "X2", "X3"], ["X1^3", "X2^3", "X3^3"])
+    assert [hilbert_value(cubes, nu) for nu in (5, 6, 7)] == [3, 1, 0]
+    assert geometry._certified_profile(cubes) == (-1, 0, "empty", {7: 0})
+    assert base_locus_profile(cubes) == window_profile(cubes) == (-1, 0)
+    rep = analyze_parameterization(cubes, run_syzygetic=False)
+    assert (rep.base_locus_dim, rep.e_total, rep.hilbert_values) == (-1, 0, {7: 0})
 
 
 # ---------------------------------------------------------------------------

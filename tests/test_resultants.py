@@ -153,7 +153,9 @@ def test_det_bezout_equals_signed_resultant():
 def test_pencil_of_conic():
     f = [form("X1^2"), form("X1*X2"), form("X2^2")]
     pencil = kravitsky_pencil(*f)
-    pencil.require_t_linear()
+    # T1*Bez(f2,f3) + T2*Bez(f3,f1) + T3*Bez(f1,f2): no constant part
+    assert pencil.parts[1:] == [bezout_matrix(*pair).parts[0] for pair in ((f[1], f[2]), (f[2], f[0]), (f[0], f[1]))]
+    assert not any(map(any, pencil.parts[0]))
     det = det_fraction_free(pencil)
     assert unit_multiple_of(det, RING.poly("T2^2 - T1*T3"))
 
@@ -161,12 +163,10 @@ def test_pencil_of_conic():
 def test_pencil_specializes_to_bezout():
     f = [form("X1^2"), form("X1*X2"), form("X2^2")]
     pencil = kravitsky_pencil(*f)
-    from implicax.linalg import specialize
-
-    spec = specialize(pencil, {"T1": 0, "T2": 0, "T3": 1})
+    spec = pencil.evaluate([0, 0, 1])
     bez = bezout_matrix(f[0], f[1])
     vals = [[e.terms.get(RING.one_mono, 0) for e in row] for row in bez.data]
-    assert spec.data == vals
+    assert spec == vals
 
 
 def test_pencil_power_specialization():

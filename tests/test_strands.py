@@ -15,9 +15,9 @@ from implicax.arith import (
     make_parameterization,
     unit_multiple_of,
 )
-from implicax.errors import ConsistencyError, HypothesisViolation
+from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError
 from implicax.geometry import predicted_degree
-from implicax.linalg import det_fraction_free, scalar_rank
+from implicax.linalg import PolyMatrix, det_fraction_free, scalar_rank
 from implicax.strands import (
     boundary_basis,
     complex_determinant,
@@ -158,15 +158,42 @@ def test_conic_strand_is_square_moving_lines_matrix():
     assert st.dims == [2, 2, 0]
     assert st.map_shapes()[0] == (2, 2)
     for m in st.maps:
-        m.require_t_linear()
+        # linear forms in T: no constant part
+        assert len(m.parts) == 4 and not any(map(any, m.parts[0]))
 
 
 def test_strand_differentials_compose_to_zero():
     for param, nu in ((CONIC, 1), (CONIC, 2), (CONIC_FAT, 2), (QUADRIC, 2), (LCI_SURF, 4)):
         st = z_strand(param, nu)
         for i in range(len(st.maps) - 1):
-            if st.maps[i].cols and st.maps[i + 1].cols:
-                assert st.maps[i].matmul(st.maps[i + 1]).is_zero()
+            a, b = st.maps[i].data, st.maps[i + 1].data
+            for row in a:
+                for j in range(st.maps[i + 1].cols):
+                    assert not sum((e * col[j] for e, col in zip(row, b)), param.ring.zero).terms
+
+
+def test_strand_check_rejects_maps_that_do_not_compose_to_zero(monkeypatch):
+    # one entry of the second map moved by 1: the product's T_s*T_t part is
+    # no longer zero, and z_strand refuses the strand
+    built = []
+    from_parts = PolyMatrix.from_parts
+
+    def perturbed(ring, parts, cols):
+        m = from_parts(ring, parts, cols)
+        built.append(m)
+        if len(built) == 2:
+            j = next(t for t in range(1, len(parts)) if any(map(any, parts[t])))
+            r, c = next((r, c) for r, row in enumerate(parts[j]) for c, x in enumerate(row) if x)
+            parts[j][r][c] += 1
+        return m
+
+    for param, nu in ((CONIC_FAT, 2), (QUADRIC, 2)):
+        z_strand(param, nu)
+        del built[:]
+        monkeypatch.setattr(PolyMatrix, "from_parts", perturbed)
+        with pytest.raises(ImplicaxError, match="do not compose to zero"):
+            z_strand(param, nu)
+        monkeypatch.undo()
 
 
 def test_strand_over_prime_field():

@@ -1,6 +1,7 @@
 """Source-tree rules that no single module test covers."""
 
 import ast
+import importlib
 import importlib.util
 import json
 import sys
@@ -35,6 +36,25 @@ def test_traced_names_are_module_attributes():
         if attr not in owner.__dict__
     ]
     assert not missing, "traced names missing: %s" % ", ".join(missing)
+
+
+def test_all_exports_resolve():
+    # every name a module lists in __all__ exists there, so a deleted
+    # function cannot leave a stale export behind
+    import implicax
+
+    modules = [implicax] + [
+        importlib.import_module("implicax." + path.stem)
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    missing = [
+        "%s.%s" % (module.__name__, name)
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not missing, "stale exports: %s" % ", ".join(missing)
 
 
 def test_imports_are_stdlib_only():
