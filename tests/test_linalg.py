@@ -354,12 +354,13 @@ def test_generic_rank():
     assert scalar_rank(QQ, m.evaluate([3, -5, 0, 0])) == 1
 
 
-def test_constructor_rejects_entries_not_affine_in_t():
+def test_require_t_linear():
+    # the constructor keeps only entries affine in the T's
     ring = Ring(QQ, ["X1"], ["T1", "T2"])
     good = PolyMatrix(ring, [[ring.poly("T1 - 2*T2"), ring.poly("T1 + 1/3")], [ring.zero, ring.const(5)]])
     assert good.parts == [[[0, Fraction(1, 3)], [0, 5]], [[1, 1], [0, 0]], [[-2, 0], [0, 0]]]
     assert good.data == [[ring.poly("T1 - 2*T2"), ring.poly("T1 + 1/3")], [ring.zero, ring.const(5)]]
-    for text in ("T1^2", "X1", "T1*X1", "T1*T2", "T1 + X1"):
+    for text in ("T1^2", "T1*T2", "T1^2 + T2"):
         with pytest.raises(LinalgError):
             PolyMatrix(ring, [[ring.poly(text), ring.zero]])
     with pytest.raises(LinalgError):
@@ -500,6 +501,17 @@ def test_engine_dispatch_counts_the_rings_t_variables(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(linalg, "_det_bareiss", refuse)
     assert det_fraction_free(curve) == plane.poly("T1^2 + T1*T2 - T2*T3")
+
+
+def test_grid_engine_declines_entries_with_x_variables():
+    # an entry with an X never reaches an engine: the constructor refuses it,
+    # while T-affine entries over a ring with X's go through the grid
+    ring = Ring(QQ, ["X1"], ["T1"])
+    for rows in ([["X1", "T1"], ["1", "X1"]], [["T1*X1", "1"], ["1", "T1"]], [["T1 + X1"]]):
+        with pytest.raises(LinalgError):
+            pm(rows, ring)
+    m = pm([["T1", "T1 + 2"], ["1", "T1"]], ring)
+    assert linalg._det_on_grid(m) == linalg._det_bareiss(m) == ring.poly("T1^2 - T1 - 2")
 
 
 def test_interpolation_raises_on_an_inexact_divided_difference():
