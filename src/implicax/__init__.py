@@ -19,7 +19,6 @@ from .arith import (
     normalize,
     parse_poly,
     perfect_power_decompose,
-    squarefree_part,
     unit_multiple_of,
 )
 from .errors import (

@@ -99,6 +99,8 @@ class RationalField:
     def parse(self, text):
         if "/" in text:
             num, den = text.split("/")
+            if not int(den):
+                raise ParseError("zero denominator in %r" % text)
             return self.canon(Fraction(int(num), int(den)))
         return int(text)
 
@@ -200,6 +202,8 @@ class PrimeField:
     def parse(self, text):
         if "/" in text:
             num, den = text.split("/")
+            if not int(den) % self.p:
+                raise ParseError("denominator of %r is zero in %s" % (text, self.name))
             return self.div(int(num) % self.p, int(den) % self.p)
         return int(text) % self.p
 
@@ -600,18 +604,6 @@ class Poly:
         off = _EXP_BITS * i
         return max(_MAXE - ((m >> off) & _MAXE) for m in self.terms)
 
-    def derivative(self, i):
-        """Partial derivative with respect to variable index i."""
-        ring = self.ring
-        off = _EXP_BITS * i
-        vm = ring.var_mono(i)
-        out = {}
-        for m, c in self.terms.items():
-            e = _MAXE - ((m >> off) & _MAXE)
-            if e:
-                out[m - vm + ring.one_mono] = c * e
-        return Poly(ring, ring.field.reduce_terms(out))
-
     def evaluate(self, assignment):
         """Substitute variables (by name) with polynomials or scalars.
 
@@ -782,7 +774,7 @@ def format_poly(p):
 
 
 # ---------------------------------------------------------------------------
-# exact division, gcd, squarefree machinery
+# exact division and gcd
 
 
 def exact_divide(a, b, verify=True):
@@ -1014,23 +1006,6 @@ def _check_characteristic(p):
         raise SmallCharacteristicError(
             "characteristic %d too small for degree %d" % (ch, p.total_degree())
         )
-
-
-def squarefree_part(p):
-    """Product of the distinct irreducible factors of p, normalized."""
-    if not p.terms:
-        raise ArithError("squarefree part of zero")
-    _check_characteristic(p)
-    if p.is_constant():
-        return p.ring.one
-    g = p
-    for v in p.variables():
-        dv = p.derivative(v)
-        if dv.terms:
-            g = multivariate_gcd(g, dv)
-        if g.is_constant():
-            break
-    return normalize(exact_divide(p, g, verify=False))
 
 
 def _divisors_desc(n):

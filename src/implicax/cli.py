@@ -143,7 +143,7 @@ def _base_doc(command, problem):
 
 def cmd_implicitize(args):
     problem = load_problem(args.problem)
-    param = problem.parameterization(require_map_shape=True)
+    param = problem.parameterization()
     seed = args.seed if args.seed is not None else _default_seed()
     t0 = time.monotonic()
     with warnings.catch_warnings(record=True) as caught:
@@ -180,7 +180,7 @@ def cmd_implicitize(args):
 
 def cmd_analyze(args):
     problem = load_problem(args.problem)
-    param = problem.parameterization(require_map_shape=True)
+    param = problem.parameterization()
     t0 = time.monotonic()
     report = analyze(param, run_syzygetic=True if args.syzygetic else None)
     doc = _base_doc("analyze", problem)
@@ -213,7 +213,7 @@ def cmd_resultant(args):
             matrix = bezout_matrix(*forms)
         det = det_fraction_free(matrix)
     else:
-        param = problem.parameterization(require_map_shape=True)
+        param = problem.parameterization()
         if param.n != 3:
             raise ParseError("kravitsky needs exactly three polynomials")
         out = curve_implicitize_resultant(param)

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20020101
+_QQ_SAMPLE = 997  # over QQ, `_sampled_pivots` draws T values from -997 .. 997
 
 
 class LinalgError(ArithError):
@@ -554,6 +555,11 @@ def _interpolate(values, k, p):
 # minor selection
 
 
+def _sample_size(p):
+    """How many values `_sampled_pivots` draws each T from: 1 .. p-1 over GF(p)."""
+    return p - 1 if p else 2 * _QQ_SAMPLE + 1
+
+
 def _sampled_pivots(m, rng, rows):
     """Pivot columns of m's rows `rows` at a random point of the T variables.
 
@@ -562,5 +568,5 @@ def _sampled_pivots(m, rng, rows):
     the generic rank; callers retry, or check the minor exactly.
     """
     p = m.ring.field.char
-    point = [rng.randrange(1, p) if p else rng.randint(-997, 997) for _ in m.parts[1:]]
+    point = [rng.randrange(1, p) if p else rng.randint(-_QQ_SAMPLE, _QQ_SAMPLE) for _ in m.parts[1:]]
     return _rref(p or _RECON_PRIME, m.evaluate(point, rows))[1]

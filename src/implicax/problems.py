@@ -40,11 +40,12 @@ class ProblemFile:
             return GF(int(m.group(2)))
         return QQ
 
-    def parameterization(self, require_map_shape=True, min_polys=3):
+    def parameterization(self):
+        """The declared map: three or more forms in one fewer X variable."""
         field = self.field()
         n = len(self.polys)
-        if n < min_polys:
-            raise ParseError("need at least %d polynomials, got %d" % (min_polys, n))
+        if n < 3:
+            raise ParseError("need at least 3 polynomials, got %d" % n)
         t_vars = self.t_vars
         if t_vars is None:
             t_vars = ["T%d" % (i + 1) for i in range(n)]
@@ -75,7 +76,7 @@ class ProblemFile:
             param = Parameterization(ring, parsed)
         except Exception as exc:
             raise ParseError(str(exc)) from None
-        if require_map_shape and not param.is_map_shape():
+        if not param.is_map_shape():
             raise ParseError(
                 "%d polynomials need %d X-variables, file declares %d"
                 % (n, n - 1, len(self.x_vars))

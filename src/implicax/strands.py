@@ -16,7 +16,6 @@ rightmost map.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -34,6 +33,7 @@ from .linalg import (
     PolyMatrix,
     ScalarMatrix,
     _rref,
+    _sample_size,
     _sampled_pivots,
     det_fraction_free,
     rref_kernel_data,
@@ -152,17 +152,6 @@ def vector_to_polys(param, nu, vec):
     return tuple(out)
 
 
-def polys_to_vector(param, nu, polys):
-    ring = param.ring
-    nm = ring.x_monomials(nu)
-    mono_index = {m: k for k, m in enumerate(nm)}
-    vec = [0] * (param.n * len(nm))
-    for j, p in enumerate(polys):
-        for m, c in p.terms.items():
-            vec[j * len(nm) + mono_index[m]] = c
-    return vec
-
-
 @dataclass
 class ZStrand:
     """The degree-nu strand: dims [z_0 .. z_{n-1}] and the T-contraction maps.
@@ -180,9 +169,6 @@ class ZStrand:
     @property
     def n(self):
         return self.param.n
-
-    def map_shapes(self):
-        return [(m.rows, m.cols) for m in self.maps]
 
 
 def _dT_components(param, kb_src, kb_dst, vec):
@@ -341,25 +327,49 @@ def _profile_ok(strand, ranks):
     return True
 
 
+def _profile_draws(strand):
+    """Draws after which an inconsistent rank profile is declared a violation.
+
+    Entries are affine in T, so a map of rank r has a nonzero r x r minor of
+    degree <= r.  By Schwartz-Zippel that minor vanishes at a draw of
+    `_sampled_pivots`, which takes each T from N values (p - 1 over GF(p),
+    1995 over QQ), with probability <= r/N; only then can the draw miss the
+    map's rank.  (Over QQ the draw is reduced mod a 62-bit prime; the bound
+    holds unless that prime divides every coefficient of the minor.)  With
+    r at most the map's smaller side, k independent draws all miss some
+    map's rank with probability <= sum over maps of (r/N)^k.  This returns
+    the least k that makes that sum <= 2^-40.  When some r >= N no k bounds
+    it, and two draws are taken.
+    """
+    size = _sample_size(strand.param.ring.field.char)
+    sides = [min(m.rows, m.cols) for m in strand.maps]
+    if max(sides) >= size:
+        return 2
+    k = 1
+    while sum((r / size) ** k for r in sides) > 2.0**-40:
+        k += 1
+    return k
+
+
 def check_rank_profile(strand, seed=DEFAULT_SEED):
     """Verify generic exactness off the zeroth spot; raise otherwise.
 
-    A violation is declared only when two independent specializations agree
-    on a failing profile (random points can only underestimate ranks).
+    A sampled rank never exceeds the generic rank, and the maps compose to
+    zero, so a sampled profile that is consistent with exactness proves it.
+    Each further draw keeps every map's largest rank so far; a violation is
+    declared only after `_profile_draws` draws all leave it inconsistent.
     """
     rng = random.Random(seed)
-    ranks = _rank_profile(strand, rng)
-    if _profile_ok(strand, ranks):
-        return ranks
-    ranks2 = _rank_profile(strand, rng)
-    merged = [max(a, b) for a, b in zip(ranks, ranks2)]
-    if _profile_ok(strand, merged):
-        return merged
+    ranks = [0] * len(strand.maps)
+    for _ in range(_profile_draws(strand)):
+        ranks = [max(a, b) for a, b in zip(ranks, _rank_profile(strand, rng))]
+        if _profile_ok(strand, ranks):
+            return ranks
     raise HypothesisViolation(
         "rank profile %s inconsistent with exactness for dims %s "
         "(base locus not finite / not a local complete intersection / "
         "map not generically finite, or the strand degree is too small)"
-        % (merged, strand.dims)
+        % (ranks, strand.dims)
     )
 
 
@@ -367,13 +377,18 @@ _CHAIN_MINOR_TRIES = 8  # random points tried per minor before giving up
 
 
 def _select_chain_minor(m, row_subset, rng):
-    """Columns making m[row_subset, cols] nonsingular; returns (cols, det)."""
+    """Columns making m[row_subset, cols] nonsingular; returns (cols, det).
+
+    When the rows need every column, those are the columns: no point is
+    drawn, and a zero determinant is final.
+    """
     target = len(row_subset)
     if target == 0:
         return [], m.ring.one
+    every = target == m.cols
     last = "no candidate"
-    for _ in range(_CHAIN_MINOR_TRIES):
-        cols = _sampled_pivots(m, rng, row_subset)
+    for _ in range(1 if every else _CHAIN_MINOR_TRIES):
+        cols = list(range(m.cols)) if every else _sampled_pivots(m, rng, row_subset)
         if len(cols) < target:
             last = "specialized rank below %d" % target
             continue
@@ -437,7 +452,7 @@ def complex_determinant(strand, seed=DEFAULT_SEED):
 # gcd of maximal minors
 
 
-_ENUMERATE_CAP = 220  # most column choices for which every maximal minor is taken
+_RECOMBINATIONS = 12  # most sign recombinations folded into the gcd
 
 
 def _gcd_pair(a, b, seed):
@@ -446,25 +461,54 @@ def _gcd_pair(a, b, seed):
     return multivariate_gcd(a, b)
 
 
-def _fold_minors(g, dets, degree, seed, stable):
-    """Fold the nonzero minors of `dets` into their running gcd g.
+def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):
+    """gcd of the z_0 x z_0 minors of the rightmost strand map.
 
-    A minor that g divides leaves g as it is, and no gcd is taken.  Stops
-    once deg g <= degree, or once `stable` minors in a row left g unchanged
-    (None: fold them all).  g is None until the first nonzero minor.
+    `degree` is the predicted degree of the answer, d^(n-2) - e(I) for
+    isolated base points; the pipeline passes `report.predicted_degree`.
+    Determinants are folded into a running gcd g, and the fold stops as
+    soon as deg g <= degree.  Why that is exact: under the hypotheses the
+    strand is acyclic and its determinant divides every maximal minor, so
+    the gcd of any set of minors, or of combinations of them, is a multiple
+    of the gcd G of all of them, and deg G >= degree.  Once
+    deg g = degree = deg G, g is a unit times G.
+
+    g starts as one nonsingular minor, found at a seeded point.  Then come
+    determinants of the map times seeded +-1 sign matrices S, which by
+    Cauchy-Binet are sums of all the maximal minors, each times the matching
+    minor of S.  A determinant that g divides leaves g as it is, and no gcd
+    is taken.  The fold also stops once two determinants in a row leave g
+    unchanged, or after _RECOMBINATIONS of them.  A scalar multiple of g
+    does not count toward the two: with few columns the minors of S often
+    vanish (5/8 of the 3 x 3 sign matrices are singular), and the sum then
+    collapses onto g's own minor.  That g divides the determinants does not
+    prove that g divides every minor.  Only the degree equality does.
+
+    When the target is never reached, the result is the gcd of what was
+    folded; its degree is then above the target, and the pipeline's degree
+    check raises ConsistencyError.
     """
-    dets = iter(dets)
+    m = strand.maps[0]
+    ring = m.ring
+    canon = ring.field.canon
+    z0, z1 = m.rows, m.cols
+    if z1 < z0:
+        raise HypothesisViolation(
+            "rightmost map is %dx%d; need at least as many syzygies as monomials" % (z0, z1)
+        )
+    rng = random.Random("%s:minors" % (seed,))
+    g = _select_chain_minor(m, list(range(z0)), rng)[1]
     clean = 0
-    while g is None or g.total_degree() > degree:
-        if stable is not None and clean >= stable:
+    for _ in range(_RECOMBINATIONS):
+        if g.total_degree() <= degree or clean >= 2:
             break
-        det = next(dets, None)
-        if det is None:
-            break
+        signs = [[rng.choice((-1, 1)) for _ in range(z1)] for _ in range(z0)]
+        parts = [
+            [[canon(sum(a * s for a, s in zip(row, col))) for col in signs] for row in part]
+            for part in m.parts
+        ]
+        det = det_fraction_free(PolyMatrix.from_parts(ring, parts, z0))
         if not det.terms:
-            continue
-        if g is None:
-            g = det
             continue
         try:
             exact_divide(det, g, verify=False)
@@ -472,64 +516,5 @@ def _fold_minors(g, dets, degree, seed, stable):
             g = _gcd_pair(g, det, seed)
             clean = 0
         else:
-            clean += 1
-    return g
-
-
-def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):
-    """gcd of the z_0 x z_0 minors of the rightmost strand map.
-
-    `degree` is the predicted degree of the answer, d^(n-2) - e(I) for
-    isolated base points; the pipeline passes `report.predicted_degree`.
-    Minors are folded into a running gcd g, and the fold stops as soon as
-    deg g <= degree.  Why that is exact: under the hypotheses the strand is
-    acyclic and its determinant divides every maximal minor, so the gcd of
-    any set of minors is a multiple of the gcd G of all of them, and
-    deg G >= degree.  Once deg g = degree = deg G, g is a unit times G.
-
-    Small matrices offer every minor, in an order that the seed shuffles;
-    the order breaks ties only.  Larger ones offer one nonsingular minor, a
-    seeded sample of four more, then determinants of the map times random
-    sign matrices, until two in a row leave g unchanged.  These are
-    integer combinations of all the maximal minors (Cauchy-Binet), so they
-    reach minors the sample missed; but that g divides them does not prove
-    that g divides every minor.  Only the degree equality does.
-
-    When the target is never reached, small matrices return the gcd of all
-    the minors and large ones the gcd of what they folded.  Its degree is
-    then above the target, and the pipeline's degree check raises
-    ConsistencyError.
-    """
-    m = strand.maps[0]
-    ring = m.ring
-    z0, z1 = m.rows, m.cols
-    if z1 < z0:
-        raise HypothesisViolation(
-            "rightmost map is %dx%d; need at least as many syzygies as monomials" % (z0, z1)
-        )
-    rows = range(z0)
-    rng = random.Random("%s:minors" % (seed,))
-    if math.comb(z1, z0) <= _ENUMERATE_CAP:
-        combos = list(itertools.combinations(range(z1), z0))
-        rng.shuffle(combos)
-        minors = (det_fraction_free(m.submatrix(rows, cols)) for cols in combos)
-        g = _fold_minors(None, minors, degree, seed, None)
-        if g is None:
-            raise HypothesisViolation("all maximal minors vanish")
-        return normalize(g)
-    cols0, det0 = _select_chain_minor(m, list(rows), rng)
-    samples = (sorted(rng.sample(range(z1), z0)) for _ in range(4))
-    minors = (det_fraction_free(m.submatrix(rows, cols)) for cols in samples if cols != cols0)
-    g = _fold_minors(det0, minors, degree, seed, None)
-
-    def recombinations():
-        canon = ring.field.canon
-        for _ in range(12):
-            signs = list(zip(*[[rng.choice((-1, 1)) for _ in range(z0)] for _ in range(z1)]))
-            parts = [
-                [[canon(sum(a * s for a, s in zip(row, col))) for col in signs] for row in part]
-                for part in m.parts
-            ]
-            yield det_fraction_free(PolyMatrix.from_parts(ring, parts, z0))
-
-    return normalize(_fold_minors(g, recombinations(), degree, seed, 2))
+            clean += det.total_degree() > g.total_degree()  # not a scalar multiple
+    return normalize(g)

@@ -36,9 +36,9 @@ from implicax.strands import (
     complex_determinant,
     cycle_basis,
     gcd_of_maximal_minors,
-    polys_to_vector,
     z_strand,
 )
+from helpers import polys_to_vector
 
 CONIC = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
 CONIC_FAT = make_parameterization(QQ, ["X1", "X2"], ["X1^3", "X1^2*X2", "X1*X2^2"])

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic: ring ops, parsing, gcd, squarefree, perfect powers."""
+"""Polynomial arithmetic: ring ops, parsing, gcd, perfect powers."""
 
 import random
 from fractions import Fraction
@@ -22,7 +22,6 @@ from implicax.arith import (
     normalize,
     parse_poly,
     perfect_power_decompose,
-    squarefree_part,
     unit_multiple_of,
 )
 
@@ -321,39 +320,13 @@ def test_gcd_by_lines_matches_subresultant_route():
 
 
 # ---------------------------------------------------------------------------
-# squarefree and perfect powers
+# perfect powers
 
 
-def test_squarefree_square_of_linear():
-    ring = xt_ring()
-    p = ring.poly("T1+T2") ** 2
-    assert squarefree_part(p) == normalize(ring.poly("T1+T2"))
-
-
-def test_squarefree_product_of_distinct():
-    ring = Ring(QQ, [], ["T1", "T2", "T3", "T4"])
-    p = ring.poly("T1+T2") * ring.poly("T3+T4")
-    assert unit_multiple_of(squarefree_part(p), p)
-
-
-def test_squarefree_quartic_plane():
-    ring = Ring(QQ, [], ["T1", "T2", "T3", "T4"])
-    p = ring.poly("T1+T2+T3-T4") ** 4
-    assert squarefree_part(p) == normalize(ring.poly("T1+T2+T3-T4"))
-
-
-def test_squarefree_mixed_multiplicities():
-    ring = xt_ring()
-    p = ring.poly("X1") ** 3 * ring.poly("X1+X2") ** 2 * ring.poly("T1+X2")
-    sf = squarefree_part(p)
-    expect = ring.poly("X1") * ring.poly("X1+X2") * ring.poly("T1+X2")
-    assert unit_multiple_of(sf, expect)
-
-
-def test_squarefree_small_characteristic_refused():
+def test_perfect_power_small_characteristic_refused():
     ring = xt_ring(GF(3))
     with pytest.raises(SmallCharacteristicError):
-        squarefree_part(ring.poly("X1^4"))
+        perfect_power_decompose(ring.poly("X1^4"))
 
 
 def test_perfect_power_quartic():
@@ -448,6 +421,14 @@ def test_parse_errors():
         with pytest.raises((ParseError, ArithError)):
             parse_poly(ring, bad)
 
+
+
+@pytest.mark.parametrize(
+    "field, text", [(QQ, "1/0*X1^2"), (GF(101), "1/101*X1^2 + X2^2"), (GF(101), "3/202*X2")]
+)
+def test_parse_rejects_a_zero_denominator(field, text):
+    with pytest.raises(ParseError, match="denominator"):
+        parse_poly(xt_ring(field), text)
 
 # ---------------------------------------------------------------------------
 # parameterizations

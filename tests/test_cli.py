@@ -119,6 +119,34 @@ def test_parse_error_names_offending_line(capsys, tmp_path):
     assert not out.strip()
 
 
+
+@pytest.mark.parametrize("field, coeff", [("QQ", "1/0"), ("GF(101)", "1/101")])
+def test_zero_denominator_is_parse_error(capsys, tmp_path, field, coeff):
+    f = tmp_path / "zero.txt"
+    f.write_text("field: %s\nx_vars: X1 X2\nf1 = %s*X1^2 + X2^2\nf2 = X1*X2\nf3 = X2^2\n" % (field, coeff))
+    code, out, err = run_cli(capsys, "implicitize", str(f))
+    assert code == 2
+    assert "parse error" in err and "denominator" in err
+    assert not out.strip()
+
+
+def test_small_field_map_whose_rank_the_first_draws_miss(capsys, tmp_path):
+    # over GF(101), seed 13's first two points both miss the rank of the
+    # 6 x 9 rightmost map; both routes must still solve it
+    f = tmp_path / "gf101.txt"
+    f.write_text(
+        "field: GF(101)\nx_vars: X1 X2 X3\n"
+        "f1 = 4*X1^2+2*X2^2+3*X3^2+4*X1*X2+3*X1*X3+2*X2*X3\n"
+        "f2 = 4*X1^2+2*X2^2+2*X3^2+4*X1*X2+2*X1*X3+5*X2*X3\n"
+        "f3 = 3*X1^2+2*X2^2+2*X3^2+2*X1*X2+4*X1*X3+3*X2*X3\n"
+        "f4 = X1^2+X2^2+3*X3^2+2*X1*X2+X1*X3+4*X2*X3\n"
+    )
+    for method in ("det-complex", "gcd-minors"):
+        code, doc, _ = run_json(
+            capsys, "implicitize", str(f), "--seed", "13", "--method", method, "--format", "json"
+        )
+        assert code == 0 and doc["degree"] == 4 and doc["verified"] is True
+
 def test_missing_file_is_parse_error(capsys):
     code, _, err = run_cli(capsys, "implicitize", "no_such_file.txt")
     assert code == 2 and "parse error" in err

@@ -27,7 +27,8 @@ from implicax.geometry import (
 )
 from implicax.linalg import scalar_rank
 from implicax.problems import load_problem
-from implicax.strands import boundary_basis, cycle_basis, polys_to_vector
+from implicax.strands import boundary_basis, cycle_basis
+from helpers import polys_to_vector
 
 CONIC = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
 CONIC_FAT = make_parameterization(QQ, ["X1", "X2"], ["X1^3", "X1^2*X2", "X1*X2^2"])

@@ -13,6 +13,8 @@ from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError
 from implicax.pipeline import analyze, implicitize, verify
 from implicax.problems import load_problem
 
+from helpers import dense_quadric
+
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 MAP_PROBLEMS = (
     "curve_conic", "curve_with_base_point", "surface_quadric", "surface_cubic", "surface_lci"
@@ -259,6 +261,33 @@ def test_verify_accepts_every_shipped_answer_and_rejects_a_shifted_one(name):
     reduced = implicitize(param, check_eval=0).reduced
     assert verify(reduced, param)
     assert not verify(reduced + 1, param)
+
+
+# (input, strand degree); surface_lci runs at its sharp degree 2, where a
+# gcd-minors solve takes milliseconds instead of seconds at the default 4
+ROUTE_INPUTS = [(name, None) for name in MAP_PROBLEMS if name != "surface_lci"] + [
+    ("surface_lci", 2),
+    ("dense_quadric_qq", None),
+    ("dense_quadric_gf65521", None),
+    ("dense_quadric_gf101", None),
+]
+DENSE_FIELDS = {"qq": QQ, "gf65521": GF(65521), "gf101": GF(101)}
+
+
+@pytest.mark.filterwarnings("ignore:strand degree 2 below the proven bound")
+@pytest.mark.parametrize("name, nu", ROUTE_INPUTS, ids=[name for name, _ in ROUTE_INPUTS])
+def test_gcd_minors_equals_det_complex_for_seeds_1_to_10(name, nu):
+    if name.startswith("dense_quadric_"):
+        param = dense_quadric(DENSE_FIELDS[name.rpartition("_")[2]], 7)
+    else:
+        param = load_problem(PROBLEMS / (name + ".txt")).parameterization()
+    for seed in range(1, 11):
+        routes = [
+            implicitize(param, nu=nu, method=method, seed=seed, allow_sub_bound=True)
+            for method in ("det-complex", "gcd-minors")
+        ]
+        assert routes[0].reduced == routes[1].reduced, (name, seed)
+        assert routes[0].exponent == routes[1].exponent, (name, seed)
 
 
 def dense_curve_text(d, rng):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import math
 import random
 
 import pytest
@@ -20,13 +19,14 @@ from implicax.geometry import predicted_degree
 from implicax.linalg import PolyMatrix, det_fraction_free, scalar_rank
 from implicax.strands import (
     boundary_basis,
+    check_rank_profile,
     complex_determinant,
     cycle_basis,
     gcd_of_maximal_minors,
     koszul_differential_matrix,
-    polys_to_vector,
     z_strand,
 )
+from helpers import dense_quadric, polys_to_vector
 
 CONIC = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
 CONIC_FAT = make_parameterization(QQ, ["X1", "X2"], ["X1^3", "X1^2*X2", "X1*X2^2"])
@@ -150,13 +150,13 @@ def test_boundary_basis_cases():
 def test_quadric_strand_dims_and_shapes():
     st = z_strand(QUADRIC, 2)
     assert st.dims == [6, 9, 4, 1]
-    assert st.map_shapes() == [(6, 9), (9, 4), (4, 1)]
+    assert [(m.rows, m.cols) for m in st.maps] == [(6, 9), (9, 4), (4, 1)]
 
 
 def test_conic_strand_is_square_moving_lines_matrix():
     st = z_strand(CONIC, 1)
     assert st.dims == [2, 2, 0]
-    assert st.map_shapes()[0] == (2, 2)
+    assert (st.maps[0].rows, st.maps[0].cols) == (2, 2)
     for m in st.maps:
         # linear forms in T: no constant part
         assert len(m.parts) == 4 and not any(map(any, m.parts[0]))
@@ -279,6 +279,38 @@ def test_rank_profile_violation_below_viable_degree():
         complex_determinant(z_strand(CUBIC_SURF, 3))
 
 
+# a dense quadric map over GF(101) whose 6 x 9 rightmost map loses rank at the
+# first two points that seed 13 draws
+GF101_QUADRIC = make_parameterization(
+    GF(101),
+    ["X1", "X2", "X3"],
+    [
+        "4*X1^2 + 2*X2^2 + 3*X3^2 + 4*X1*X2 + 3*X1*X3 + 2*X2*X3",
+        "4*X1^2 + 2*X2^2 + 2*X3^2 + 4*X1*X2 + 2*X1*X3 + 5*X2*X3",
+        "3*X1^2 + 2*X2^2 + 2*X3^2 + 2*X1*X2 + 4*X1*X3 + 3*X2*X3",
+        "X1^2 + X2^2 + 3*X3^2 + 2*X1*X2 + X1*X3 + 4*X2*X3",
+    ],
+)
+
+
+def test_rank_profile_redraws_until_a_small_field_finds_the_rank():
+    st = z_strand(GF101_QUADRIC, 2)
+    assert check_rank_profile(st, seed=13) == [6, 3, 1]
+    routes = [
+        pipeline.implicitize(GF101_QUADRIC, method=method, seed=13)
+        for method in ("det-complex", "gcd-minors")
+    ]
+    assert routes[0].reduced == routes[1].reduced and routes[0].reduced.total_degree() == 4
+    # sides 6, 4, 1 of 100 values: 10 draws make 6^10 + 4^10 + 1 <= 100^10 / 2^40
+    assert strands._profile_draws(st) == 10
+
+
+def test_rank_profile_draw_count_falls_back_to_two_without_a_bound():
+    # over GF(3) the conic's 2 x 2 minor has degree 2, as many as the values drawn
+    st = z_strand(make_parameterization(GF(3), ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"]), 1)
+    assert strands._profile_draws(st) == 2
+
+
 def test_degenerate_parameterization_gives_degree_zero():
     # a map that is not generically finite: the strand is still exact and its
     # determinant is a unit (degree 0); rejecting such input is the analyze
@@ -327,13 +359,6 @@ def test_degree_bookkeeping():
         assert total == expected == cd.value.total_degree()
 
 
-def _dense_quadric(field, seed):
-    rng = random.Random(seed)
-    monos = ["X1^2", "X2^2", "X3^2", "X1*X2", "X1*X3", "X2*X3"]
-    forms = [" + ".join("%d*%s" % (rng.randint(1, 5), m) for m in monos) for _ in range(4)]
-    return make_parameterization(field, ["X1", "X2", "X3"], forms)
-
-
 def _all_minors_gcd(st):
     m = st.maps[0]
     rows = range(m.rows)
@@ -349,8 +374,8 @@ def _all_minors_gcd(st):
         (CONIC_FAT, 2),
         (QUADRIC, 2),
         (LCI_SURF, 2),
-        (_dense_quadric(QQ, 7), 2),
-        (_dense_quadric(GF(65521), 7), 2),
+        (dense_quadric(QQ, 7), 2),
+        (dense_quadric(GF(65521), 7), 2),
     ],
     ids=["conic_fat", "quadric", "lci", "dense_quadric_qq", "dense_quadric_gf"],
 )
@@ -364,15 +389,7 @@ def test_gcd_minors_early_stop_keeps_the_answer(param, nu):
 
 def test_gcd_minors_unreachable_target_folds_every_minor(monkeypatch):
     st = z_strand(QUADRIC, 2)
-    dets = []
-
-    def counted(m):
-        dets.append(m.rows)
-        return det_fraction_free(m)
-
-    monkeypatch.setattr(strands, "det_fraction_free", counted)
     g = gcd_of_maximal_minors(st, predicted_degree(QUADRIC) - 1)
-    assert len(dets) == math.comb(9, 6)
     assert unit_multiple_of(g, QUADRIC.ring.poly("T1+T2+T3-T4") ** 4)
     # the pipeline's degree check still rejects a target the minors miss
     analyze = pipeline.analyze

@@ -88,3 +88,36 @@ def test_report_keys_match_schema():
     conic = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
     emitted = set(analyze_parameterization(conic).to_dict())
     assert emitted == declared
+
+
+
+def test_source_names_have_callers():
+    # every module-level function and class, and every method not in dunder
+    # style, is looked up somewhere in the package outside its own body; a
+    # name that only the tests use belongs in the tests
+    allowed = {"make_parameterization"}  # public, and called only by users
+    defs, uses = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        uses += [
+            (node, node.id if isinstance(node, ast.Name) else node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        ]
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((path.name, top.name, top))
+                defs += [
+                    (path.name, "%s.%s" % (top.name, sub.name), sub)
+                    for sub in top.body
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")
+                ]
+    missing = []
+    for module, qualname, node in defs:
+        name = qualname.rpartition(".")[2]
+        inside = {id(n) for n in ast.walk(node)}
+        if qualname not in allowed and not any(
+            used == name and id(n) not in inside for n, used in uses
+        ):
+            missing.append("%s:%s" % (module, qualname))
+    assert not missing, "source names with no caller in implicax: %s" % ", ".join(missing)
