@@ -954,10 +954,10 @@ def _gcd_primitive(a, b):
         # one input does not involve v after all (can't happen with v chosen
         # from the union unless the poly is v-free): gcd with its content
         if len(ua) == 1:
-            return _gcd_content([ua[0]] + ub)
-        return _gcd_content([ub[0]] + ua)
-    cont_a = _gcd_content(ua)
-    cont_b = _gcd_content(ub)
+            return gcd_many([ua[0]] + ub)
+        return gcd_many([ub[0]] + ua)
+    cont_a = gcd_many(ua)
+    cont_b = gcd_many(ub)
     cont = multivariate_gcd(cont_a, cont_b) if not (cont_a.is_constant() and cont_b.is_constant()) else ring.one
     pa = [exact_divide(c, cont_a, verify=False) for c in ua]
     pb = [exact_divide(c, cont_b, verify=False) for c in ub]
@@ -985,19 +985,9 @@ def _gcd_primitive(a, b):
             h = g
         else:
             h = exact_divide(g**delta, h ** (delta - 1), verify=False)
-    pp_cont = _gcd_content(pp)
+    pp_cont = gcd_many(pp)
     pp = [exact_divide(c, pp_cont, verify=False) for c in pp]
     return cont * _from_univariate(pp, v)
-
-
-def _gcd_content(coeffs):
-    nz = [c for c in coeffs if c.terms]
-    g = nz[0]
-    for c in nz[1:]:
-        g = multivariate_gcd(g, c)
-        if g.is_constant():
-            return g.ring.one
-    return normalize(g)
 
 
 def _check_characteristic(p):

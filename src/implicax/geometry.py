@@ -6,6 +6,10 @@ locus (proven stable from one or two values past the regularity bound
 unless it exceeds that bound), the predicted implicit degree d^(n-2) - e,
 degreewise saturation, and the Koszul-syzygy comparison B_1 vs Z_1
 intersected with the (saturated) ideal times A^n.
+
+Each graded piece I_nu has one route, the echelon basis of `ideal_piece`;
+a Hilbert value is |A_nu| minus its size.  Saturation and the restriction of
+Z_1 to the (saturated) ideal share one kernel step, `_span_kernel`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .strands import (
     _koszul_image,
     boundary_basis,
     cycle_basis,
-    koszul_differential_matrix,
     vector_to_polys,
 )
 
@@ -38,14 +41,10 @@ __all__ = [
 
 
 def hilbert_value(param, nu):
-    """dim of (A/I)_nu: monomial count minus the rank of multiplication by f."""
+    """dim of (A/I)_nu: monomial count minus dim I_nu (`ideal_piece`)."""
     if nu < 0:
         return 0
-    dim_a = len(param.ring.x_monomials(nu))
-    if nu < param.d:
-        return dim_a
-    mult = koszul_differential_matrix(param, 1, nu - param.d)
-    return dim_a - scalar_rank(param.ring.field, mult.data)
+    return len(param.ring.x_monomials(nu)) - len(ideal_piece(param, nu))
 
 
 def _regularity_bound(param):
@@ -149,9 +148,17 @@ class _SpanReducer:
     def contains(self, vec):
         return all(not x for x in self.reduce(vec))
 
-    @property
-    def dim(self):
-        return len(self.rows)
+
+def _span_kernel(field, vectors, width, piece_rows):
+    """Echelon kernel basis: coefficient vectors c such that every width-long
+    block of sum_k c[k] * vectors[k] lies in the span of `piece_rows`."""
+    red = _SpanReducer(field, piece_rows)
+    residues = [
+        [x for b in range(0, len(vec), width) for x in red.reduce(vec[b : b + width])]
+        for vec in vectors
+    ]
+    constraints = [row for row in zip(*residues) if any(row)]
+    return rank_and_kernel(ScalarMatrix(field, constraints, len(vectors)))[1]
 
 
 def ideal_piece(param, nu):
@@ -167,32 +174,18 @@ def saturation_piece(param, nu):
     its saturation, so no larger shift adds anything; always contains I_nu.
     """
     ring = param.ring
-    field = ring.field
-    monos_nu = ring.x_monomials(nu)
-    width = len(monos_nu)
-    if width == 0:
-        return []
     s = max(1, _regularity_bound(param) - nu)
-    target_monos = ring.x_monomials(nu + s)
-    index = {m: k for k, m in enumerate(target_monos)}
-    red = _SpanReducer(field, ideal_piece(param, nu + s))
-    constraints = []
-    for u in ring.x_monomials(s):
-        # matrix of g -> residue of g*u mod I_(nu+s), row per residue coord
-        images = []
-        for g in monos_nu:
-            vec = [0] * len(target_monos)
-            vec[index[ring.mono_mul(g, u)]] = 1
-            images.append(red.reduce(vec))
-        for coord in range(len(target_monos)):
-            row = [images[gi][coord] for gi in range(width)]
-            if any(row):
-                constraints.append(row)
-    if constraints:
-        _, kernel = rank_and_kernel(ScalarMatrix(field, constraints, width))
-    else:
-        kernel = [[1 if i == j else 0 for i in range(width)] for j in range(width)]
-    return _rref(field.char, kernel)[0]
+    target = {m: k for k, m in enumerate(ring.x_monomials(nu + s))}
+    width = len(target)
+    shifts = ring.x_monomials(s)
+    products = []  # per monomial g of A_nu: the blocks g*u, u in A_s
+    for g in ring.x_monomials(nu):
+        vec = [0] * (len(shifts) * width)
+        for b, u in enumerate(shifts):
+            vec[b * width + target[ring.mono_mul(g, u)]] = 1
+        products.append(vec)
+    kernel = _span_kernel(ring.field, products, width, ideal_piece(param, nu + s))
+    return _rref(ring.field.char, kernel)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,32 +228,10 @@ class SyzygeticReport:
 
 def _restricted_syzygies(param, nu, z1_vectors, piece_rows):
     """Basis of Z_1 vectors whose components all lie in the given piece."""
-    ring = param.ring
-    field = ring.field
-    monos = ring.x_monomials(nu)
-    width = len(monos)
-    red = _SpanReducer(field, piece_rows)
-    if not z1_vectors:
-        return []
-    constraints = []
-    ncols = len(z1_vectors)
-    reduced_blocks = []
-    for vec in z1_vectors:
-        blocks = []
-        for j in range(param.n):
-            blocks.append(red.reduce(vec[j * width : (j + 1) * width]))
-        reduced_blocks.append(blocks)
-    for j in range(param.n):
-        for coord in range(width):
-            row = [reduced_blocks[s][j][coord] for s in range(ncols)]
-            if any(row):
-                constraints.append(row)
-    if not constraints:
-        coeff_basis = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    else:
-        _, coeff_basis = rank_and_kernel(ScalarMatrix(field, constraints, ncols))
+    field = param.ring.field
+    width = len(param.ring.x_monomials(nu))
     out = []
-    for coeffs in coeff_basis:
+    for coeffs in _span_kernel(field, z1_vectors, width, piece_rows):
         vec = [0] * (param.n * width)
         for c, zv in zip(coeffs, z1_vectors):
             if c:

@@ -67,11 +67,6 @@ class ScalarMatrix:
         else:
             self.cols = 0 if cols is None else cols
 
-    def submatrix(self, row_idx, col_idx):
-        return ScalarMatrix(
-            self.field, [[self.data[i][j] for j in col_idx] for i in row_idx], len(col_idx)
-        )
-
     def __repr__(self):
         return "ScalarMatrix(%dx%d over %s)" % (self.rows, self.cols, self.field)
 

@@ -70,9 +70,6 @@ class KoszulBasis:
         self.mono_index = {m: k for k, m in enumerate(self.monos)}
         self.dim = len(self.subsets) * len(self.monos)
 
-    def index(self, subset, mono):
-        return self.sub_index[subset] * len(self.monos) + self.mono_index[mono]
-
 
 def koszul_differential_matrix(param, i, nu):
     """Matrix of contraction against f from exterior degree i to i-1.
@@ -406,46 +403,44 @@ def complex_determinant(strand, seed=DEFAULT_SEED):
 
     Row indices at each level are forced to the complement of the previous
     column choice; numerator and denominator products are divided once at
-    the end, exactly.
+    the end, exactly.  One pass suffices: on an exact strand, nonsingular
+    columns C at one level leave the next map's rows outside C of full rank
+    over k(T), since the kernel of the previous map projects injectively
+    onto those coordinates; a draw inside one level is the only random
+    failure, and `_select_chain_minor` redraws there.
     """
-    ranks = check_rank_profile(strand, seed)
+    check_rank_profile(strand, seed)
     ring = strand.param.ring
-    for attempt in range(3):
-        rng = random.Random("%s:chain:%d" % (seed, attempt))
-        try:
-            chain = []
-            rows = list(range(strand.dims[0]))
-            for idx, m in enumerate(strand.maps):
-                cols, det = _select_chain_minor(m, rows, rng)
-                sign = 1 if idx % 2 == 0 else -1
-                chain.append((idx, list(rows), list(cols), det, sign))
-                taken = set(cols)
-                rows = [c for c in range(m.cols) if c not in taken]
-            if rows:
-                raise HypothesisViolation(
-                    "minor chain left %d unmatched basis elements" % len(rows)
-                )
-            num = ring.one
-            den = ring.one
-            for (_, _, _, det, sign) in chain:
-                if sign > 0:
-                    num = num * det
-                else:
-                    den = den * det
-            try:
-                value = exact_divide(num, den, verify=True)
-            except NotDivisibleError:
-                raise HypothesisViolation(
-                    "minor quotient is not exact; the strand is not a "
-                    "resolution (hypotheses violated)"
-                ) from None
-            if not value.terms:
-                raise HypothesisViolation("strand determinant vanished")
-            return ComplexDet(value, chain)
-        except HypothesisViolation:
-            if attempt == 2:
-                raise
-    raise AssertionError("unreachable")
+    rng = random.Random("%s:chain:0" % seed)
+    chain = []
+    rows = list(range(strand.dims[0]))
+    for idx, m in enumerate(strand.maps):
+        cols, det = _select_chain_minor(m, rows, rng)
+        sign = 1 if idx % 2 == 0 else -1
+        chain.append((idx, list(rows), list(cols), det, sign))
+        taken = set(cols)
+        rows = [c for c in range(m.cols) if c not in taken]
+    if rows:
+        raise HypothesisViolation(
+            "minor chain left %d unmatched basis elements" % len(rows)
+        )
+    num = ring.one
+    den = ring.one
+    for (_, _, _, det, sign) in chain:
+        if sign > 0:
+            num = num * det
+        else:
+            den = den * det
+    try:
+        value = exact_divide(num, den, verify=True)
+    except NotDivisibleError:
+        raise HypothesisViolation(
+            "minor quotient is not exact; the strand is not a "
+            "resolution (hypotheses violated)"
+        ) from None
+    if not value.terms:
+        raise HypothesisViolation("strand determinant vanished")
+    return ComplexDet(value, chain)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,11 @@ LCI_SURF = make_parameterization(
     ["X1", "X2", "X3"],
     ["X1*X3^2", "X1*X2^2 + X2^2*X3", "X1^2*X2 + X1*X2*X3", "X1*X2*X3 + X2*X3^2"],
 )
+LCI_SURF_GF101 = make_parameterization(
+    GF(101),
+    ["X1", "X2", "X3"],
+    ["X1*X3^2", "X1*X2^2 + 7*X2^2*X3", "X1^2*X2 + 50*X1*X2*X3", "X1*X2*X3 + 100*X2*X3^2"],
+)
 POSITIVE_DIM = make_parameterization(
     QQ, ["X1", "X2", "X3"], ["X1*X2", "X1*X2", "X1*X2", "X1*X2"]
 )
@@ -72,16 +77,20 @@ def test_hilbert_conic():
 
 
 def test_hilbert_binomial_identity():
+    # H(nu) = C(nu + nx - 1, nx - 1) - rank of multiplication by f, from degree
+    # 0 through t + 1, the degrees the base-locus profile reads first
     from math import comb
 
     from implicax.strands import koszul_differential_matrix
 
-    for param in (CONIC_FAT, LCI_SURF, FAT_POINT3):
+    for param in (CONIC_FAT, LCI_SURF, FAT_POINT3, LCI_SURF_GF101):
         nx = param.ring.nx
-        for nu in range(param.d, param.d + 3):
-            rank = scalar_rank(
-                QQ, koszul_differential_matrix(param, 1, nu - param.d).data
-            )
+        t = nx * (param.d - 1) + 1
+        for nu in range(t + 2):
+            rank = 0
+            if nu >= param.d:
+                mult = koszul_differential_matrix(param, 1, nu - param.d)
+                rank = scalar_rank(param.ring.field, mult.data)
             assert hilbert_value(param, nu) == comb(nu + nx - 1, nx - 1) - rank
 
 
@@ -306,6 +315,82 @@ def test_saturation_of_a_primary_ideal_is_everything():
     ci = make_parameterization(QQ, ["X1", "X2", "X3"], ["X1^3", "X2^3", "X3^3"])
     dims = [len(saturation_piece(ci, nu)) for nu in range(8)]
     assert dims == [len(ci.ring.x_monomials(nu)) for nu in range(8)]
+
+
+def random_surface(field, d, rng, base):
+    """Four random sparse ternary forms of degree d, nonzero coefficients in
+    -2..2, each term kept with probability 1/2.  With base "line" all four share the
+    factor X1 + 2*X2 - X3, so I^sat contains it and differs from I in low
+    degrees; with base "point" none has the term X3^d, so all vanish at
+    (0:0:1)."""
+    ring = Ring(field, ("X1", "X2", "X3"), ("T1", "T2", "T3", "T4"))
+    line = ring.poly("X1 + 2*X2 - X3") if base == "line" else ring.one
+    deg = d - 1 if base == "line" else d
+    monos = [
+        "X1^%d*X2^%d*X3^%d" % (a, b, deg - a - b)
+        for a in range(deg + 1)
+        for b in range(deg + 1 - a)
+    ]
+    if base == "point":
+        monos.remove("X1^0*X2^0*X3^%d" % deg)
+    forms = []
+    while len(forms) < 4:
+        terms = ["%+d*%s" % (rng.choice((-2, -1, 1, 2)), m) for m in monos if rng.random() < 0.5]
+        if terms:
+            forms.append(" ".join(terms))
+    return Parameterization(ring, [line * ring.poly(form) for form in forms])
+
+
+# saturation dims for nu = 0..2d and syzygetic (boundary, saturated, plain)
+# triples for nu = 1..2d, pinned on the seeded maps below
+SEEDED_SATURATION = [
+    ([1, 3, 6, 10, 15], [(0, 2, 0), (6, 9, 6), (18, 19, 19), (32, 32, 32)]),
+    ([0, 1, 3, 6, 10], [(0, 1, 0), (6, 6, 6), (14, 14, 14), (25, 25, 25)]),
+    ([0, 2, 5, 9, 14], [(0, 1, 0), (6, 8, 6), (18, 18, 18), (31, 31, 31)]),
+    ([1, 3, 6, 10, 15, 21, 28], [(0, 0, 0), (0, 3, 0), (6, 12, 6), (18, 24, 18), (36, 39, 39), (56, 57, 57)]),
+    ([0, 1, 3, 6, 10, 15, 21], [(0, 0, 0), (0, 2, 0), (6, 9, 6), (18, 19, 19), (32, 32, 32), (48, 48, 48)]),
+    ([0, 1, 4, 8, 13, 19, 26], [(0, 0, 0), (0, 1, 0), (6, 10, 6), (18, 22, 18), (36, 37, 37), (55, 55, 55)]),
+    ([1, 3, 6, 10, 15], [(0, 2, 0), (6, 9, 6), (18, 19, 19), (32, 32, 32)]),
+    ([0, 1, 3, 6, 10], [(0, 1, 0), (6, 6, 6), (14, 14, 14), (25, 25, 25)]),
+    ([0, 1, 4, 8, 13], [(0, 0, 0), (6, 7, 7), (17, 17, 17), (30, 30, 30)]),
+    ([1, 3, 6, 10, 15, 21, 28], [(0, 0, 0), (0, 3, 0), (6, 12, 6), (18, 24, 18), (36, 39, 39), (56, 57, 57)]),
+    ([0, 1, 3, 6, 10, 15, 21], [(0, 0, 0), (0, 2, 0), (6, 9, 6), (18, 19, 19), (32, 32, 32), (48, 48, 48)]),
+    ([0, 2, 5, 9, 14, 20, 27], [(0, 0, 0), (0, 2, 0), (6, 11, 6), (18, 23, 18), (36, 38, 38), (56, 56, 56)]),
+]
+
+
+def test_saturation_and_syzygetic_records_on_seeded_surfaces():
+    rng = random.Random("seeded-surfaces")
+    records = []
+    for field in (QQ, GF(101)):
+        for d in (2, 3):
+            for base in (None, "line", "point"):
+                param = random_surface(field, d, rng, base)
+                ring = param.ring
+                t = ring.nx * (d - 1) + 1
+                dims = []
+                for nu in range(2 * d + 1):
+                    sat = saturation_piece(param, nu)
+                    dims.append(len(sat))
+                    ideal = ideal_piece(param, nu)
+                    assert scalar_rank(field, sat + ideal) == len(sat)
+                    # g * u lies in I_(nu+s) for every row g and every u in A_s
+                    s = max(1, t - nu)
+                    monos = ring.x_monomials(nu)
+                    target = {m: k for k, m in enumerate(ring.x_monomials(nu + s))}
+                    shifted = ideal_piece(param, nu + s)
+                    for u in ring.x_monomials(s):
+                        products = []
+                        for g in sat:
+                            vec = [0] * len(target)
+                            for m, c in zip(monos, g):
+                                vec[target[ring.mono_mul(m, u)]] = c
+                            products.append(vec)
+                        assert scalar_rank(field, shifted + products) == len(shifted)
+                report = syzygetic_test(param)
+                triples = [(e.boundary_dim, e.saturated_dim, e.plain_dim) for e in report.degrees]
+                records.append((dims, triples))
+    assert records == SEEDED_SATURATION
 
 
 def test_saturation_contains_ideal():

@@ -234,7 +234,11 @@ def cofactor_det(m):
         total = 0
     for j in range(n):
         a = m.data[0][j]
-        rest = m.submatrix(range(1, n), [c for c in range(n) if c != j])
+        cols = [c for c in range(n) if c != j]
+        if isinstance(m, PolyMatrix):
+            rest = m.submatrix(range(1, n), cols)
+        else:
+            rest = ScalarMatrix(m.field, [[m.data[i][c] for c in cols] for i in range(1, n)])
         sub = cofactor_det(rest)
         term = a * sub
         total = total + term if j % 2 == 0 else total - term

@@ -279,6 +279,25 @@ def test_rank_profile_violation_below_viable_degree():
         complex_determinant(z_strand(CUBIC_SURF, 3))
 
 
+def test_inexact_chain_quotient_raises_after_one_chain(monkeypatch):
+    def not_divisible(*args, **kwargs):
+        raise strands.NotDivisibleError("forced")
+
+    calls = []
+    select = strands._select_chain_minor
+
+    def counted(*args):
+        calls.append(1)
+        return select(*args)
+
+    monkeypatch.setattr(strands, "exact_divide", not_divisible)
+    monkeypatch.setattr(strands, "_select_chain_minor", counted)
+    st = z_strand(QUADRIC, 2)
+    with pytest.raises(HypothesisViolation, match="not exact"):
+        complex_determinant(st)
+    assert len(calls) == len(st.maps)
+
+
 # a dense quadric map over GF(101) whose 6 x 9 rightmost map loses rank at the
 # first two points that seed 13 draws
 GF101_QUADRIC = make_parameterization(
