@@ -45,7 +45,6 @@ from .resultants import (
     binary_form,
     curve_implicitize_resultant,
     kravitsky_pencil,
-    sylvester_resultant,
 )
 from .strands import (
     ZStrand,

@@ -352,9 +352,6 @@ class Ring:
 
     # -- construction helpers ------------------------------------------------
 
-    def var(self, name):
-        return Poly(self, {self.var_mono(self.var_index(name)): 1})
-
     def const(self, c):
         c = self.field.canon(c)
         if self.field.is_zero(c):
@@ -1034,8 +1031,10 @@ def _nth_root_poly(q, e):
         fm = ring.mono_mul(fm, h1_m)
         fc = fc * root_c
     lead_c = field.canon(e * fc)
+    # each pass either returns or adds a term qm strictly below the previous
+    # one in grevlex; grevlex well-orders the monomials, so the loop ends
     prev_qm = None
-    for _ in range(20000):
+    while True:
         R = q - H**e
         if not R.terms:
             return H
@@ -1048,7 +1047,6 @@ def _nth_root_poly(q, e):
         prev_qm = qm
         qc = field.div(R.terms[lt_r], lead_c)
         H = H + Poly(ring, {qm: qc})
-    return None
 
 
 def perfect_power_decompose(p):

@@ -23,7 +23,7 @@ import sys
 import time
 import warnings
 
-from .arith import ParseError, normalize
+from .arith import ParseError
 from .errors import ConsistencyError, HypothesisViolation, ImplicaxError, UsageError
 from .linalg import DEFAULT_SEED, det_fraction_free
 from .pipeline import analyze, implicitize
@@ -32,7 +32,6 @@ from .resultants import (
     bezout_matrix,
     binary_form,
     curve_implicitize_resultant,
-    kravitsky_pencil,
     sylvester_matrix,
 )
 
@@ -217,10 +216,9 @@ def cmd_resultant(args):
         if param.n != 3:
             raise ParseError("kravitsky needs exactly three polynomials")
         out = curve_implicitize_resultant(param)
-        matrix = kravitsky_pencil(*[binary_form(param, p) for p in param.polys])
-        det = det_fraction_free(matrix)
+        matrix, det = out.pencil, out.determinant
         doc["dehomogenized"] = str(out.dehomogenized)
-        doc["reduced"] = str(normalize(det))
+        doc["reduced"] = str(out.homogeneous)
     doc["determinant"] = str(det)
     doc["degree"] = max(det.total_degree(), 0)
     if args.emit_matrix:

@@ -79,7 +79,7 @@ def _int_rows(p, data):
     """
     out = []
     for row in data:
-        if any(type(x) is not int for x in row):
+        if not all(map(int.__instancecheck__, row)):
             den = math.lcm(*[x.denominator for x in row])
             row = [int(x * den) for x in row]
         out.append([x % p for x in row] if p else list(row))

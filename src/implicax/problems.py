@@ -18,7 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .arith import GF, QQ, Parameterization, ParseError, Ring, parse_poly
+from .arith import GF, QQ, ArithError, Parameterization, ParseError, Ring, parse_poly
 
 __all__ = ["ProblemFile", "load_problem", "parse_problem"]
 
@@ -74,7 +74,7 @@ class ProblemFile:
             raise ParseError("polynomials have mixed degrees %s" % sorted(degrees))
         try:
             param = Parameterization(ring, parsed)
-        except Exception as exc:
+        except ArithError as exc:
             raise ParseError(str(exc)) from None
         if not param.is_map_shape():
             raise ParseError(

@@ -1,6 +1,7 @@
 """Classical resultant matrices for binary forms: Sylvester, Bezout, and the
-three-form Bezout pencil (Kravitsky), used both as a standalone curve
-implicitizer and as an independent cross-check on the strand determinant.
+three-form Bezout pencil (Kravitsky).  A plane curve's implicit equation is
+one determinant of the pencil, which also serves as an independent
+cross-check on the strand determinant.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ __all__ = [
     "BinaryForm",
     "binary_form",
     "sylvester_matrix",
-    "sylvester_resultant",
     "bezout_matrix",
     "kravitsky_pencil",
     "curve_implicitize_resultant",
@@ -54,6 +54,8 @@ def binary_form(param_or_ring, p):
         raise ImplicaxError("binary forms need exactly two X variables")
     if not p.terms:
         raise ImplicaxError("zero form")
+    if p.t_degree() > 0:
+        raise ImplicaxError("form %r involves T-variables" % p)
     d = p.homogeneous_degree(0, 2)
     if d is None:
         raise ImplicaxError("form %r is not homogeneous" % p)
@@ -63,15 +65,6 @@ def binary_form(param_or_ring, p):
         c = p.terms.get(mono, 0)
         coeffs.append(ring.const(c))
     return BinaryForm(ring, coeffs)
-
-
-def _combine(form_a, t_name, form_b):
-    """Coefficientwise a - T*b for two equal-degree forms."""
-    ring = form_a.ring
-    t = ring.var(t_name)
-    return BinaryForm(
-        ring, [ca - t * cb for ca, cb in zip(form_a.coeffs, form_b.coeffs)]
-    )
 
 
 def sylvester_matrix(p, q):
@@ -90,11 +83,6 @@ def sylvester_matrix(p, q):
     for i in range(dp):
         rows.append([zero] * i + list(q.coeffs) + [zero] * (n - dq - 1 - i))
     return PolyMatrix(ring, rows, n)
-
-
-def sylvester_resultant(p, q):
-    """Resultant of two binary forms as the Sylvester determinant."""
-    return det_fraction_free(sylvester_matrix(p, q))
 
 
 def bezout_matrix(p, q):
@@ -164,18 +152,23 @@ def kravitsky_pencil(f1, f2, f3):
 
 @dataclass
 class CurveResultant:
-    """Both resultant-style outputs for a plane curve parameterization."""
+    """The Kravitsky pencil of a plane curve and what its determinant gives."""
 
-    dehomogenized: Poly  # Res(f1 - T1 f3, f2 - T2 f3) in T1, T2
-    homogeneous: Poly  # det of the Kravitsky pencil in T1, T2, T3
+    pencil: PolyMatrix  # T1*Bez(f2,f3) + T2*Bez(f3,f1) + T3*Bez(f1,f2)
+    determinant: Poly  # det of the pencil, before normalization
+    homogeneous: Poly  # the normalized determinant, in T1, T2, T3
+    dehomogenized: Poly  # Res(f1 - T1 f3, f2 - T2 f3) in T1, T2, normalized
 
 
 def curve_implicitize_resultant(param):
-    """Implicit power of a plane curve by resultant matrices.
+    """Implicit power of a plane curve as one Kravitsky pencil determinant.
 
     Requires three polynomials with trivial gcd (resultant methods need no
-    base points); returns the dehomogenized Sylvester value together with the
-    homogeneous pencil determinant.
+    base points).  The dehomogenized equation is read off the same
+    determinant at T3 = 1: by bilinearity and antisymmetry
+    Bez(T3 f1 - T1 f3, T3 f2 - T2 f3) = T3 * pencil, and det Bez = +-Res for
+    two forms of one formal degree, so the pencil determinant at T3 = 1 is
+    +-Res(f1 - T1 f3, f2 - T2 f3); normalization removes the sign.
     """
     if param.n != 3:
         raise UsageError("resultant implicitization needs exactly 3 polynomials")
@@ -187,12 +180,9 @@ def curve_implicitize_resultant(param):
         raise HypothesisViolation(
             "common factor %s present; divide it out before using resultants" % g
         )
-    forms = [binary_form(param, p) for p in param.polys]
-    t_names = param.t_names()
-    p = _combine(forms[0], t_names[0], forms[2])
-    q = _combine(forms[1], t_names[1], forms[2])
-    res = sylvester_resultant(p, q)
-    if not res.terms:
+    pencil = kravitsky_pencil(*[binary_form(param, p) for p in param.polys])
+    det = det_fraction_free(pencil)
+    if not det.terms:
         raise HypothesisViolation("resultant vanished identically")
-    kr = det_fraction_free(kravitsky_pencil(*forms))
-    return CurveResultant(dehomogenized=normalize(res), homogeneous=normalize(kr))
+    dehom = det.evaluate({param.t_names()[2]: 1})
+    return CurveResultant(pencil, det, normalize(det), normalize(dehom))

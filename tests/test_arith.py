@@ -240,7 +240,7 @@ def test_exact_divide_raises_on_a_remainder_randomized():
                 with pytest.raises(NotDivisibleError):
                     exact_divide(q * b + r, b, verify=False)
             # a monomial of higher degree than every term
-            mono = ring.const(field.random_nonzero(rng)) * ring.var("X1") ** (q.total_degree() + 1)
+            mono = ring.const(field.random_nonzero(rng)) * ring.poly("X1") ** (q.total_degree() + 1)
             with pytest.raises(NotDivisibleError):
                 exact_divide(q, mono, verify=False)
             assert exact_divide(q * mono, mono, verify=False) == q

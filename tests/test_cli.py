@@ -238,6 +238,17 @@ def test_resultant_bezout_matrix(capsys):
     assert doc["matrix"] in ([["0", "1"], ["1", "0"]], [["0", "-1"], ["-1", "0"]])
 
 
+@pytest.mark.parametrize("kind", ["sylvester", "bezout"])
+def test_resultant_rejects_t_terms(capsys, tmp_path, kind):
+    # a T inside a binary form is a parse error, not a dropped term
+    f = tmp_path / "t_term.txt"
+    f.write_text("field: QQ\nx_vars: X1 X2\nf1 = X1^2 + T1*X2^2\nf2 = X1*X2\n")
+    code, out, err = run_cli(capsys, "resultant", str(f), "--kind", kind)
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err and "T-variables" in err
+
+
 def test_resultant_sylvester_coordinates(capsys, tmp_path):
     f = tmp_path / "coords.txt"
     f.write_text("field: QQ\nx_vars: X1 X2\nf1 = X1\nf2 = X2\n")
@@ -247,7 +258,8 @@ def test_resultant_sylvester_coordinates(capsys, tmp_path):
     assert code == 0 and doc["determinant"] == "1"
 
 
-# --emit-matrix output of the resultant kinds, pinned entry by entry
+# --emit-matrix output of the resultant kinds, pinned entry by entry, with the
+# reduced and dehomogenized equations (kravitsky only)
 EMITTED = [
     (
         "kravitsky",
@@ -259,6 +271,10 @@ EMITTED = [
         ],
         "-75/8*T1^3 - 165/2*T1^2*T2 - 469/2*T1*T2^2 - 218*T2^3 + 55/8*T1^2*T3"
         " + 50*T1*T2*T3 + 90*T2^2*T3 + 83/8*T1*T3^2 - 15/2*T2*T3^2 - 31/8*T3^3",
+        "75*T1^3 + 660*T1^2*T2 + 1876*T1*T2^2 + 1744*T2^3 - 55*T1^2*T3 - 400*T1*T2*T3"
+        " - 720*T2^2*T3 - 83*T1*T3^2 + 60*T2*T3^2 + 31*T3^3",
+        "75*T1^3 + 660*T1^2*T2 + 1876*T1*T2^2 + 1744*T2^3 - 55*T1^2 - 400*T1*T2"
+        " - 720*T2^2 - 83*T1 + 60*T2 + 31",
     ),
     (
         "kravitsky",
@@ -268,24 +284,36 @@ EMITTED = [
             ["6*T1 + 15*T2 + 65519*T3", "65518*T1 + 65520*T2 + T3"],
         ],
         "65479*T1^2 + 65324*T1*T2 + 65291*T2^2 + 41*T1*T3 + 70*T2*T3 + 65512*T3^2",
+        "T1^2 + 20285*T1*T2 + 34326*T2^2 + 63960*T1*T3 + 43679*T2*T3 + 51481*T3^2",
+        "T1^2 + 20285*T1*T2 + 34326*T2^2 + 63960*T1 + 43679*T2 + 51481",
     ),
     (
         "sylvester",
         "field: QQ\nx_vars: X1 X2\nf1 = X1^2 - 3*X1*X2\nf2 = 2*X1 + X2\n",
         [["1", "-3", "0"], ["2", "1", "0"], ["0", "2", "1"]],
         "7",
+        None,
+        None,
     ),
     (
         "sylvester",
         "field: GF(65521)\nx_vars: X1 X2\nf1 = X1^2 - 3*X1*X2\nf2 = 2*X1 + X2\n",
         [["1", "65518", "0"], ["2", "1", "0"], ["0", "2", "1"]],
         "7",
+        None,
+        None,
     ),
 ]
 
 
-@pytest.mark.parametrize("kind, text, matrix, det", EMITTED, ids=["krav_qq", "krav_gf", "syl_qq", "syl_gf"])
-def test_resultant_emit_matrix_is_pinned(capsys, tmp_path, kind, text, matrix, det):
+@pytest.mark.parametrize(
+    "kind, text, matrix, det, reduced, dehomogenized",
+    EMITTED,
+    ids=["krav_qq", "krav_gf", "syl_qq", "syl_gf"],
+)
+def test_resultant_emit_matrix_is_pinned(
+    capsys, tmp_path, kind, text, matrix, det, reduced, dehomogenized
+):
     f = tmp_path / "forms.txt"
     f.write_text(text)
     code, doc, _ = run_json(
@@ -294,6 +322,8 @@ def test_resultant_emit_matrix_is_pinned(capsys, tmp_path, kind, text, matrix, d
     assert code == 0
     assert doc["matrix"] == matrix
     assert doc["determinant"] == det
+    assert doc["reduced"] == reduced
+    assert doc["dehomogenized"] == dehomogenized
 
 
 def test_env_seed_override(capsys, monkeypatch):

@@ -426,7 +426,7 @@ def linear_form_matrix(ring, n, rng, fractions=False, affine=False):
                 c = field.random_nonzero(rng)
                 if fractions and rng.random() < 0.4:
                     c = Fraction(c, rng.randint(2, 7))
-                e = e + (ring.const(c) if nm is None else ring.var(nm) * c)
+                e = e + (ring.const(c) if nm is None else ring.poly(nm) * c)
             row.append(e)
         data.append(row)
     return PolyMatrix(ring, data)
@@ -451,7 +451,7 @@ def test_grid_engine_equals_bareiss_on_resultant_matrices(field):
 
     rng = random.Random(2002)
     ring = Ring(field, ["X1", "X2"], ["T1", "T2", "T3"])
-    t1, t2 = ring.var("T1"), ring.var("T2")
+    t1, t2 = ring.poly("T1"), ring.poly("T2")
     for d in (1, 2, 3, 4, 5):
         fs = [[field.random_nonzero(rng) for _ in range(d + 1)] for _ in range(3)]
         forms = [BinaryForm(ring, [ring.const(c) for c in f]) for f in fs]

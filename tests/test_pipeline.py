@@ -153,7 +153,7 @@ def test_permutation_invariance():
     base = implicitize(CONIC)
     res = implicitize(perm)
     ring = perm.ring
-    relabel = {"T1": ring.var("T2"), "T2": ring.var("T3"), "T3": ring.var("T1")}
+    relabel = {"T1": ring.poly("T2"), "T2": ring.poly("T3"), "T3": ring.poly("T1")}
     assert unit_multiple_of(res.reduced.evaluate(relabel), base.reduced)
 
 
@@ -180,7 +180,7 @@ def test_linear_change_of_coordinates_invariance():
                 break
         xs = ring.names[:nx]
         sub = {
-            xs[i]: sum((ring.var(xs[j]) * mat[i][j] for j in range(nx)), ring.zero)
+            xs[i]: sum((ring.poly(xs[j]) * mat[i][j] for j in range(nx)), ring.zero)
             for i in range(nx)
         }
         moved = make_parameterization(

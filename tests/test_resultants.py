@@ -1,9 +1,11 @@
 """Sylvester/Bezout matrices, the three-form pencil, curve implicitization."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from implicax import cli, resultants
 from implicax.arith import GF, QQ, Ring, make_parameterization, unit_multiple_of
 from implicax.errors import HypothesisViolation, ImplicaxError
 from implicax.linalg import det_fraction_free
@@ -14,9 +16,10 @@ from implicax.resultants import (
     curve_implicitize_resultant,
     kravitsky_pencil,
     sylvester_matrix,
-    sylvester_resultant,
 )
 from implicax.strands import complex_determinant, z_strand
+
+from helpers import sylvester_dehomogenized, sylvester_resultant
 
 RING = Ring(QQ, ["X1", "X2"], ["T1", "T2", "T3"])
 
@@ -57,7 +60,7 @@ def test_res_sylvester_example_with_t():
     p = binary_form(RING, RING.poly("X1^2"))
     f3 = binary_form(RING, RING.poly("X2^2"))
     f2 = binary_form(RING, RING.poly("X1*X2"))
-    t1, t2 = RING.var("T1"), RING.var("T2")
+    t1, t2 = RING.poly("T1"), RING.poly("T2")
     pa = BinaryForm(RING, [a - t1 * b for a, b in zip(p.coeffs, f3.coeffs)])
     pb = BinaryForm(RING, [a - t2 * b for a, b in zip(f2.coeffs, f3.coeffs)])
     res = sylvester_resultant(pa, pb)
@@ -179,7 +182,7 @@ def test_pencil_power_specialization():
         b23 = bezout_matrix(q, zero)
         b31 = bezout_matrix(zero, p)
         b12 = bezout_matrix(p, q)
-        t3 = RING.var("T3")
+        t3 = RING.poly("T3")
         data = [[t3 * b12.data[i][j] for j in range(d)] for i in range(d)]
         from implicax.linalg import PolyMatrix
 
@@ -200,7 +203,7 @@ def test_pencil_swap_antisymmetry_up_to_unit():
         det_swapped = det_fraction_free(kravitsky_pencil(fs[1], fs[0], fs[2]))
         if not det.terms:
             continue
-        relabel = {"T1": ring.var("T2"), "T2": ring.var("T1")}
+        relabel = {"T1": ring.poly("T2"), "T2": ring.poly("T1")}
         assert unit_multiple_of(det_swapped.evaluate(relabel), det)
 
 
@@ -250,8 +253,7 @@ def test_kravitsky_agrees_with_sylvester_random_cubics():
                 out = curve_implicitize_resultant(param)
             except (HypothesisViolation, ImplicaxError):
                 continue
-            spec = out.homogeneous.evaluate({"T3": 1})
-            assert unit_multiple_of(spec, out.dehomogenized)
+            assert out.dehomogenized == sylvester_dehomogenized(param)
             done += 1
 
 
@@ -282,3 +284,60 @@ def test_cross_method_resultant_vs_strand():
         spec = strand_det.evaluate({"T3": 1})
         assert unit_multiple_of(spec, out.dehomogenized)
         done += 1
+
+
+def test_dehomogenized_equals_sylvester_reference():
+    # the pencil determinant at T3 = 1 against the T-affine Sylvester
+    # determinant of f1 - T1*f3 and f2 - T2*f3, on seeded curves of degree
+    # 1..6; every fourth one has f1 and f3 with no X1^d term, so
+    # f1 - T1*f3 keeps formal degree d with a zero leading coefficient
+    rng = random.Random(4242)
+    fields = (QQ, GF(65521), GF(101))
+    done = tried = 0
+    while done < 42:
+        field = fields[tried % 3]
+        d = 1 + tried // 3 % 6
+        sparse_lead = tried % 4 == 3
+        tried += 1
+        texts = []
+        for i in range(3):
+            coeffs = [field.random(rng) for _ in range(d + 1)]
+            if sparse_lead and i != 1:
+                coeffs[0] = 0
+            terms = ["%+d*X1^%d*X2^%d" % (c, d - j, j) for j, c in enumerate(coeffs) if c]
+            texts.append("0" + "".join(terms))
+        try:
+            param = make_parameterization(field, ["X1", "X2"], texts)
+            out = curve_implicitize_resultant(param)
+        except HypothesisViolation:
+            continue
+        assert out.dehomogenized == sylvester_dehomogenized(param)
+        done += 1
+    assert tried < 60
+
+
+def test_one_determinant_per_curve(monkeypatch, capsys):
+    # the resultant route and `resultant --kind kravitsky` each take the
+    # pencil determinant once and read everything else off it
+    calls = []
+
+    def counted(m):
+        calls.append(m.rows)
+        return det_fraction_free(m)
+
+    monkeypatch.setattr(resultants, "det_fraction_free", counted)
+    monkeypatch.setattr(cli, "det_fraction_free", counted)
+    param = make_parameterization(QQ, ["X1", "X2"], ["X1^3 + 2*X2^3", "X1^2*X2", "X1*X2^2 + X1^3"])
+    curve_implicitize_resultant(param)
+    assert calls == [3]
+    calls.clear()
+    conic = Path(__file__).resolve().parent.parent / "problems" / "curve_conic.txt"
+    assert cli.main(["resultant", str(conic), "--kind", "kravitsky"]) == 0
+    assert "T2^2 - T1*T3" in capsys.readouterr().out
+    assert calls == [2]
+
+
+def test_binary_form_rejects_t_terms():
+    # a coefficient with a T in it is not a scalar coefficient of the form
+    with pytest.raises(ImplicaxError):
+        binary_form(RING, RING.poly("X1^2 + T1*X2^2"))

@@ -92,29 +92,38 @@ def test_report_keys_match_schema():
 
 
 def test_source_names_have_callers():
-    # every module-level function and class, and every method not in dunder
-    # style, is looked up somewhere in the package outside its own body; a
+    # every module-level function and class, every method not in dunder
+    # style, and every function nested in a module-level function is looked
+    # up somewhere in the package outside its own body: a method through an
+    # attribute, a module-level name through a loaded name or attribute, a
+    # nested function through any name or attribute.  So a local variable or
+    # an assignment that shares a dead member's name does not hide it.  A
     # name that only the tests use belongs in the tests
     allowed = {"make_parameterization"}  # public, and called only by users
-    defs, uses = [], []
+    defs, attrs, names, stores = [], [], [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        uses += [
-            (node, node.id if isinstance(node, ast.Name) else node.attr)
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))
-        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.append((node, node.attr))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.append((node, node.id))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                stores.append((node, node.id if isinstance(node, ast.Name) else node.attr))
         for top in tree.body:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((path.name, top.name, top))
+                defs.append((path.name, top.name, top, "top"))
+                kind = "method" if isinstance(top, ast.ClassDef) else "nested"
                 defs += [
-                    (path.name, "%s.%s" % (top.name, sub.name), sub)
+                    (path.name, "%s.%s" % (top.name, sub.name), sub, kind)
                     for sub in top.body
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")
                 ]
     missing = []
-    for module, qualname, node in defs:
+    uses_of = {"method": attrs, "top": attrs + names, "nested": attrs + names + stores}
+    for module, qualname, node, kind in defs:
         name = qualname.rpartition(".")[2]
+        uses = uses_of[kind]
         inside = {id(n) for n in ast.walk(node)}
         if qualname not in allowed and not any(
             used == name and id(n) not in inside for n, used in uses
