@@ -294,6 +294,7 @@ class Ring:
         self._negoff = self._guards + (1 << (self._deg_off + 23))
         self._expmask = (1 << self._deg_off) - 1
         self._index = {nm: i for i, nm in enumerate(names)}
+        self._x_monos = {}
         self.zero = Poly(self, {})
         self.one = Poly(self, {one: 1})
 
@@ -386,7 +387,11 @@ class Ring:
         return out
 
     def x_monomials(self, deg):
-        return self.monomials_of_degree(deg, 0, self.nx)
+        """The degree-deg X monomials, grevlex-descending: one shared tuple per degree."""
+        monos = self._x_monos.get(deg)
+        if monos is None:
+            monos = self._x_monos[deg] = tuple(self.monomials_of_degree(deg, 0, self.nx))
+        return monos
 
     def __repr__(self):
         return "Ring(%s; %s)" % (self.field, ", ".join(self.names))

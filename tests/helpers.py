@@ -3,8 +3,10 @@
 import random
 
 from implicax.arith import make_parameterization, normalize
-from implicax.linalg import det_fraction_free
+from implicax.geometry import _regularity_bound, _span_kernel, ideal_piece, saturation_piece
+from implicax.linalg import _rref, det_fraction_free
 from implicax.resultants import BinaryForm, binary_form, sylvester_matrix
+from implicax.strands import boundary_basis, cycle_basis
 
 
 def polys_to_vector(param, nu, polys):
@@ -42,3 +44,40 @@ def sylvester_dehomogenized(param):
     p = BinaryForm(ring, [a - t1 * c for a, c in zip(f1.coeffs, f3.coeffs)])
     q = BinaryForm(ring, [b - t2 * c for b, c in zip(f2.coeffs, f3.coeffs)])
     return normalize(sylvester_resultant(p, q))
+
+
+def one_shift_saturation(param, nu):
+    """Echelon basis of {g in A_nu : g * A_s lies in I_(nu+s)} for the one
+    shift s = max(1, t - nu), t = the regularity bound: a reference for
+    `saturation_piece`, which descends a chain one degree at a time."""
+    ring = param.ring
+    s = max(1, _regularity_bound(param) - nu)
+    target = {m: k for k, m in enumerate(ring.x_monomials(nu + s))}
+    width = len(target)
+    shifts = ring.x_monomials(s)
+    products = []  # per monomial g of A_nu: the blocks g*u, u in A_s
+    for g in ring.x_monomials(nu):
+        vec = [0] * (len(shifts) * width)
+        for b, u in enumerate(shifts):
+            vec[b * width + target[ring.mono_mul(g, u)]] = 1
+        products.append(vec)
+    kernel = _span_kernel(ring.field, products, width, ideal_piece(param, nu + s))
+    return _rref(ring.field.char, kernel)[0]
+
+
+def intersection_triples(param, nu_max):
+    """(boundary, saturated, plain) dimensions for nu = 1..nu_max by
+    intersecting: a basis of Z_1 (`cycle_basis`), then the combinations of it
+    whose components lie in the saturated, or the plain, piece of I.  A
+    reference for `syzygetic_test`, which counts them by ranks."""
+    field = param.ring.field
+    out = []
+    for nu in range(1, nu_max + 1):
+        z1 = cycle_basis(param, 1, nu)
+        width = len(param.ring.x_monomials(nu))
+        sat, plain = (
+            len(_span_kernel(field, z1, width, piece))
+            for piece in (saturation_piece(param, nu), ideal_piece(param, nu))
+        )
+        out.append((len(boundary_basis(param, nu)), sat, plain))
+    return out

@@ -89,6 +89,15 @@ def test_mono_mul_div():
 # ring ops (add / sub / mul / neg / scalar-mul)
 
 
+def test_x_monomials_are_one_shared_tuple_per_degree():
+    ring = xt_ring(nx=3)
+    for deg in range(6):
+        monos = ring.x_monomials(deg)
+        assert type(monos) is tuple and ring.x_monomials(deg) is monos
+        assert list(monos) == ring.monomials_of_degree(deg, 0, ring.nx)
+    assert ring.x_monomials(2) is not xt_ring(nx=3).x_monomials(2)  # one cache per ring
+
+
 def test_difference_of_squares():
     ring = xt_ring()
     p = ring.poly("X1+X2") * ring.poly("X1-X2")

@@ -28,7 +28,7 @@ from implicax.geometry import (
 from implicax.linalg import scalar_rank
 from implicax.problems import load_problem
 from implicax.strands import boundary_basis, cycle_basis
-from helpers import polys_to_vector
+from helpers import intersection_triples, one_shift_saturation, polys_to_vector
 
 CONIC = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
 CONIC_FAT = make_parameterization(QQ, ["X1", "X2"], ["X1^3", "X1^2*X2", "X1*X2^2"])
@@ -47,6 +47,12 @@ LCI_SURF_GF101 = make_parameterization(
 POSITIVE_DIM = make_parameterization(
     QQ, ["X1", "X2", "X3"], ["X1*X2", "X1*X2", "X1*X2", "X1*X2"]
 )
+# cube ideals: primary to the maximal ideal over QQ and GF(101), and with a
+# fourth generator
+CUBES = [
+    make_parameterization(field, ["X1", "X2", "X3"], ["X1^3", "X2^3", "X3^3"] + extra)
+    for field, extra in ((QQ, []), (GF(101), []), (QQ, ["X1*X2*X3"]))
+]
 # (X1^3, X2^3): nine base points, more than t = 7, so only the window decides
 NINE_POINTS = make_parameterization(
     QQ, ["X1", "X2", "X3"], ["X1^3", "X2^3", "X1^3", "X2^3"]
@@ -359,38 +365,83 @@ SEEDED_SATURATION = [
 ]
 
 
-def test_saturation_and_syzygetic_records_on_seeded_surfaces():
+def seeded_surfaces():
     rng = random.Random("seeded-surfaces")
-    records = []
     for field in (QQ, GF(101)):
         for d in (2, 3):
             for base in (None, "line", "point"):
-                param = random_surface(field, d, rng, base)
-                ring = param.ring
-                t = ring.nx * (d - 1) + 1
-                dims = []
-                for nu in range(2 * d + 1):
-                    sat = saturation_piece(param, nu)
-                    dims.append(len(sat))
-                    ideal = ideal_piece(param, nu)
-                    assert scalar_rank(field, sat + ideal) == len(sat)
-                    # g * u lies in I_(nu+s) for every row g and every u in A_s
-                    s = max(1, t - nu)
-                    monos = ring.x_monomials(nu)
-                    target = {m: k for k, m in enumerate(ring.x_monomials(nu + s))}
-                    shifted = ideal_piece(param, nu + s)
-                    for u in ring.x_monomials(s):
-                        products = []
-                        for g in sat:
-                            vec = [0] * len(target)
-                            for m, c in zip(monos, g):
-                                vec[target[ring.mono_mul(m, u)]] = c
-                            products.append(vec)
-                        assert scalar_rank(field, shifted + products) == len(shifted)
-                report = syzygetic_test(param)
-                triples = [(e.boundary_dim, e.saturated_dim, e.plain_dim) for e in report.degrees]
-                records.append((dims, triples))
+                yield random_surface(field, d, rng, base)
+
+
+def test_saturation_and_syzygetic_records_on_seeded_surfaces():
+    records = []
+    for param in seeded_surfaces():
+        ring, field, d = param.ring, param.ring.field, param.d
+        t = ring.nx * (d - 1) + 1
+        dims = []
+        for nu in range(2 * d + 1):
+            sat = saturation_piece(param, nu)
+            dims.append(len(sat))
+            ideal = ideal_piece(param, nu)
+            assert scalar_rank(field, sat + ideal) == len(sat)
+            # g * u lies in I_(nu+s) for every row g and every u in A_s
+            s = max(1, t - nu)
+            monos = ring.x_monomials(nu)
+            target = {m: k for k, m in enumerate(ring.x_monomials(nu + s))}
+            shifted = ideal_piece(param, nu + s)
+            for u in ring.x_monomials(s):
+                products = []
+                for g in sat:
+                    vec = [0] * len(target)
+                    for m, c in zip(monos, g):
+                        vec[target[ring.mono_mul(m, u)]] = c
+                    products.append(vec)
+                assert scalar_rank(field, shifted + products) == len(shifted)
+        report = syzygetic_test(param)
+        triples = [(e.boundary_dim, e.saturated_dim, e.plain_dim) for e in report.degrees]
+        records.append((dims, triples))
     assert records == SEEDED_SATURATION
+
+
+def comparison_inputs():
+    """The shipped surfaces, the fat point, the cube ideals, this module's
+    examples and the seeded surfaces."""
+    for name in ("surface_quadric", "surface_cubic", "surface_lci"):
+        yield load_problem(PROBLEMS / (name + ".txt")).parameterization()
+    yield from [FAT_POINT3] + CUBES
+    yield from (CONIC, CONIC_FAT, SQUARES, LCI_SURF, LCI_SURF_GF101, POSITIVE_DIM, NINE_POINTS)
+    yield from seeded_surfaces()
+
+
+def test_saturation_chain_rows_equal_the_one_shift_quotient():
+    # each piece below t descends from the one above it; the rows are those
+    # of the quotient I_t : A_(t-nu) taken in one step
+    for param in comparison_inputs():
+        for nu in range(2 * param.d + 2):
+            assert saturation_piece(param, nu) == one_shift_saturation(param, nu)
+
+
+def test_rank_count_triples_equal_the_intersection_route():
+    for param in comparison_inputs():
+        report = syzygetic_test(param)
+        triples = [(e.boundary_dim, e.saturated_dim, e.plain_dim) for e in report.degrees]
+        assert triples == intersection_triples(param, 2 * param.d)
+
+
+def test_intersection_basis_only_for_the_witness(monkeypatch):
+    # the dimensions come from ranks, so Z_1 is built only at the first
+    # degree where the saturated comparison fails, to find the witness
+    calls = []
+
+    def counted(param, i, nu, _inner=geometry.cycle_basis):
+        calls.append(nu)
+        return _inner(param, i, nu)
+
+    monkeypatch.setattr(geometry, "cycle_basis", counted)
+    for param, nu_max, witness_degrees in ((CUBES[0], 6, []), (FAT_POINT3, 4, [2]), (LCI_SURF, 6, [4])):
+        del calls[:]
+        report = syzygetic_test(param, nu_max)
+        assert calls == witness_degrees == ([report.witness[0]] if report.witness else [])
 
 
 def test_saturation_contains_ideal():
@@ -503,13 +554,19 @@ def test_analyze_degenerate():
 
 def test_boundary_outside_saturated_intersection_raises(monkeypatch):
     # an empty saturation piece leaves no syzygy for the boundaries to sit in
-    monkeypatch.setattr(geometry, "saturation_piece", lambda param, nu: [])
-    with pytest.raises(ConsistencyError):
+    monkeypatch.setattr(
+        geometry, "_saturation_pieces", lambda param, low, high: {nu: [] for nu in range(low, high + 1)}
+    )
+    with pytest.raises(ConsistencyError, match="degree 3: dimensions boundary 3, plain 4, saturated 0"):
         syzygetic_test(CONIC_FAT, nu_max=3)
 
 
 def test_boundary_outside_plain_intersection_raises(monkeypatch):
-    monkeypatch.setattr(geometry, "saturation_piece", ideal_piece)
+    monkeypatch.setattr(
+        geometry,
+        "_saturation_pieces",
+        lambda param, low, high: {nu: ideal_piece(param, nu) for nu in range(low, high + 1)},
+    )
     monkeypatch.setattr(geometry, "ideal_piece", lambda param, nu: [])
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="degree 3: dimensions boundary 3, plain 0, saturated 4"):
         syzygetic_test(CONIC_FAT, nu_max=3)
