@@ -67,13 +67,14 @@ def build_parser():
     p_imp = sub.add_parser("implicitize", parents=[common],
                            help="compute the implicit equation")
     p_imp.add_argument("--nu", type=int, default=None,
-                       help="strand degree (default: the proven bound)")
+                       help="strand degree (default: nu0 = (n-2)(d-1) - indeg(I^sat), "
+                            "the proven bound)")
     p_imp.add_argument("--method", choices=("det-complex", "gcd-minors", "resultant"),
                        default="det-complex")
     p_imp.add_argument("--check-eval", type=int, default=20, metavar="K",
                        help="evaluation-oracle sample points (0 disables)")
     p_imp.add_argument("--allow-sub-bound", action="store_true",
-                       help="permit strand degrees below the proven bound")
+                       help="permit strand degrees below nu0")
     p_imp.add_argument("--syzygetic", action="store_true",
                        help="include the Koszul-syzygy verdict in diagnostics")
 
@@ -184,7 +185,7 @@ def cmd_analyze(args):
     report = analyze(param, run_syzygetic=True if args.syzygetic else None)
     doc = _base_doc("analyze", problem)
     doc.update(
-        nu=report.nu_bound,
+        nu=report.nu0,
         degree=report.predicted_degree,
         diagnostics=report.to_dict(),
         timing_seconds=time.monotonic() - t0,

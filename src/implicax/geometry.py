@@ -38,11 +38,14 @@ __all__ = [
 ]
 
 
-def hilbert_value(param, nu):
-    """dim of (A/I)_nu: monomial count minus dim I_nu (`ideal_piece`)."""
+def hilbert_value(param, nu, pieces=None):
+    """dim of (A/I)_nu: monomial count minus dim I_nu, read from `pieces`
+    (`_Pieces`) when one analysis shares them."""
     if nu < 0:
         return 0
-    return len(param.ring.x_monomials(nu)) - len(ideal_piece(param, nu))
+    if pieces is None:
+        pieces = _Pieces(param)
+    return len(param.ring.x_monomials(nu)) - len(pieces[nu])
 
 
 def _regularity_bound(param):
@@ -51,7 +54,7 @@ def _regularity_bound(param):
     return param.ring.nx * (param.d - 1) + 1
 
 
-def _certified_profile(param):
+def _certified_profile(param, pieces=None):
     """(dim, e, certificate, {degree: Hilbert value read}); see base_locus_profile.
 
     The certificate names what decided: "empty" (H(t) = 0), "persistence"
@@ -59,16 +62,16 @@ def _certified_profile(param):
     """
     n, d = param.n, param.d
     t = _regularity_bound(param)
-    e = hilbert_value(param, t)
+    e = hilbert_value(param, t, pieces)
     values = {t: e}
     if e == 0:
         return -1, 0, "empty", values
-    values[t + 1] = hilbert_value(param, t + 1)
+    values[t + 1] = hilbert_value(param, t + 1, pieces)
     if values[t + 1] == e:
         if e <= t:
             return 0, e, "persistence", values
         for nu in range(t + 2, t + max(n, d) + 1):
-            values[nu] = hilbert_value(param, nu)
+            values[nu] = hilbert_value(param, nu, pieces)
         if all(v == e for v in values.values()):
             return 0, e, "window", values
     return 1, None, "window", values
@@ -109,7 +112,9 @@ def predicted_degree(param):
 
 
 def nu_bound(n, d):
-    """Smallest strand degree the implicitization theorems guarantee."""
+    """(n-2)(d-1), the strand degree the implicitization theorems guarantee
+    for a map without base points; see `BasePointReport.nu0` for the sharp
+    degree when base points are isolated."""
     if n < 3 or d < 1:
         raise ImplicaxError("need n >= 3 and d >= 1")
     return (n - 2) * (d - 1)
@@ -161,13 +166,27 @@ def ideal_piece(param, nu):
     return _koszul_image(param, 1, nu)
 
 
-def _saturation_pieces(param, low, high):
-    """{nu: `saturation_piece(param, nu)`} from low to high, and on to t - 1."""
+class _Pieces(dict):
+    """{nu: `ideal_piece(param, nu)`}, each built on first use, so that one
+    analysis builds each I_nu once."""
+
+    def __init__(self, param):
+        super().__init__()
+        self.param = param
+
+    def __missing__(self, nu):
+        self[nu] = rows = ideal_piece(self.param, nu)
+        return rows
+
+
+def _saturation_pieces(param, low, high, ideal):
+    """{nu: `saturation_piece(param, nu)`} from low to high, and on to t - 1;
+    `ideal` is the analysis's `_Pieces`."""
     ring = param.ring
     t = _regularity_bound(param)
     pieces = {}
     for nu in range(max(high, t - 1), low - 1, -1):
-        above = ideal_piece(param, nu + 1) if nu >= t - 1 else pieces[nu + 1]
+        above = ideal[nu + 1] if nu >= t - 1 else pieces[nu + 1]
         target = {m: k for k, m in enumerate(ring.x_monomials(nu + 1))}
         width = len(target)
         monos = ring.x_monomials(nu)
@@ -187,7 +206,7 @@ def saturation_piece(param, nu):
     K_nu = {g in A_nu : x_i * g in K_(nu+1) for every i} = I_t : A_(t-nu).
     Always contains I_nu.
     """
-    return _saturation_pieces(param, nu, nu)[nu]
+    return _saturation_pieces(param, nu, nu, _Pieces(param))[nu]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +263,7 @@ def _syzygy_dim(param, nu, rows):
     return len(images) - scalar_rank(ring.field, images)
 
 
-def syzygetic_test(param, nu_max=None):
+def syzygetic_test(param, nu_max=None, ideal=None, saturated=None):
     """Compare Koszul boundaries with syzygies landing in the (saturated) ideal.
 
     For each degree nu <= nu_max checks B_1 = Z_1 n (TF(I).A^n) and reports
@@ -252,19 +271,24 @@ def syzygetic_test(param, nu_max=None):
     Both intersections are counted by `_syzygy_dim`, the saturated pieces
     come off one descending chain, and an intersection basis is built only
     for the witness, at the first degree where the saturated comparison fails.
+    An analysis passes its `_Pieces` as `ideal` and its chain, reaching from
+    nu_max down to 1, as `saturated`; otherwise both are built here.
     """
     if nu_max is None:
         nu_max = 2 * param.d
     if nu_max < param.d:
         raise ImplicaxError("nu_max %d below generator degree %d" % (nu_max, param.d))
     field = param.ring.field
-    saturated = _saturation_pieces(param, 1, nu_max)
+    if ideal is None:
+        ideal = _Pieces(param)
+    if saturated is None:
+        saturated = _saturation_pieces(param, 1, nu_max, ideal)
     degrees = []
     witness = None
     for nu in range(1, nu_max + 1):
         b1 = boundary_basis(param, nu)
         sat_dim = _syzygy_dim(param, nu, saturated[nu])
-        plain_dim = _syzygy_dim(param, nu, ideal_piece(param, nu))
+        plain_dim = _syzygy_dim(param, nu, ideal[nu])
         # boundaries sit in Z_1 n I.A^n, which sits in Z_1 n I^sat.A^n
         if not len(b1) <= plain_dim <= sat_dim:
             raise ConsistencyError(
@@ -299,6 +323,7 @@ class BasePointReport:
     predicted_degree: int | None
     generically_finite: bool | None
     nu_bound: int
+    nu0: int  # the strand degree implicitize uses by default
     base_locus_certificate: str  # "empty", "persistence" or "window"
     hilbert_values: dict  # {degree: Hilbert value of A/I} read by the profile
     syzygetic: SyzygeticReport | None = None
@@ -311,6 +336,7 @@ class BasePointReport:
             "predicted_degree": self.predicted_degree,
             "generically_finite": self.generically_finite,
             "nu_bound": self.nu_bound,
+            "nu0": self.nu0,
             "base_locus_certificate": self.base_locus_certificate,
             "hilbert_values": {str(nu): h for nu, h in self.hilbert_values.items()},
             "syzygetic_verdict": (
@@ -323,9 +349,16 @@ class BasePointReport:
 
 
 def analyze_parameterization(param, run_syzygetic=None):
-    """Assemble the BasePointReport; never raises on degenerate input."""
+    """Assemble the BasePointReport; never raises on degenerate input.
+
+    nu0 = (n-2)(d-1) - indeg(I^sat) is the sharp strand degree for isolated
+    base points; without base points I^sat = A and nu0 = (n-2)(d-1).  Every
+    I_nu is built once, and the saturation chain at most once, shared by
+    nu0 and the syzygetic test.
+    """
     content = gcd_many(list(param.polys))
-    dim, e, certificate, values = _certified_profile(param)
+    ideal = _Pieces(param)
+    dim, e, certificate, values = _certified_profile(param, ideal)
     if dim > 0:
         pdeg = None
         genfin = None
@@ -336,16 +369,27 @@ def analyze_parameterization(param, run_syzygetic=None):
         # the comparison theorems live in >= 3 ambient variables; the square
         # (n = 4) surface case is the one worth reporting by default
         run_syzygetic = param.ring.nx >= 3 and param.n <= 4
+    bound = nu_bound(param.n, param.d)
+    nu_max = 2 * param.d
+    saturated = None
+    if run_syzygetic or dim == 0:
+        saturated = _saturation_pieces(param, 1, nu_max if run_syzygetic else 1, ideal)
+    nu0 = bound
+    if dim == 0:
+        # base points leave I^sat without constants, so indeg >= 1, where the
+        # chain ends; only maps that are not generically finite reach nu0 < 0
+        nu0 = max(bound - min(nu for nu, rows in saturated.items() if rows), 0)
     syz = None
     if run_syzygetic:
-        syz = syzygetic_test(param)
+        syz = syzygetic_test(param, nu_max, ideal, saturated)
     return BasePointReport(
         content_gcd=content,
         base_locus_dim=dim,
         e_total=e,
         predicted_degree=pdeg,
         generically_finite=genfin,
-        nu_bound=nu_bound(param.n, param.d),
+        nu_bound=bound,
+        nu0=nu0,
         base_locus_certificate=certificate,
         hilbert_values=values,
         syzygetic=syz,

@@ -116,9 +116,10 @@ def implicitize(
 ):
     """Compute the implicit equation of the closed image of f.
 
-    Default strand degree is the proven bound (n-2)(d-1); smaller degrees
-    sometimes work but must be requested with allow_sub_bound.  The result
-    carries the full diagnostics report and the verification status.
+    Default strand degree is nu0 = (n-2)(d-1) - indeg(I^sat), the sharp
+    bound for isolated base points ((n-2)(d-1) without base points); smaller
+    degrees sometimes work but must be requested with allow_sub_bound.  The
+    result carries the full diagnostics report and the verification status.
     """
     if method not in METHODS:
         raise UsageError("unknown method %r (choose from %s)" % (method, METHODS))
@@ -133,7 +134,7 @@ def implicitize(
         raise HypothesisViolation(
             "map is not generically finite (predicted degree 0)"
         )
-    bound = report.nu_bound
+    bound = report.nu0
     if nu is None:
         nu_used = bound
     else:
@@ -141,12 +142,12 @@ def implicitize(
         if nu_used < bound:
             if not allow_sub_bound:
                 raise UsageError(
-                    "degree %d is below the proven bound %d; pass "
+                    "degree %d is below the proven bound nu0 = %d; pass "
                     "allow_sub_bound to try it anyway" % (nu_used, bound)
                 )
             warnings.warn(
-                "strand degree %d below the proven bound %d: the method may "
-                "fail or give a wrong-degree result" % (nu_used, bound),
+                "strand degree %d below the proven bound nu0 = %d: the method "
+                "may fail or give a wrong-degree result" % (nu_used, bound),
                 stacklevel=2,
             )
     minor_sizes = None

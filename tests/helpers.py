@@ -2,7 +2,7 @@
 
 import random
 
-from implicax.arith import make_parameterization, normalize
+from implicax.arith import GF, QQ, Parameterization, Ring, make_parameterization, normalize
 from implicax.geometry import _regularity_bound, _span_kernel, ideal_piece, saturation_piece
 from implicax.linalg import _rref, det_fraction_free
 from implicax.resultants import BinaryForm, binary_form, sylvester_matrix
@@ -81,3 +81,35 @@ def intersection_triples(param, nu_max):
         )
         out.append((len(boundary_basis(param, nu)), sat, plain))
     return out
+
+
+def random_surface(field, d, rng, base):
+    """Four random sparse ternary forms of degree d, nonzero coefficients in
+    -2..2, each term kept with probability 1/2.  With base "line" all four share the
+    factor X1 + 2*X2 - X3, so I^sat contains it and differs from I in low
+    degrees; with base "point" none has the term X3^d, so all vanish at
+    (0:0:1)."""
+    ring = Ring(field, ("X1", "X2", "X3"), ("T1", "T2", "T3", "T4"))
+    line = ring.poly("X1 + 2*X2 - X3") if base == "line" else ring.one
+    deg = d - 1 if base == "line" else d
+    monos = [
+        "X1^%d*X2^%d*X3^%d" % (a, b, deg - a - b)
+        for a in range(deg + 1)
+        for b in range(deg + 1 - a)
+    ]
+    if base == "point":
+        monos.remove("X1^0*X2^0*X3^%d" % deg)
+    forms = []
+    while len(forms) < 4:
+        terms = ["%+d*%s" % (rng.choice((-2, -1, 1, 2)), m) for m in monos if rng.random() < 0.5]
+        if terms:
+            forms.append(" ".join(terms))
+    return Parameterization(ring, [line * ring.poly(form) for form in forms])
+
+
+def seeded_surfaces():
+    rng = random.Random("seeded-surfaces")
+    for field in (QQ, GF(101)):
+        for d in (2, 3):
+            for base in (None, "line", "point"):
+                yield random_surface(field, d, rng, base)

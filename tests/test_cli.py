@@ -57,7 +57,10 @@ def test_implicitize_lci_json(capsys):
     assert code == 0
     assert doc["reduced"] == "T1*T2*T3 + T1*T2*T4 - T3*T4^2"
     assert doc["exponent"] == 1
-    assert doc["nu"] == 4
+    # nu0 = (n-2)(d-1) - indeg(I^sat) = 4 - 2
+    assert doc["nu"] == 2
+    assert doc["diagnostics"]["nu_bound"] == 4
+    assert doc["diagnostics"]["nu0"] == 2
     assert doc["diagnostics"]["e_total"] == 6
 
 
@@ -94,6 +97,17 @@ def test_analyze_degenerate_exit_zero(capsys, tmp_path):
     assert doc["diagnostics"]["predicted_degree"] == 0
 
 
+def test_analyze_degenerate_base_point_keeps_nu_nonnegative(capsys, tmp_path):
+    # four linear forms through (0:0:1): indeg(I^sat) = 1 exceeds
+    # (n-2)(d-1) = 0, and nu0 stops at 0, as the schema requires
+    f = tmp_path / "lines.txt"
+    f.write_text("field: QQ\nx_vars: X1 X2 X3\nf1 = X1\nf2 = X2\nf3 = X1 + X2\nf4 = X1 - X2\n")
+    code, doc, _ = run_json(capsys, "analyze", str(f), "--format", "json")
+    assert code == 0
+    assert doc["nu"] == doc["diagnostics"]["nu0"] == 0
+    assert doc["diagnostics"]["generically_finite"] is False
+
+
 def test_analyze_lci_diagnostics(capsys):
     code, doc, _ = run_json(
         capsys, "analyze", str(PROBLEMS / "surface_lci.txt"), "--format", "json"
@@ -107,6 +121,8 @@ def test_analyze_lci_diagnostics(capsys):
     # the boundary comparison genuinely fails for this example in degree 4
     # (see test_geometry for the explicit witness)
     assert d["syzygetic_verdict"].startswith("fail")
+    # analyze reports the degree implicitize would use
+    assert doc["nu"] == d["nu0"] == 2
 
 
 def test_parse_error_names_offending_line(capsys, tmp_path):
@@ -191,20 +207,30 @@ def test_oracle_sampling_failure_exit_five(capsys, monkeypatch):
     assert not out.strip()
 
 
-def test_sub_bound_lci_succeeds_with_flag(capsys):
-    code, doc, err = run_json(
+def test_sub_bound_lci_with_flag_runs_and_fails(capsys):
+    # nu0 - 1 = 1 passes the gate with the flag, and the strand's rank
+    # profile then rejects it
+    code, out, err = run_cli(
         capsys,
         "implicitize",
         str(PROBLEMS / "surface_lci.txt"),
         "--nu",
-        "3",
+        "1",
         "--allow-sub-bound",
-        "--format",
-        "json",
+    )
+    assert code == 3
+    assert "hypothesis violation" in err and "rank profile" in err
+    assert not out.strip()
+
+
+def test_lci_between_nu0_and_nu_bound_needs_no_flag(capsys):
+    code, doc, err = run_json(
+        capsys, "implicitize", str(PROBLEMS / "surface_lci.txt"), "--nu", "3", "--format", "json"
     )
     assert code == 0
     assert doc["reduced"] == "T1*T2*T3 + T1*T2*T4 - T3*T4^2"
-    assert "warning" in err
+    assert doc["nu"] == 3
+    assert "warning" not in err
 
 
 def test_resultant_kravitsky(capsys):

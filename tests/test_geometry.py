@@ -28,7 +28,7 @@ from implicax.geometry import (
 from implicax.linalg import scalar_rank
 from implicax.problems import load_problem
 from implicax.strands import boundary_basis, cycle_basis
-from helpers import intersection_triples, one_shift_saturation, polys_to_vector
+from helpers import intersection_triples, one_shift_saturation, polys_to_vector, seeded_surfaces
 
 CONIC = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
 CONIC_FAT = make_parameterization(QQ, ["X1", "X2"], ["X1^3", "X1^2*X2", "X1*X2^2"])
@@ -165,9 +165,9 @@ def random_curves():
 def count_hilbert_calls(monkeypatch):
     calls = []
 
-    def counted(param, nu, _inner=geometry.hilbert_value):
+    def counted(param, nu, pieces=None, _inner=geometry.hilbert_value):
         calls.append(nu)
-        return _inner(param, nu)
+        return _inner(param, nu, pieces)
 
     monkeypatch.setattr(geometry, "hilbert_value", counted)
     return calls
@@ -323,30 +323,6 @@ def test_saturation_of_a_primary_ideal_is_everything():
     assert dims == [len(ci.ring.x_monomials(nu)) for nu in range(8)]
 
 
-def random_surface(field, d, rng, base):
-    """Four random sparse ternary forms of degree d, nonzero coefficients in
-    -2..2, each term kept with probability 1/2.  With base "line" all four share the
-    factor X1 + 2*X2 - X3, so I^sat contains it and differs from I in low
-    degrees; with base "point" none has the term X3^d, so all vanish at
-    (0:0:1)."""
-    ring = Ring(field, ("X1", "X2", "X3"), ("T1", "T2", "T3", "T4"))
-    line = ring.poly("X1 + 2*X2 - X3") if base == "line" else ring.one
-    deg = d - 1 if base == "line" else d
-    monos = [
-        "X1^%d*X2^%d*X3^%d" % (a, b, deg - a - b)
-        for a in range(deg + 1)
-        for b in range(deg + 1 - a)
-    ]
-    if base == "point":
-        monos.remove("X1^0*X2^0*X3^%d" % deg)
-    forms = []
-    while len(forms) < 4:
-        terms = ["%+d*%s" % (rng.choice((-2, -1, 1, 2)), m) for m in monos if rng.random() < 0.5]
-        if terms:
-            forms.append(" ".join(terms))
-    return Parameterization(ring, [line * ring.poly(form) for form in forms])
-
-
 # saturation dims for nu = 0..2d and syzygetic (boundary, saturated, plain)
 # triples for nu = 1..2d, pinned on the seeded maps below
 SEEDED_SATURATION = [
@@ -363,14 +339,6 @@ SEEDED_SATURATION = [
     ([0, 1, 3, 6, 10, 15, 21], [(0, 0, 0), (0, 2, 0), (6, 9, 6), (18, 19, 19), (32, 32, 32), (48, 48, 48)]),
     ([0, 2, 5, 9, 14, 20, 27], [(0, 0, 0), (0, 2, 0), (6, 11, 6), (18, 23, 18), (36, 38, 38), (56, 56, 56)]),
 ]
-
-
-def seeded_surfaces():
-    rng = random.Random("seeded-surfaces")
-    for field in (QQ, GF(101)):
-        for d in (2, 3):
-            for base in (None, "line", "point"):
-                yield random_surface(field, d, rng, base)
 
 
 def test_saturation_and_syzygetic_records_on_seeded_surfaces():
@@ -555,7 +523,7 @@ def test_analyze_degenerate():
 def test_boundary_outside_saturated_intersection_raises(monkeypatch):
     # an empty saturation piece leaves no syzygy for the boundaries to sit in
     monkeypatch.setattr(
-        geometry, "_saturation_pieces", lambda param, low, high: {nu: [] for nu in range(low, high + 1)}
+        geometry, "_saturation_pieces", lambda param, low, high, ideal: {nu: [] for nu in range(low, high + 1)}
     )
     with pytest.raises(ConsistencyError, match="degree 3: dimensions boundary 3, plain 4, saturated 0"):
         syzygetic_test(CONIC_FAT, nu_max=3)
@@ -565,7 +533,7 @@ def test_boundary_outside_plain_intersection_raises(monkeypatch):
     monkeypatch.setattr(
         geometry,
         "_saturation_pieces",
-        lambda param, low, high: {nu: ideal_piece(param, nu) for nu in range(low, high + 1)},
+        lambda param, low, high, ideal: {nu: ideal_piece(param, nu) for nu in range(low, high + 1)},
     )
     monkeypatch.setattr(geometry, "ideal_piece", lambda param, nu: [])
     with pytest.raises(ConsistencyError, match="degree 3: dimensions boundary 3, plain 0, saturated 4"):

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from implicax.arith import GF, QQ, Poly, make_parameterization, unit_multiple_of
-from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError
+from implicax import geometry
+from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError, UsageError
 from implicax.pipeline import analyze, implicitize, verify
 from implicax.problems import load_problem
 
-from helpers import dense_quadric
+from helpers import dense_quadric, seeded_surfaces
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 MAP_PROBLEMS = (
@@ -141,6 +142,85 @@ def test_nu_stability():
     assert q2.reduced == q3.reduced and q2.exponent == q3.exponent
 
 
+def shipped_and_seeded_maps():
+    """(name, map) for the shipped maps and the seeded surfaces."""
+    for name in MAP_PROBLEMS:
+        yield name, load_problem(PROBLEMS / (name + ".txt")).parameterization()
+    for k, param in enumerate(seeded_surfaces()):
+        yield "seeded_%d" % k, param
+
+
+def test_nu0_per_shipped_map():
+    nu0 = {
+        name: analyze(load_problem(PROBLEMS / (name + ".txt")).parameterization()).nu0
+        for name in MAP_PROBLEMS
+    }
+    assert nu0 == {
+        "curve_conic": 1,
+        "curve_with_base_point": 1,
+        "surface_quadric": 2,
+        "surface_cubic": 4,
+        "surface_lci": 2,
+    }
+
+
+def test_nu0_and_the_next_degree_give_one_equation():
+    # on the shipped maps and the seeded surfaces with isolated base points;
+    # gcd-minors only where it is cheap, up to predicted degree 4
+    rng = random.Random("nu0-stability")
+    for name, param in shipped_and_seeded_maps():
+        report = analyze(param, run_syzygetic=False)
+        if name.startswith("seeded") and report.base_locus_dim != 0:
+            continue
+        methods = ["det-complex"] + (["gcd-minors"] if report.predicted_degree <= 4 else [])
+        for method in methods:
+            seed = rng.randrange(1, 10**6)
+            at, above = (
+                implicitize(param, nu=nu, method=method, seed=seed)
+                for nu in (report.nu0, report.nu0 + 1)
+            )
+            assert at.nu_used == report.nu0, name
+            assert (at.reduced, at.exponent) == (above.reduced, above.exponent), (name, method)
+
+
+def test_below_nu0_needs_the_flag():
+    for name, param in shipped_and_seeded_maps():
+        report = analyze(param, run_syzygetic=False)
+        if report.base_locus_dim <= 0:
+            with pytest.raises(UsageError, match="below the proven bound nu0"):
+                implicitize(param, nu=report.nu0 - 1)
+
+
+def test_nu0_is_nu_bound_without_base_points():
+    maps = [param for _, param in shipped_and_seeded_maps()] + [dense_quadric(QQ, 7)]
+    empty = [r for r in (analyze(p, run_syzygetic=False) for p in maps) if r.base_locus_dim < 0]
+    assert len(empty) == 8
+    assert all(r.nu0 == r.nu_bound for r in empty)
+
+
+@pytest.mark.parametrize(
+    "name", ["curve_with_base_point", "surface_quadric", "surface_cubic", "surface_lci"]
+)
+def test_one_analysis_builds_each_ideal_piece_once(name, monkeypatch):
+    param = load_problem(PROBLEMS / (name + ".txt")).parameterization()
+    built, chains = [], []
+    ideal_piece, saturation_pieces = geometry.ideal_piece, geometry._saturation_pieces
+
+    def counted_piece(param, nu):
+        built.append(nu)
+        return ideal_piece(param, nu)
+
+    def counted_chain(*args):
+        chains.append(args)
+        return saturation_pieces(*args)
+
+    monkeypatch.setattr(geometry, "ideal_piece", counted_piece)
+    monkeypatch.setattr(geometry, "_saturation_pieces", counted_chain)
+    implicitize(param, run_syzygetic=True)
+    assert built and sorted(built) == sorted(set(built))
+    assert len(chains) == 1
+
+
 def test_seed_independence():
     a = implicitize(QUADRIC, seed=1)
     b = implicitize(QUADRIC, seed=31337)
@@ -263,28 +343,19 @@ def test_verify_accepts_every_shipped_answer_and_rejects_a_shifted_one(name):
     assert not verify(reduced + 1, param)
 
 
-# (input, strand degree); surface_lci runs at its sharp degree 2, where a
-# gcd-minors solve takes milliseconds instead of seconds at the default 4
-ROUTE_INPUTS = [(name, None) for name in MAP_PROBLEMS if name != "surface_lci"] + [
-    ("surface_lci", 2),
-    ("dense_quadric_qq", None),
-    ("dense_quadric_gf65521", None),
-    ("dense_quadric_gf101", None),
-]
+ROUTE_INPUTS = MAP_PROBLEMS + ("dense_quadric_qq", "dense_quadric_gf65521", "dense_quadric_gf101")
 DENSE_FIELDS = {"qq": QQ, "gf65521": GF(65521), "gf101": GF(101)}
 
 
-@pytest.mark.filterwarnings("ignore:strand degree 2 below the proven bound")
-@pytest.mark.parametrize("name, nu", ROUTE_INPUTS, ids=[name for name, _ in ROUTE_INPUTS])
-def test_gcd_minors_equals_det_complex_for_seeds_1_to_10(name, nu):
+@pytest.mark.parametrize("name", ROUTE_INPUTS)
+def test_gcd_minors_equals_det_complex_for_seeds_1_to_10(name):
     if name.startswith("dense_quadric_"):
         param = dense_quadric(DENSE_FIELDS[name.rpartition("_")[2]], 7)
     else:
         param = load_problem(PROBLEMS / (name + ".txt")).parameterization()
     for seed in range(1, 11):
         routes = [
-            implicitize(param, nu=nu, method=method, seed=seed, allow_sub_bound=True)
-            for method in ("det-complex", "gcd-minors")
+            implicitize(param, method=method, seed=seed) for method in ("det-complex", "gcd-minors")
         ]
         assert routes[0].reduced == routes[1].reduced, (name, seed)
         assert routes[0].exponent == routes[1].exponent, (name, seed)
