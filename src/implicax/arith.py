@@ -411,7 +411,7 @@ class Ring:
 def _mul_terms(A, B, ring):
     """Product of two term dicts, reduced by the ring's field.
 
-    The one multiplication loop: Poly products and Bareiss steps both run it.
+    The one multiplication loop, under every Poly product.
     """
     if not A or not B:
         return {}
@@ -432,7 +432,7 @@ def _mul_terms(A, B, ring):
 def _divide_terms(A, B, ring):
     """Quotient of the term dict A by the nonzero term dict B.
 
-    The one division loop: exact_divide and Bareiss steps both run it.  The
+    The one division loop, under Poly // and so under exact_divide.  The
     quotient's coefficients are field quotients (over QQ, ints where the
     division is integral).  A's and B's coefficients need not be reduced
     mod p.  Raises NotDivisibleError unless B divides A.
@@ -505,7 +505,7 @@ class Poly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = self.ring.const(other)
         _check_same_ring(self, other)
         out = dict(self.terms)
@@ -523,24 +523,56 @@ class Poly:
         return Poly(self.ring, {m: neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = self.ring.const(other)
-        return self + (-other)
+        if other.ring is not self.ring:
+            _check_same_ring(self, other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out[m] - c if m in out else -c
+        return Poly(self.ring, self.ring.field.reduce_terms(out))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.field.canon(other)
-            if self.ring.field.is_zero(other):
-                return self.ring.zero
-            terms = {m: c * other for m, c in self.terms.items()}
-            return Poly(self.ring, self.ring.field.reduce_terms(terms))
-        _check_same_ring(self, other)
-        return Poly(self.ring, _mul_terms(self.terms, other.terms, self.ring))
+        if isinstance(other, Poly):
+            if other.ring is not self.ring:
+                _check_same_ring(self, other)
+            return Poly(self.ring, _mul_terms(self.terms, other.terms, self.ring))
+        other = self.ring.field.canon(other)
+        if self.ring.field.is_zero(other):
+            return self.ring.zero
+        terms = {m: c * other for m, c in self.terms.items()}
+        return Poly(self.ring, self.ring.field.reduce_terms(terms))
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """The exact quotient; raises NotDivisibleError on a remainder."""
+        if not isinstance(other, Poly):
+            if other == 1:
+                return self
+            other = self.ring.const(other)
+        if other.ring is not self.ring:
+            _check_same_ring(self, other)
+        ring = self.ring
+        if not other.terms:
+            raise NotDivisibleError("division by zero polynomial")
+        if not self.terms:
+            return self
+        if len(other.terms) > 1:
+            return Poly(ring, _divide_terms(self.terms, other.terms, ring))
+        # monomial divisor: divide every term directly
+        (lt_b, cb), = other.terms.items()
+        quo = ring.field._divider(cb)
+        qterms = {}
+        for m, c in self.terms.items():
+            q = ring.mono_div(m, lt_b)
+            if q is None:
+                raise NotDivisibleError("%r does not divide %r" % (other, self))
+            qterms[q] = quo(c)
+        return Poly(ring, qterms)
 
     def __pow__(self, n):
         if n < 0:
@@ -781,25 +813,7 @@ def format_poly(p):
 
 def exact_divide(a, b, verify=True):
     """Quotient q with a == q*b; raises NotDivisibleError otherwise."""
-    _check_same_ring(a, b)
-    ring = a.ring
-    field = ring.field
-    if not b.terms:
-        raise NotDivisibleError("division by zero polynomial")
-    if not a.terms:
-        return ring.zero
-    if len(b.terms) == 1:
-        # monomial divisor: divide every term directly
-        (lt_b, cb), = b.terms.items()
-        quo = field._divider(cb)
-        qterms = {}
-        for m, c in a.terms.items():
-            q = ring.mono_div(m, lt_b)
-            if q is None:
-                raise NotDivisibleError("%r does not divide %r" % (b, a))
-            qterms[q] = quo(c)
-        return Poly(ring, qterms)
-    q = Poly(ring, _divide_terms(a.terms, b.terms, ring))
+    q = a // b
     if verify and q * b != a:
         raise NotDivisibleError("division verification failed")
     return q

@@ -148,17 +148,19 @@ def cmd_implicitize(args):
     t0 = time.monotonic()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = implicitize(
-            param,
-            nu=args.nu,
-            method=args.method,
-            seed=seed,
-            allow_sub_bound=args.allow_sub_bound,
-            check_eval=args.check_eval,
-            run_syzygetic=args.syzygetic,
-        )
-        for w in caught:
-            print("warning: %s" % w.message, file=sys.stderr)
+        try:
+            result = implicitize(
+                param,
+                nu=args.nu,
+                method=args.method,
+                seed=seed,
+                allow_sub_bound=args.allow_sub_bound,
+                check_eval=args.check_eval,
+                run_syzygetic=args.syzygetic,
+            )
+        finally:  # a warning counts also when the solve then fails
+            for w in caught:
+                print("warning: %s" % w.message, file=sys.stderr)
     doc = _base_doc("implicitize", problem)
     doc.update(
         implicit=str(result.determinant),

@@ -5,30 +5,22 @@ affine in T stored as its scalar parts A_0 + sum_i T_i*A_i (strand maps,
 Sylvester and Bezout matrices, Kravitsky pencils).  Rank, kernel, span
 reduction and minor selection are read off one integer row reduction
 (`_rref`); a PolyMatrix is reduced at a random point of T, where its value
-is a combination of the parts' rows.  `det_fraction_free` has two engines,
-chosen by the ring: with at most three T variables (plane curves) the
-determinant is interpolated from integer determinants on a grid
-(`_det_on_grid`); with more (surfaces) Bareiss elimination runs on the
-entries as polynomials (`_det_bareiss`), through arith's multiplication and
-exact-division loops, the same ones Poly uses.  Over QQ rows or columns are
-rescaled to primitive integer vectors internally; the exact value is
-restored at the end, so results are not "up to unit" here.
+is a combination of the parts' rows.  Determinants have one elimination
+loop, `_det_scalar` (fraction-free Bareiss elimination; Gaussian mod p), and
+`det_fraction_free` feeds it by the ring: with at most three T variables
+(plane curves) the integer matrices at the points of a grid, whose values
+are interpolated (`_det_on_grid`); with more (surfaces) the entries as
+polynomials, whose products and exact quotients are Poly's (`_det_bareiss`).
+Over QQ both first make every row a primitive integer row
+(`_integer_parts`) and restore the product of the scales at the end, so
+results are exact, not "up to unit".
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .arith import (
-    _RECON_PRIME,
-    ArithError,
-    NotDivisibleError,
-    Poly,
-    _divide_terms,
-    _mul_terms,
-    rational_content,
-)
+from .arith import _RECON_PRIME, ArithError, Poly, rational_content
 from .errors import ConsistencyError
 
 __all__ = [
@@ -261,72 +253,41 @@ class PolyMatrix:
         return "PolyMatrix(%dx%d over %s)" % (self.rows, self.cols, self.ring)
 
 
-def _column_primitive_scales(m):
-    """Over QQ: per-column rational c_j with column*c_j primitive integer.
-
-    Returns (scaled int-coefficient data as term dicts, product of the c_j).
-    Over GF(p) it is the identity transform.
-    """
-    data = [[e.terms for e in row] for row in m.data]
-    total = Fraction(1)
+def _integer_parts(m):
+    """(s, parts): m's parts with each row made a primitive integer row over
+    QQ, and s the product of the rows' rational contents, so det m is s times
+    the determinant of the new parts.  Over GF(p), (1, m.parts)."""
     if m.ring.field.char:
-        return data, total
-    for j in range(m.cols):
-        content = rational_content(c for row in data for c in row[j].values())
-        if not content:
-            continue
-        cj = 1 / content
-        total *= cj
-        for row in data:
-            row[j] = {mm: int(c * cj) for mm, c in row[j].items()}
-    return data, total
-
-
-def _dict_sub(A, B):
-    out = dict(A)
-    for m, c in B.items():
-        v = out.get(m, 0) - c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _bareiss_divide(A, B, ring):
-    """The exact quotient A / B of one Bareiss step.
-
-    Sylvester's identity makes it exact, with integer coefficients over QQ
-    (the columns were scaled to integers); anything else is a defect.
-    """
-    try:
-        q = _divide_terms(A, B, ring)
-    except NotDivisibleError:
-        raise LinalgError("internal exact division failed (non-divisible)") from None
-    if any(type(c) is not int for c in q.values()):
-        raise LinalgError("internal exact division failed (coefficient)")
-    return q
+        return 1, m.parts
+    scale = 1
+    parts = [[] for _ in m.parts]
+    for i in range(m.rows):
+        vecs = [P[i] for P in m.parts]
+        content = rational_content(c for vec in vecs for c in vec if c) or 1
+        if content != 1:
+            scale *= content
+            num, den = content.numerator, content.denominator
+            vecs = [[c * den // num for c in vec] for vec in vecs]
+        for P, vec in zip(parts, vecs):
+            P.append(vec)
+    return scale, parts
 
 
 def det_fraction_free(m):
-    """Exact determinant of a square PolyMatrix, by one of two engines.
+    """Exact determinant of a square PolyMatrix.
 
+    The one elimination loop, `_det_scalar`, is fed in one of two ways.
     When the ring has at most three T variables (plane-curve maps: strand
-    maps and their minors, Sylvester matrices, Kravitsky pencils), the
-    determinant is interpolated from scalar determinants of the parts'
-    combinations on an integer grid (`_det_on_grid`).  Otherwise, and over
-    GF(p) when a degree bound reaches p, Bareiss elimination runs on the
-    entries as polynomials (`_det_bareiss`).  Both give the same polynomial:
-    over QQ each undoes its internal rescaling, so the result is exact, not
-    up to a unit.
+    maps and their minors, Sylvester matrices, Kravitsky pencils), it takes
+    the integer matrices at the points of a grid and the determinant is
+    interpolated from their values (`_det_on_grid`).  Otherwise, and over
+    GF(p) when a degree bound reaches p, it takes the entries as polynomials
+    (`_det_bareiss`).  Both give the same polynomial: over QQ each undoes
+    its row scaling, so the result is exact, not up to a unit.
     """
     if m.rows != m.cols:
         raise LinalgError("determinant of non-square matrix")
     ring = m.ring
-    if m.rows == 0:
-        return ring.one
-    if m.rows == 1:
-        return m.data[0][0]
     if ring.nv - ring.nx <= _GRID_MAX_T:
         det = _det_on_grid(m)
         if det is not None:
@@ -335,54 +296,17 @@ def det_fraction_free(m):
 
 
 def _det_bareiss(m):
-    """Determinant of a square PolyMatrix of size >= 1 by Bareiss elimination.
+    """Determinant of a square PolyMatrix by `_det_scalar` on its entries.
 
-    Exact divisions keep the polynomial entries in the coefficient ring; the
-    column rescaling over QQ is undone at the end.
+    Over QQ the rows are primitive integer rows first (`_integer_parts`), so
+    every exact division stays in ZZ[T]; a non-integer coefficient there is a
+    defect.  The rows' scale is restored at the end.
     """
-    ring = m.ring
-    n = m.rows
-    a, scale = _column_primitive_scales(m)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        # sparsest nonzero pivot in column k (fewest terms, then lowest row)
-        sel = None
-        best = None
-        for i in range(k, n):
-            e = a[i][k]
-            if e:
-                key = (len(e), i)
-                if best is None or key < best:
-                    best = key
-                    sel = i
-        if sel is None:
-            return ring.zero
-        if sel != k:
-            a[k], a[sel] = a[sel], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            new_row = [{}] * (k + 1)
-            for j in range(k + 1, n):
-                t = _mul_terms(akk, row_i[j], ring)
-                if aik:
-                    t = _dict_sub(t, _mul_terms(aik, row_k[j], ring))
-                if prev is not None and t:
-                    t = _bareiss_divide(t, prev, ring)
-                new_row.append(t)
-            a[i] = new_row
-        prev = akk
-    final = a[n - 1][n - 1]
-    if sign < 0:
-        final = {mm: -c for mm, c in final.items()}
-    det = Poly(ring, ring.field.reduce_terms(final))
-    if scale == 1:
-        return det
-    return det * (1 / scale)
+    scale, parts = _integer_parts(m)
+    rows = PolyMatrix.from_parts(m.ring, parts, m.cols).data
+    if any(type(c) is not int for row in rows for e in row for c in e.terms.values()):
+        raise LinalgError("a non-integer coefficient reached the elimination")
+    return m.ring.const(scale) * _det_scalar(rows, 0, lambda e: len(e.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +316,9 @@ _GRID_MAX_T = 3  # the grid engine takes rings with at most this many T's
 
 
 def _det_on_grid(m):
-    """Determinant of a square PolyMatrix of size >= 1 by evaluation and
-    interpolation (Marco & Martinez, CAGD 18, 2001); None where it does not
-    apply: over GF(p), when a degree bound reaches p.
+    """Determinant of a square PolyMatrix by evaluation and interpolation
+    (Marco & Martinez, CAGD 18, 2001); None where it does not apply: over
+    GF(p), when a degree bound reaches p.
 
     With m = A_0 + sum_i T_i*A_i, the determinant has degree at most the
     number of rows where A_i is nonzero in T_i, and total degree at most the
@@ -403,13 +327,14 @@ def _det_on_grid(m):
     the smallest grid) and restored at the end.  The determinant is
     evaluated at the integer points within these bounds (`_grid`) and read
     back by Newton interpolation (`_interpolate`).  Over QQ each row is
-    first made a primitive integer row, and the product of the scales is
-    kept, so every value is an integer determinant.
+    first made a primitive integer row (`_integer_parts`), and the product of
+    the scales is kept, so every value is an integer determinant.
     """
     ring = m.ring
     field = ring.field
     p = field.char
-    n, parts = m.rows, m.parts
+    n = m.rows
+    scale, parts = _integer_parts(m)
     live = [{t for t, part in enumerate(parts) if any(part[i])} for i in range(n)]
     if not all(live):
         return ring.zero
@@ -420,20 +345,19 @@ def _det_on_grid(m):
     used = sorted(set().union(*live) - {0})
     one = None  # the T set to 1 when the determinant is homogeneous
     if not any(0 in ts for ts in live):
-        one = min(used, key=lambda t: len(_grid(*bounds([a for a in used if a != t]))))
+        one = min(
+            used, key=lambda t: len(_grid(*bounds([a for a in used if a != t]))), default=None
+        )
     axes = [a for a in used if a != one]
     degs, total = bounds(axes)
     if p and any(b >= p for b in degs):
         return None
-    scale = 1
-    rows = []  # per row: (base row, [(axis position, coefficient row)])
-    for i in range(n):
-        vecs = [parts[0 if one is None else one][i]] + [parts[a][i] for a in axes]
-        if not p:
-            content = rational_content(c for vec in vecs for c in vec)
-            scale *= content
-            vecs = [[int(c / content) for c in vec] for vec in vecs]
-        rows.append((vecs[0], [(k, vec) for k, vec in enumerate(vecs[1:]) if any(vec)]))
+    base = parts[0 if one is None else one]
+    # per row: (base row, [(axis position, coefficient row)])
+    rows = [
+        (base[i], [(k, parts[a][i]) for k, a in enumerate(axes) if any(parts[a][i])])
+        for i in range(n)
+    ]
     values = {}
     for point in _grid(degs, total):
         mat = []
@@ -465,12 +389,17 @@ def _grid(bounds, total):
     return points
 
 
-def _det_scalar(rows, p):
-    """Determinant of a square integer matrix (the rows are consumed): mod p
-    by Gaussian elimination, over ZZ (p = 0) by fraction-free Bareiss
-    elimination, whose divisions are exact by Sylvester's identity.
+def _det_scalar(rows, p, size=None):
+    """Determinant of a square matrix (the rows are consumed): of integers
+    mod p by Gaussian elimination; for p = 0 by fraction-free Bareiss
+    elimination, whose divisions `//` are exact by Sylvester's identity.  The
+    p = 0 loop is the package's one for exact determinants: it runs on
+    integers and on Poly entries alike (`_det_bareiss`).
 
-    Each step drops the pivot column, so row k holds columns k.. only.
+    The pivot is the first nonzero entry of its column, or with `size` the
+    first of least size: on polynomial entries the sparsest pivot keeps the
+    fill-in down.  Each step drops the pivot column, so row k holds columns
+    k.. only.
     """
     if p:
         rows = [[x % p for x in r] for r in rows]
@@ -480,6 +409,8 @@ def _det_scalar(rows, p):
         sel = next((i for i in range(k, n) if rows[i][0]), None)
         if sel is None:
             return 0
+        if size:
+            sel = min((i for i in range(sel, n) if rows[i][0]), key=lambda i: size(rows[i][0]))
         if sel != k:
             rows[k], rows[sel] = rows[sel], rows[k]
             det = -det

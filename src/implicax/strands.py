@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .arith import (
     NotDivisibleError,
@@ -161,7 +161,6 @@ class ZStrand:
     nu: int
     dims: list
     maps: list
-    cycle_bases: list = dc_field(default_factory=list)
 
     @property
     def n(self):
@@ -241,7 +240,7 @@ def z_strand(param, nu):
     for a, b in zip(maps, maps[1:]):
         if a.cols and b.cols and not _composes_to_zero(a, b, field):
             raise ImplicaxError("strand differentials do not compose to zero")
-    return ZStrand(param, nu, dims, maps, bases)
+    return ZStrand(param, nu, dims, maps)
 
 
 def _composes_to_zero(a, b, field):

@@ -209,7 +209,7 @@ def test_oracle_sampling_failure_exit_five(capsys, monkeypatch):
 
 def test_sub_bound_lci_with_flag_runs_and_fails(capsys):
     # nu0 - 1 = 1 passes the gate with the flag, and the strand's rank
-    # profile then rejects it
+    # profile then rejects it; the sub-bound warning is printed all the same
     code, out, err = run_cli(
         capsys,
         "implicitize",
@@ -220,6 +220,7 @@ def test_sub_bound_lci_with_flag_runs_and_fails(capsys):
     )
     assert code == 3
     assert "hypothesis violation" in err and "rank profile" in err
+    assert err.startswith("warning: strand degree 1 below the proven bound")
     assert not out.strip()
 
 

@@ -397,13 +397,19 @@ def test_kernel_check_raises_on_a_wrong_vector(monkeypatch):
 
 
 def test_bareiss_integer_guard_raises(monkeypatch):
-    # without the column scaling the second step divides -3/4 by 1/2; Bareiss
-    # over QQ must refuse a non-integer quotient instead of carrying Fractions
-    monkeypatch.setattr(
-        linalg, "_column_primitive_scales",
-        lambda m: ([[dict(e.terms) for e in row] for row in m.data], 1),
-    )
-    m = pm([["1/2", 1, 1], [1, 1, 0], [1, 0, 1]])
+    # the row scaling makes primitive integer rows and keeps their contents;
+    # without it a Fraction would reach the elimination, which over QQ must
+    # refuse it instead of carrying Fractions
+    m = pm([["1/2*T1", 1, "2/3"], [1, "4*T2", "6*T3"], [1, 0, "T4"]])
+    scale, parts = linalg._integer_parts(m)
+    assert scale == Fraction(1, 6)
+    assert [[P[i] for P in parts] for i in range(3)] == [
+        [[0, 6, 4], [3, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, 0, 0], [0, 4, 0], [0, 0, 6], [0, 0, 0]],
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 1]],
+    ]
+    assert linalg._det_bareiss(m) == cofactor_det(m)
+    monkeypatch.setattr(linalg, "_integer_parts", lambda m: (1, m.parts))
     with pytest.raises(LinalgError):
         det_fraction_free(m)
 
@@ -430,6 +436,28 @@ def linear_form_matrix(ring, n, rng, fractions=False, affine=False):
             row.append(e)
         data.append(row)
     return PolyMatrix(ring, data)
+
+
+@pytest.mark.parametrize(
+    "field, fractions", [(QQ, False), (QQ, True), (GF(65521), False)], ids=["QQ-int", "QQ-fraction", "GF"]
+)
+def test_bareiss_on_polynomial_entries_matches_cofactor(field, fractions):
+    # the elimination loop run on Poly entries, with 4 T's, against the
+    # cofactor expansion; every second matrix has a row that is the sum of
+    # two others (or a zero row), so its determinant is zero
+    rng = random.Random(2005)
+    ring = Ring(field, [], ["T1", "T2", "T3", "T4"])
+    for n in range(6):
+        for trial in range(4):
+            m = linear_form_matrix(ring, n, rng, fractions, affine=trial % 2 == 0)
+            if n and trial % 2:
+                rows = m.data
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[1])] if n > 2 else [ring.zero] * n
+                m = PolyMatrix(ring, rows)
+            want = cofactor_det(m)
+            assert linalg._det_bareiss(m) == want
+            assert det_fraction_free(m) == want
+            assert (not want) == (n > 0 and trial % 2 == 1)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])

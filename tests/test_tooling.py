@@ -130,3 +130,31 @@ def test_source_names_have_callers():
         ):
             missing.append("%s:%s" % (module, qualname))
     assert not missing, "source names with no caller in implicax: %s" % ", ".join(missing)
+
+
+def test_dataclass_fields_are_read():
+    # every annotated field of a dataclass is read as an attribute somewhere
+    # in the package, so a field that is only ever set cannot keep its value
+    # alive unseen.  A diagnostic that only users and tests read is listed
+    allowed = {"SyzygeticReport.witness"}  # the first saturated failure, for users
+    fields, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(dec) for dec in node.decorator_list
+            ):
+                fields += [
+                    (path.name, "%s.%s" % (node.name, stmt.target.id), stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    assert fields
+    unread = [
+        "%s:%s" % (module, qualname)
+        for module, qualname, name in fields
+        if qualname not in allowed and name not in read
+    ]
+    assert not unread, "dataclass fields never read in implicax: %s" % ", ".join(unread)
