@@ -1,11 +1,13 @@
-"""Exact dense linear algebra over a field and over k[T].
+"""Exact linear algebra over a field and over k[T].
 
 Two matrix flavors: ScalarMatrix (field entries) and PolyMatrix, a matrix
 affine in T stored as its scalar parts A_0 + sum_i T_i*A_i (strand maps,
 Sylvester and Bezout matrices, Kravitsky pencils).  Rank, kernel, span
 reduction and minor selection are read off one integer row reduction
-(`_rref`); a PolyMatrix is reduced at a random point of T, where its value
-is a combination of the parts' rows.  Determinants have one elimination
+(`_rref`): Gauss-Jordan elimination on sparse rows, each pivot updating
+only the rows that hold its column, which takes and returns dense rows; a
+PolyMatrix is reduced at a random point of T, where its value is a
+combination of the parts' rows.  Determinants have one elimination
 loop, `_det_scalar` (fraction-free Bareiss elimination; Gaussian mod p), and
 `det_fraction_free` feeds it by the ring: with at most three T variables
 (plane curves) the integer matrices at the points of a grid, whose values
@@ -19,6 +21,7 @@ results are exact, not "up to unit".
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 from .arith import _RECON_PRIME, ArithError, Poly, rational_content
 from .errors import ConsistencyError
@@ -63,21 +66,6 @@ class ScalarMatrix:
         return "ScalarMatrix(%dx%d over %s)" % (self.rows, self.cols, self.field)
 
 
-def _int_rows(p, data):
-    """Integer copies of the rows, reduced mod p when p > 0.
-
-    A row with fractions is first multiplied by the lcm of its denominators;
-    a nonzero scale keeps its span, so ranks and pivots are unchanged.
-    """
-    out = []
-    for row in data:
-        if not all(map(int.__instancecheck__, row)):
-            den = math.lcm(*[x.denominator for x in row])
-            row = [int(x * den) for x in row]
-        out.append([x % p for x in row] if p else list(row))
-    return out
-
-
 def _primitive(row):
     """The integer row divided by the gcd of its entries."""
     g = math.gcd(*row)
@@ -88,37 +76,78 @@ def _rref(p, data):
     """Reduced row echelon form of `data`: (nonzero rows, pivot columns).
 
     The one row reduction of the package; rank, kernel, span reduction and
-    minor selection are read off its output.  Rows stay integer: over QQ
-    (p = 0) they are eliminated fraction-free, cross-multiplying and then
-    dividing by the content; mod p every pivot is 1.  Each row is zero at the
-    other rows' pivot columns.
+    minor selection are read off its output.  Gauss-Jordan elimination on
+    sparse integer rows {column: entry}, with an index from each column to
+    the rows holding it, so a pivot updates only the rows that hold its
+    column.  Columns go in order; the pivot is the first row from position r
+    on that holds the column, swapped to position r.  Over QQ (p = 0) a row
+    with fractions is scaled by the lcm of its denominators, and rows are
+    eliminated fraction-free, cross-multiplying and then dividing by the
+    content; mod p every pivot is 1.  The rows come back dense, each zero at
+    the other rows' pivot columns; `data` is not modified.
     """
-    rows = _int_rows(p, data)
+    ncols = len(data[0]) if data else 0
+    rows = []
+    holders = [set() for _ in range(ncols)]  # column -> ids of the rows holding it
+    for i, row in enumerate(data):
+        row = dict(compress(enumerate(row), row))
+        if not all(map(int.__instancecheck__, row.values())):
+            den = math.lcm(*[x.denominator for x in row.values()])
+            row = {j: int(x * den) for j, x in row.items()}
+        rows.append({j: x % p for j, x in row.items() if x % p} if p else row)
+        for j in rows[i]:
+            holders[j].add(i)
+    order = list(range(len(rows)))  # position -> row id
+    pos = list(order)  # row id -> position
     pivots = []
-    for c in range(len(rows[0]) if rows else 0):
+    for c in range(ncols):
         r = len(pivots)
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        sel = min((pos[i] for i in holders[c] if pos[i] >= r), default=None)
         if sel is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
+        k = order[sel]
+        order[r], order[sel] = k, order[r]
+        pos[k], pos[order[sel]] = r, sel
+        prow = rows[k]
         if p:
-            s = pow(rows[r][c], -1, p)
-            prow = rows[r] = [x * s % p for x in rows[r]]
-        else:
-            prow = rows[r] = _primitive(rows[r])
+            s = pow(prow[c], -1, p)
+            for j in prow:
+                prow[j] = prow[j] * s % p
+        elif (g := math.gcd(*prow.values())) > 1:
+            for j in prow:
+                prow[j] //= g
         pc = prow[c]
-        for i, row in enumerate(rows):
-            ic = row[c]
-            if not ic or i == r:
+        for i in holders[c]:
+            if i == k:
                 continue
-            if p:
-                rows[i] = [(a - ic * b) % p for a, b in zip(row, prow)]
-            else:
-                rows[i] = _primitive([pc * a - ic * b for a, b in zip(row, prow)])
+            row = rows[i]
+            ic = row[c]
+            if not p and pc != 1:
+                for j in row:
+                    row[j] *= pc
+            for j, b in prow.items():
+                a = row.get(j)
+                if a is None:
+                    row[j] = -ic * b % p if p else -ic * b
+                    holders[j].add(i)
+                elif a := (a - ic * b) % p if p else a - ic * b:
+                    row[j] = a
+                else:
+                    del row[j]
+                    if j != c:
+                        holders[j].discard(i)
+            if not p and (g := math.gcd(*row.values())) > 1:
+                for j in row:
+                    row[j] //= g
+        holders[c] = {k}
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    return rows[: len(pivots)], pivots
+    out = [[0] * ncols for _ in pivots]
+    for dense, k in zip(out, order):
+        for j, x in rows[k].items():
+            dense[j] = x
+    return out, pivots
 
 
 def _kernel(p, data, ncols):
@@ -159,12 +188,15 @@ def rref_kernel_data(m):
     """(rank, kernel basis, free columns) from one row-reduction pass."""
     rank, basis, free = _kernel(m.field.char, m.data, m.cols)
     if basis:
-        is_zero = m.field.is_zero
-        sparse = [[(j, a) for j, a in enumerate(row) if a] for row in m.data]
+        # A*v by columns over v's support; rows no support column touches are 0
+        columns = [[(i, a) for i, a in enumerate(col) if a] for col in zip(*m.data)] or [[]] * m.cols
         for v in basis:
-            for row in sparse:
-                if not is_zero(sum([a * v[j] for j, a in row])):
-                    raise ConsistencyError("kernel vector fails A*v = 0")
+            acc = {}
+            for j, x in compress(enumerate(v), v):
+                for i, a in columns[j]:
+                    acc[i] = acc.get(i, 0) + a * x
+            if not all(map(m.field.is_zero, acc.values())):
+                raise ConsistencyError("kernel vector fails A*v = 0")
     return rank, basis, free
 
 
@@ -422,12 +454,13 @@ def _det_scalar(rows, p, size=None):
         for i in range(k + 1, n):
             row = rows[i]
             a = row[0] * inv % p if p else row[0]
-            if not a:
-                rows[i] = row[1:] if p else [pivot * x // prev for x in row[1:]]
-            elif p:
-                rows[i] = [(x - a * y) % p for x, y in zip(row[1:], rest)]
-            else:
-                rows[i] = [(pivot * x - a * y) // prev for x, y in zip(row[1:], rest)]
+            if p:
+                rows[i] = [(x - a * y) % p for x, y in zip(row[1:], rest)] if a else row[1:]
+            else:  # (pivot*x - a*y) // prev, skipping zero terms
+                rows[i] = [
+                    (pivot * x - a * y) // prev if a and y else pivot * x // prev if x else x
+                    for x, y in zip(row[1:], rest)
+                ]
         prev = pivot
     return det if p else det * prev
 

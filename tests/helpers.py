@@ -1,5 +1,6 @@
 """Helpers shared by several test modules."""
 
+import math
 import random
 
 from implicax.arith import GF, QQ, Parameterization, Ring, make_parameterization, normalize
@@ -113,3 +114,49 @@ def seeded_surfaces():
         for d in (2, 3):
             for base in (None, "line", "point"):
                 yield random_surface(field, d, rng, base)
+
+
+def dense_rref(p, data):
+    """Gauss-Jordan elimination on dense integer rows: the reference for
+    `linalg._rref`, which must return the same rows, signs and pivots.
+
+    Rows with fractions are scaled by the lcm of their denominators and
+    reduced mod p when p > 0; over QQ the elimination is fraction-free,
+    each updated row divided by the gcd of its entries.
+    """
+
+    def primitive(row):
+        g = math.gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    rows = []
+    for row in data:
+        if not all(map(int.__instancecheck__, row)):
+            den = math.lcm(*[x.denominator for x in row])
+            row = [int(x * den) for x in row]
+        rows.append([x % p for x in row] if p else list(row))
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        if p:
+            s = pow(rows[r][c], -1, p)
+            prow = rows[r] = [x * s % p for x in rows[r]]
+        else:
+            prow = rows[r] = primitive(rows[r])
+        pc = prow[c]
+        for i, row in enumerate(rows):
+            ic = row[c]
+            if not ic or i == r:
+                continue
+            if p:
+                rows[i] = [(a - ic * b) % p for a, b in zip(row, prow)]
+            else:
+                rows[i] = primitive([pc * a - ic * b for a, b in zip(row, prow)])
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows[: len(pivots)], pivots

@@ -1,8 +1,10 @@
 """Rank/kernel, T-affine matrices, fraction-free determinants, minor selection."""
 
+import copy
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,9 @@ from implicax.linalg import (
     rref_kernel_data,
     scalar_rank,
 )
-from implicax.strands import _select_chain_minor
+from implicax.problems import load_problem
+from implicax.strands import _select_chain_minor, koszul_differential_matrix
+from helpers import dense_rref
 
 T_RING = Ring(QQ, [], ["T1", "T2", "T3", "T4"])
 
@@ -201,6 +205,47 @@ def test_elimination_core_matches_fraction_gauss():
                 assert (not any(red.reduce(w))) == (scalar_rank(field, data + [w]) == rank)
 
 
+@pytest.mark.parametrize(
+    "p, fractions", [(0, False), (0, True), (65521, False)], ids=["QQ-int", "QQ-fraction", "GF"]
+)
+def test_rref_equals_the_dense_reference(p, fractions):
+    # the sparse core returns the dense elimination's rows, signs and pivots
+    # and leaves its input as it was: on seeded sparse matrices up to 150 x 100
+    # at 1-10% density (with a zero row and a zero column, every third one
+    # rank-deficient) and on the shipped maps' Koszul matrices and transposes
+    rng = random.Random(2014)
+
+    def entry(x):
+        if p:
+            return x % p
+        return Fraction(x, rng.randint(2, 6)) if fractions and rng.random() < 0.5 else x
+
+    cases = []
+    for trial in range(12):
+        nrows, ncols = rng.randint(2, 150), rng.randint(2, 100)
+        density = rng.uniform(0.01, 0.1)
+        data = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)]
+        data[rng.randrange(nrows)] = [0] * ncols
+        zero_col = rng.randrange(ncols)
+        for row in data:
+            row[zero_col] = 0
+        if trial % 3 == 0:
+            data += [[a - 2 * b for a, b in zip(*rng.sample(data, 2))] for _ in range(nrows // 4 + 1)]
+        cases.append(data)
+    problems = Path(__file__).resolve().parents[1] / "problems"
+    for path in sorted(problems.glob("curve_*.txt")) + sorted(problems.glob("surface_*.txt")):
+        param = load_problem(path).parameterization()
+        for i in range(1, param.n + 1):
+            for nu in range(3):
+                data = koszul_differential_matrix(param, i, nu).data
+                cases += [data, [list(col) for col in zip(*data)]]
+    for data in cases:
+        data = [[entry(x) if x else 0 for x in row] for row in data]
+        before, rows = copy.deepcopy(data), list(data)
+        assert _rref(p, data) == dense_rref(p, data)
+        assert data == before and all(a is b for a, b in zip(data, rows))
+
+
 # ---------------------------------------------------------------------------
 # determinants
 
@@ -234,6 +279,8 @@ def cofactor_det(m):
         total = 0
     for j in range(n):
         a = m.data[0][j]
+        if not a:
+            continue
         cols = [c for c in range(n) if c != j]
         if isinstance(m, PolyMatrix):
             rest = m.submatrix(range(1, n), cols)
@@ -396,6 +443,18 @@ def test_kernel_check_raises_on_a_wrong_vector(monkeypatch):
         rank_and_kernel(m)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF"])
+def test_kernel_check_raises_when_one_row_fails(monkeypatch, field):
+    # A*v is summed by columns over v's support; a vector that fails in the
+    # last row only, reached through its last support column, still raises
+    m = ScalarMatrix(field, [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    good = [field.canon(-1), 1, 0, 0]
+    assert rank_and_kernel(m) == (3, [good])
+    monkeypatch.setattr(linalg, "_kernel", lambda p, data, ncols: (3, [good[:3] + [2]], [1]))
+    with pytest.raises(ConsistencyError):
+        rank_and_kernel(m)
+
+
 def test_bareiss_integer_guard_raises(monkeypatch):
     # the row scaling makes primitive integer rows and keeps their contents;
     # without it a Fraction would reach the elimination, which over QQ must
@@ -444,7 +503,9 @@ def linear_form_matrix(ring, n, rng, fractions=False, affine=False):
 def test_bareiss_on_polynomial_entries_matches_cofactor(field, fractions):
     # the elimination loop run on Poly entries, with 4 T's, against the
     # cofactor expansion; every second matrix has a row that is the sum of
-    # two others (or a zero row), so its determinant is zero
+    # two others (or a zero row), so its determinant is zero.  Then sparse
+    # ones, at least 80% zero entries on a permutation pattern, where the loop
+    # skips the zero terms of its updates; every second one repeats row 0
     rng = random.Random(2005)
     ring = Ring(field, [], ["T1", "T2", "T3", "T4"])
     for n in range(6):
@@ -458,6 +519,20 @@ def test_bareiss_on_polynomial_entries_matches_cofactor(field, fractions):
             assert linalg._det_bareiss(m) == want
             assert det_fraction_free(m) == want
             assert (not want) == (n > 0 and trial % 2 == 1)
+    for n in range(5, 9):
+        for trial in range(4):
+            perm = rng.sample(range(n), n)
+            cells = {(i, perm[i]) for i in range(n)}
+            cells |= set(rng.sample([(i, j) for i in range(1, n - 1) for j in range(n)], n * n // 5 - n))
+            dense = linear_form_matrix(ring, n, rng, fractions, affine=True).data
+            rows = [[e if (i, j) in cells else ring.zero for j, e in enumerate(row)] for i, row in enumerate(dense)]
+            if trial % 2:
+                rows[-1] = rows[0]
+            m = PolyMatrix(ring, rows)
+            assert sum(not e for row in rows for e in row) >= 0.8 * n * n
+            want = cofactor_det(m)
+            assert linalg._det_bareiss(m) == want
+            assert (not want) == (trial % 2 == 1)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
