@@ -32,10 +32,8 @@ from .errors import (
 )
 from .geometry import (
     BasePointReport,
-    base_locus_profile,
     hilbert_value,
     nu_bound,
-    predicted_degree,
     saturation_piece,
     syzygetic_test,
 )

@@ -19,7 +19,9 @@ class HypothesisViolation(ImplicaxError):
     """The input violates a hypothesis of the implicitization theorems.
 
     Raised for positive-dimensional base loci, maps that are not generically
-    finite, and strand rank profiles inconsistent with generic exactness.
+    finite, and strands whose chain of nested minors cannot be completed:
+    some level stays short of full rank at every draw the 2^-40 bound of
+    `strands._profile_draws` asks for, or the chain leaves rows over.
     """
 
 

@@ -21,14 +21,12 @@ import math
 from dataclasses import dataclass
 
 from .arith import Poly, gcd_many
-from .errors import ConsistencyError, HypothesisViolation, ImplicaxError
+from .errors import ConsistencyError, ImplicaxError
 from .linalg import ScalarMatrix, _rref, rank_and_kernel, scalar_rank
 from .strands import _koszul_image, boundary_basis, cycle_basis, vector_to_polys
 
 __all__ = [
     "hilbert_value",
-    "base_locus_profile",
-    "predicted_degree",
     "nu_bound",
     "saturation_piece",
     "ideal_piece",
@@ -55,10 +53,25 @@ def _regularity_bound(param):
 
 
 def _certified_profile(param, pieces=None):
-    """(dim, e, certificate, {degree: Hilbert value read}); see base_locus_profile.
+    """(dim flag, total multiplicity, certificate, {degree: Hilbert value read}).
 
-    The certificate names what decided: "empty" (H(t) = 0), "persistence"
-    (Gotzmann) or "window" (two values differ, or a plateau e > t).
+    The dim flag is -1 for an empty base locus, 0 for a finite one and 1 for
+    one of positive dimension.  Reads H, the Hilbert function of A/I, from
+    t = nx(d-1)+1, the classical regularity bound ((n-1)(d-1)+1 on a map),
+    on, and stops as soon as a proof decides; the certificate names what
+    decided:
+
+    * "empty", H(t) = 0: I_t = A_t, and I_(nu+1) contains A_1 * I_nu, so
+      I_nu = A_nu for every nu >= t and the base locus is empty: (-1, 0).
+    * "persistence", H(t+1) = H(t) = e with 0 < e <= t: I is generated in
+      degree d <= t, and e <= t makes the Macaulay bound e^<t> equal to e,
+      so by Gotzmann's persistence theorem (Math. Z. 158, 1978;
+      Bruns-Herzog, Cohen-Macaulay Rings, Thm 4.3.3) H stays at e for good;
+      e is the total multiplicity of the finite base locus: (0, e).
+    * "window", H(t+1) != H(t): H has no plateau at t, which signals a base
+      locus of dimension >= 1: (1, None).  Only when H(t+1) = H(t) > t does
+      a window of max(n, d) + 1 values from t decide: a constant plateau is
+      e, anything else signals dimension >= 1.
     """
     n, d = param.n, param.d
     t = _regularity_bound(param)
@@ -75,40 +88,6 @@ def _certified_profile(param, pieces=None):
         if all(v == e for v in values.values()):
             return 0, e, "window", values
     return 1, None, "window", values
-
-
-def base_locus_profile(param):
-    """(dim flag, total multiplicity): -1 empty, 0 finite, 1 positive-dimensional.
-
-    Reads H, the Hilbert function of A/I, from t = nx(d-1)+1, the classical
-    regularity bound ((n-1)(d-1)+1 on a map), on, and stops as soon as a
-    proof decides:
-
-    * H(t) = 0: I_t = A_t, and I_(nu+1) contains A_1 * I_nu, so I_nu = A_nu
-      for every nu >= t and the base locus is empty: (-1, 0).
-    * H(t+1) = H(t) = e with 0 < e <= t: I is generated in degree d <= t,
-      and e <= t makes the Macaulay bound e^<t> equal to e, so by Gotzmann's
-      persistence theorem (Math. Z. 158, 1978; Bruns-Herzog, Cohen-Macaulay
-      Rings, Thm 4.3.3) H stays at e for good; e is the total multiplicity of
-      the finite base locus: (0, e).
-    * H(t+1) != H(t): H has no plateau at t, which signals a base locus of
-      dimension >= 1: (1, None).
-
-    Only when H(t+1) = H(t) > t does a window of max(n, d) + 1 values from t
-    decide: a constant plateau is e, anything else signals dimension >= 1.
-    """
-    dim, e, _, _ = _certified_profile(param)
-    return dim, e
-
-
-def predicted_degree(param):
-    """d^(n-2) - e; zero means the map is not generically finite."""
-    dim, e = base_locus_profile(param)
-    if dim > 0:
-        raise HypothesisViolation(
-            "positive-dimensional base locus: Hilbert values keep growing"
-        )
-    return param.d ** (param.n - 2) - e
 
 
 def nu_bound(n, d):

@@ -61,9 +61,6 @@ class KoszulBasis:
     """
 
     def __init__(self, param, i, nu):
-        self.param = param
-        self.i = i
-        self.nu = nu
         self.subsets = list(itertools.combinations(range(param.n), i))
         self.monos = param.ring.x_monomials(nu)
         self.sub_index = {s: k for k, s in enumerate(self.subsets)}
@@ -162,10 +159,6 @@ class ZStrand:
     dims: list
     maps: list
 
-    @property
-    def n(self):
-        return self.param.n
-
 
 def _dT_components(param, kb_src, kb_dst, vec):
     """Per-T-variable component vectors of the T-contraction of vec."""
@@ -221,7 +214,7 @@ def z_strand(param, nu):
         src_vecs = bases[i]
         dst_vecs = bases[i - 1]
         dst_free = frees[i - 1]
-        inverses = [field.invert(v[f]) for v, f in zip(dst_vecs, dst_free)]
+        dividers = [field._divider(v[f]) for v, f in zip(dst_vecs, dst_free)]
         rows = len(dst_vecs)
         cols = len(src_vecs)
         parts = zero_parts(rows, cols)
@@ -229,7 +222,7 @@ def z_strand(param, nu):
             comps = _dT_components(param, kbs[i + 1], kbs[i], vec)
             for j in range(n):
                 w = comps[j]
-                xs = [field.canon(w[dst_free[r]] * inverses[r]) for r in range(rows)]
+                xs = [div(w[f]) for div, f in zip(dividers, dst_free)]
                 if not _combination_matches(dst_vecs, xs, w, field):
                     raise ImplicaxError(
                         "strand grading error: contraction image left the cycle space"
@@ -298,42 +291,19 @@ class ComplexDet:
         return [len(rows) for (_, rows, _, _, _) in self.chain]
 
 
-def _rank_profile(strand, rng):
-    ranks = []
-    for m in strand.maps:
-        if m.rows == 0 or m.cols == 0:
-            ranks.append(0)
-            continue
-        ranks.append(len(_sampled_pivots(m, rng, range(m.rows))))
-    return ranks
-
-
-def _profile_ok(strand, ranks):
-    dims = strand.dims
-    n = strand.n
-    if ranks[0] != dims[0]:
-        return False
-    for spot in range(1, n - 1):
-        r_in = ranks[spot - 1]
-        r_out = ranks[spot] if spot < len(ranks) else 0
-        if r_in + r_out != dims[spot]:
-            return False
-    if ranks[n - 2] != dims[n - 1]:
-        return False
-    return True
-
-
 def _profile_draws(strand):
-    """Draws after which an inconsistent rank profile is declared a violation.
+    """Draws per level of `_minor_chain` before a short rank is declared a
+    violation.
 
-    Entries are affine in T, so a map of rank r has a nonzero r x r minor of
-    degree <= r.  By Schwartz-Zippel that minor vanishes at a draw of
+    On an exact strand the rows of a level have full rank r over k(T).
+    Entries are affine in T, so some r x r minor of those rows is nonzero
+    of degree <= r.  By Schwartz-Zippel it vanishes at a draw of
     `_sampled_pivots`, which takes each T from N values (p - 1 over GF(p),
-    1995 over QQ), with probability <= r/N; only then can the draw miss the
-    map's rank.  (Over QQ the draw is reduced mod a 62-bit prime; the bound
-    holds unless that prime divides every coefficient of the minor.)  With
-    r at most the map's smaller side, k independent draws all miss some
-    map's rank with probability <= sum over maps of (r/N)^k.  This returns
+    1995 over QQ), with probability <= r/N; only then can the draw fall
+    short.  (Over QQ the draw is reduced mod a 62-bit prime; the bound holds
+    unless that prime divides every coefficient of the minor.)  With r at
+    most the map's smaller side, k draws at every level all fall short at
+    some level with probability <= sum over maps of (r/N)^k.  This returns
     the least k that makes that sum <= 2^-40.  When some r >= N no k bounds
     it, and two draws are taken.
     """
@@ -347,89 +317,72 @@ def _profile_draws(strand):
     return k
 
 
-def check_rank_profile(strand, seed=DEFAULT_SEED):
-    """Verify generic exactness off the zeroth spot; raise otherwise.
+def _minor_chain(strand, rng, maps=None):
+    """Nested nonsingular minors of the strand maps: one (rows, cols) per map.
 
-    A sampled rank never exceeds the generic rank, and the maps compose to
-    zero, so a sampled profile that is consistent with exactness proves it.
-    Each further draw keeps every map's largest rank so far; a violation is
-    declared only after `_profile_draws` draws all leave it inconsistent.
+    A level takes the rows outside the columns chosen at the level before
+    (every row of the first map) and draws `_sampled_pivots` on them, up to
+    `_profile_draws` times, until they reach full rank.  On an exact strand
+    they do over k(T), since the kernel of the map before projects
+    injectively onto those coordinates.  Conversely a minor that is
+    nonsingular at a point is nonsingular over k(T), and the maps compose
+    to zero, so a chain through every map that leaves no rows over proves
+    the strand exact over k(T).  `maps`, a prefix of the strand's maps,
+    walks only those and leaves the rows after them unchecked.
     """
-    rng = random.Random(seed)
-    ranks = [0] * len(strand.maps)
-    for _ in range(_profile_draws(strand)):
-        ranks = [max(a, b) for a, b in zip(ranks, _rank_profile(strand, rng))]
-        if _profile_ok(strand, ranks):
-            return ranks
+    draws = _profile_draws(strand)
+    links = []
+    rows = list(range(strand.dims[0]))
+    for m in strand.maps if maps is None else maps:
+        cols = []
+        for _ in range(draws):
+            if len(cols) == len(rows):
+                break
+            cols = _sampled_pivots(m, rng, rows)
+        links.append((rows, cols))
+        if len(cols) < len(rows):
+            break
+        taken = set(cols)
+        rows = [c for c in range(m.cols) if c not in taken]
+    else:
+        if maps is not None or not rows:
+            return links
     raise HypothesisViolation(
         "rank profile %s inconsistent with exactness for dims %s "
         "(base locus not finite / not a local complete intersection / "
         "map not generically finite, or the strand degree is too small)"
-        % (ranks, strand.dims)
+        % ([len(cols) for _, cols in links], strand.dims)
     )
 
 
-_CHAIN_MINOR_TRIES = 8  # random points tried per minor before giving up
+def check_rank_profile(strand, seed=DEFAULT_SEED):
+    """Ranks of the strand maps, read off one `_minor_chain`.
 
-
-def _select_chain_minor(m, row_subset, rng):
-    """Columns making m[row_subset, cols] nonsingular; returns (cols, det).
-
-    When the rows need every column, those are the columns: no point is
-    drawn, and a zero determinant is final.
+    Raises HypothesisViolation unless the chain proves the strand exact
+    over k(T) off the zeroth spot.
     """
-    target = len(row_subset)
-    if target == 0:
-        return [], m.ring.one
-    every = target == m.cols
-    last = "no candidate"
-    for _ in range(1 if every else _CHAIN_MINOR_TRIES):
-        cols = list(range(m.cols)) if every else _sampled_pivots(m, rng, row_subset)
-        if len(cols) < target:
-            last = "specialized rank below %d" % target
-            continue
-        det = det_fraction_free(m.submatrix(row_subset, cols))
-        if det.terms:
-            return cols, det
-        last = "singular symbolic minor"
-    raise HypothesisViolation(
-        "could not complete the minor chain (%s); hypotheses likely violated" % last
-    )
+    return [len(cols) for _, cols in _minor_chain(strand, random.Random(seed))]
 
 
 def complex_determinant(strand, seed=DEFAULT_SEED):
     """Determinant of the strand: alternating product of nested minors.
 
-    Row indices at each level are forced to the complement of the previous
-    column choice; numerator and denominator products are divided once at
-    the end, exactly.  One pass suffices: on an exact strand, nonsingular
-    columns C at one level leave the next map's rows outside C of full rank
-    over k(T), since the kernel of the previous map projects injectively
-    onto those coordinates; a draw inside one level is the only random
-    failure, and `_select_chain_minor` redraws there.
+    The minors are the links of one `_minor_chain`, which also proves the
+    strand exact; their numerator and denominator products are divided
+    once at the end, exactly.
     """
-    check_rank_profile(strand, seed)
     ring = strand.param.ring
-    rng = random.Random("%s:chain:0" % seed)
+    links = _minor_chain(strand, random.Random("%s:chain:0" % seed))
     chain = []
-    rows = list(range(strand.dims[0]))
-    for idx, m in enumerate(strand.maps):
-        cols, det = _select_chain_minor(m, rows, rng)
+    num = den = ring.one
+    for idx, (m, (rows, cols)) in enumerate(zip(strand.maps, links)):
+        det = det_fraction_free(m.submatrix(rows, cols)) if rows else ring.one
         sign = 1 if idx % 2 == 0 else -1
-        chain.append((idx, list(rows), list(cols), det, sign))
-        taken = set(cols)
-        rows = [c for c in range(m.cols) if c not in taken]
-    if rows:
-        raise HypothesisViolation(
-            "minor chain left %d unmatched basis elements" % len(rows)
-        )
-    num = ring.one
-    den = ring.one
-    for (_, _, _, det, sign) in chain:
         if sign > 0:
             num = num * det
         else:
             den = den * det
+        chain.append((idx, rows, cols, det, sign))
     try:
         value = exact_divide(num, den, verify=True)
     except NotDivisibleError:
@@ -491,7 +444,8 @@ def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):
             "rightmost map is %dx%d; need at least as many syzygies as monomials" % (z0, z1)
         )
     rng = random.Random("%s:minors" % (seed,))
-    g = _select_chain_minor(m, list(range(z0)), rng)[1]
+    ((rows, cols),) = _minor_chain(strand, rng, strand.maps[:1])
+    g = det_fraction_free(m.submatrix(rows, cols))
     clean = 0
     for _ in range(_RECOMBINATIONS):
         if g.total_degree() <= degree or clean >= 2:

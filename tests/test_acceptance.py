@@ -21,7 +21,7 @@ from implicax.arith import (
     unit_multiple_of,
 )
 from implicax.errors import ConsistencyError, HypothesisViolation
-from implicax.geometry import ideal_piece, predicted_degree, syzygetic_test
+from implicax.geometry import ideal_piece, syzygetic_test
 from implicax.linalg import det_fraction_free, scalar_rank
 from implicax.pipeline import analyze, implicitize, verify
 from implicax.resultants import (
@@ -312,6 +312,6 @@ def test_criterion_9_property_suites():
             param, nu = EXAMPLES[k], nus[k]
             st = z_strand(param, nu)
             assert unit_multiple_of(
-                gcd_of_maximal_minors(st, predicted_degree(param)),
+                gcd_of_maximal_minors(st, analyze(param).predicted_degree),
                 complex_determinant(st).value,
             )

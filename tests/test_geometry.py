@@ -14,14 +14,13 @@ from implicax.arith import (
     unit_multiple_of,
 )
 from implicax import geometry
-from implicax.errors import ConsistencyError, HypothesisViolation
+from implicax.errors import ConsistencyError
 from implicax.geometry import (
+    _certified_profile,
     analyze_parameterization,
-    base_locus_profile,
     hilbert_value,
     ideal_piece,
     nu_bound,
-    predicted_degree,
     saturation_piece,
     syzygetic_test,
 )
@@ -111,20 +110,20 @@ def test_hilbert_lci_surface_six_points():
 
 
 def test_profile_empty():
-    assert base_locus_profile(CONIC) == (-1, 0)
+    assert _certified_profile(CONIC)[:2] == (-1, 0)
 
 
 def test_profile_single_point():
-    assert base_locus_profile(CONIC_FAT) == (0, 1)
+    assert _certified_profile(CONIC_FAT)[:2] == (0, 1)
 
 
 def test_profile_squares():
-    assert base_locus_profile(SQUARES) == (0, 2)
+    assert _certified_profile(SQUARES)[:2] == (0, 2)
 
 
 def test_profile_positive_dimensional():
     # one polynomial repeated in three variables: V(I) is a curve in P^2
-    dim, e = base_locus_profile(POSITIVE_DIM)
+    dim, e = _certified_profile(POSITIVE_DIM)[:2]
     assert dim == 1 and e is None
 
 
@@ -176,19 +175,19 @@ def count_hilbert_calls(monkeypatch):
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.name)
 def test_certified_profile_equals_window_on_shipped_problems(path):
     param = load_problem(path).parameterization()
-    assert base_locus_profile(param) == window_profile(param)
+    assert _certified_profile(param)[:2] == window_profile(param)
 
 
 def test_certified_profile_equals_window_on_examples():
     for param in (CONIC, CONIC_FAT, SQUARES, LCI_SURF, POSITIVE_DIM, NINE_POINTS):
-        assert base_locus_profile(param) == window_profile(param)
-    assert base_locus_profile(NINE_POINTS) == (0, 9)
+        assert _certified_profile(param)[:2] == window_profile(param)
+    assert _certified_profile(NINE_POINTS)[:2] == (0, 9)
 
 
 def test_certified_profile_equals_window_on_random_curves():
     seen = set()
     for param in random_curves():
-        profile = base_locus_profile(param)
+        profile = _certified_profile(param)[:2]
         assert profile == window_profile(param)
         seen.add(profile[0])
     assert seen == {-1, 0}
@@ -200,7 +199,7 @@ def test_certified_profile_reads_one_value_without_base_points(monkeypatch):
     calls = count_hilbert_calls(monkeypatch)
     for param in [CONIC] + dense:
         del calls[:]
-        assert base_locus_profile(param) == (-1, 0)
+        assert _certified_profile(param)[:2] == (-1, 0)
         assert calls == [(param.n - 1) * (param.d - 1) + 1]
 
 
@@ -208,7 +207,7 @@ def test_certified_profile_reads_two_values_at_finite_base_loci(monkeypatch):
     calls = count_hilbert_calls(monkeypatch)
     for param, e in ((CONIC_FAT, 1), (LCI_SURF, 6)):
         del calls[:]
-        assert base_locus_profile(param) == (0, e)
+        assert _certified_profile(param)[:2] == (0, e)
         t = (param.n - 1) * (param.d - 1) + 1
         assert calls == [t, t + 1]
 
@@ -237,7 +236,7 @@ def test_profile_reads_from_nx_d_minus_1_plus_1_off_a_map():
     cubes = make_parameterization(QQ, ["X1", "X2", "X3"], ["X1^3", "X2^3", "X3^3"])
     assert [hilbert_value(cubes, nu) for nu in (5, 6, 7)] == [3, 1, 0]
     assert geometry._certified_profile(cubes) == (-1, 0, "empty", {7: 0})
-    assert base_locus_profile(cubes) == window_profile(cubes) == (-1, 0)
+    assert _certified_profile(cubes)[:2] == window_profile(cubes) == (-1, 0)
     rep = analyze_parameterization(cubes, run_syzygetic=False)
     assert (rep.base_locus_dim, rep.e_total, rep.hilbert_values) == (-1, 0, {7: 0})
 
@@ -247,15 +246,8 @@ def test_profile_reads_from_nx_d_minus_1_plus_1_off_a_map():
 
 
 def test_predicted_degree_examples():
-    assert predicted_degree(CONIC) == 2
-    assert predicted_degree(LCI_SURF) == 9 - 6 == 3
-    assert predicted_degree(SQUARES) == 0
-    assert predicted_degree(CONIC_FAT) == 2
-
-
-def test_predicted_degree_positive_dim_errors():
-    with pytest.raises(HypothesisViolation):
-        predicted_degree(POSITIVE_DIM)
+    for param, degree in ((CONIC, 2), (LCI_SURF, 9 - 6), (SQUARES, 0), (CONIC_FAT, 2)):
+        assert analyze_parameterization(param).predicted_degree == degree
 
 
 def test_nu_bound():

@@ -3,6 +3,7 @@
 import copy
 import math
 import random
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from implicax.linalg import (
     scalar_rank,
 )
 from implicax.problems import load_problem
-from implicax.strands import _select_chain_minor, koszul_differential_matrix
+from implicax.strands import ZStrand, _minor_chain, koszul_differential_matrix
 from helpers import dense_rref
 
 T_RING = Ring(QQ, [], ["T1", "T2", "T3", "T4"])
@@ -341,23 +342,32 @@ def test_det_singular_poly_matrix():
 # minor selection and specialization
 
 
+def one_map_chain(m, seed):
+    """(rows, cols) of the one link of m's `_minor_chain`."""
+    strand = ZStrand(types.SimpleNamespace(ring=m.ring), 0, [m.rows, m.cols], [m])
+    ((rows, cols),) = _minor_chain(strand, random.Random(seed), strand.maps)
+    return rows, cols
+
+
 def test_minor_select_full_rank():
     m = pm([[1, 0], [0, 1]])
-    cols, det = _select_chain_minor(m, [0, 1], random.Random(1))
-    assert cols == [0, 1] and det == T_RING.one
+    rows, cols = one_map_chain(m, 1)
+    assert rows == cols == [0, 1]
+    assert det_fraction_free(m.submatrix(rows, cols)) == T_RING.one
 
 
 def test_minor_select_rank_deficient_errors():
     m = pm([["T1", "T1"], ["T1", "T1"]])
-    with pytest.raises(HypothesisViolation):
-        _select_chain_minor(m, [0, 1], random.Random(1))
+    with pytest.raises(HypothesisViolation, match="rank profile"):
+        one_map_chain(m, 1)
 
 
 def test_minor_select_seed_independent_property():
     m = pm([["T1", "T2", "T1"], ["T3", "T4", "T3"], [0, "T1", "T2"]])
     for seed in (1, 2, 20020101):
-        cols, det = _select_chain_minor(m, [0, 1, 2], random.Random(seed))
-        assert det.terms
+        rows, cols = one_map_chain(m, seed)
+        det = det_fraction_free(m.submatrix(rows, cols))
+        assert rows == [0, 1, 2] and det.terms
         assert det == det_fraction_free(m.submatrix([0, 1, 2], cols))
 
 

@@ -15,7 +15,7 @@ from implicax.arith import (
     unit_multiple_of,
 )
 from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError
-from implicax.geometry import predicted_degree
+from implicax.geometry import analyze_parameterization
 from implicax.linalg import PolyMatrix, det_fraction_free, scalar_rank
 from implicax.strands import (
     boundary_basis,
@@ -284,22 +284,51 @@ def test_inexact_chain_quotient_raises_after_one_chain(monkeypatch):
         raise strands.NotDivisibleError("forced")
 
     calls = []
-    select = strands._select_chain_minor
+    walk = strands._minor_chain
 
     def counted(*args):
         calls.append(1)
-        return select(*args)
+        return walk(*args)
 
     monkeypatch.setattr(strands, "exact_divide", not_divisible)
-    monkeypatch.setattr(strands, "_select_chain_minor", counted)
-    st = z_strand(QUADRIC, 2)
+    monkeypatch.setattr(strands, "_minor_chain", counted)
     with pytest.raises(HypothesisViolation, match="not exact"):
+        complex_determinant(z_strand(QUADRIC, 2))
+    assert len(calls) == 1
+
+
+def count_sampled_pivots(monkeypatch, short=False):
+    """Count `_sampled_pivots` calls; with `short`, each draw loses a pivot."""
+    calls = []
+    sampled = strands._sampled_pivots
+
+    def counted(m, rng, rows):
+        calls.append(len(rows))
+        cols = sampled(m, rng, rows)
+        return cols[:-1] if short else cols
+
+    monkeypatch.setattr(strands, "_sampled_pivots", counted)
+    return calls
+
+
+def test_chain_draws_once_per_nonempty_level(monkeypatch):
+    # the chain's own draws prove the rank profile: no second sampler runs
+    st = z_strand(CUBIC_SURF, 4)
+    calls = count_sampled_pivots(monkeypatch)
+    cd = complex_determinant(st)
+    assert calls == [len(rows) for (_, rows, _, _, _) in cd.chain if rows] == [15, 9, 3]
+
+
+def test_chain_short_of_full_rank_raises_after_profile_draws(monkeypatch):
+    st = z_strand(CUBIC_SURF, 4)
+    calls = count_sampled_pivots(monkeypatch, short=True)
+    with pytest.raises(HypothesisViolation, match="rank profile"):
         complex_determinant(st)
-    assert len(calls) == len(st.maps)
+    assert calls == [15] * strands._profile_draws(st)
 
 
 # a dense quadric map over GF(101) whose 6 x 9 rightmost map loses rank at the
-# first two points that seed 13 draws
+# first point that seed 13 draws
 GF101_QUADRIC = make_parameterization(
     GF(101),
     ["X1", "X2", "X3"],
@@ -312,9 +341,11 @@ GF101_QUADRIC = make_parameterization(
 )
 
 
-def test_rank_profile_redraws_until_a_small_field_finds_the_rank():
+def test_rank_profile_redraws_until_a_small_field_finds_the_rank(monkeypatch):
     st = z_strand(GF101_QUADRIC, 2)
+    calls = count_sampled_pivots(monkeypatch)
     assert check_rank_profile(st, seed=13) == [6, 3, 1]
+    assert calls == [6, 6, 3, 1]
     routes = [
         pipeline.implicitize(GF101_QUADRIC, method=method, seed=13)
         for method in ("det-complex", "gcd-minors")
@@ -345,19 +376,19 @@ def test_degenerate_parameterization_gives_degree_zero():
 
 def test_gcd_minors_square_case():
     st = z_strand(CONIC, 1)
-    g = gcd_of_maximal_minors(st, predicted_degree(CONIC))
+    g = gcd_of_maximal_minors(st, analyze_parameterization(CONIC).predicted_degree)
     assert unit_multiple_of(g, CONIC.ring.poly("T2^2 - T1*T3"))
 
 
 def test_gcd_minors_fat_conic():
     st = z_strand(CONIC_FAT, 2)
-    g = gcd_of_maximal_minors(st, predicted_degree(CONIC_FAT))
+    g = gcd_of_maximal_minors(st, analyze_parameterization(CONIC_FAT).predicted_degree)
     assert unit_multiple_of(g, CONIC_FAT.ring.poly("T1*T3 - T2^2"))
 
 
 def test_gcd_minors_matches_determinant_on_lci():
     st = z_strand(LCI_SURF, 4)
-    g = gcd_of_maximal_minors(st, predicted_degree(LCI_SURF))
+    g = gcd_of_maximal_minors(st, analyze_parameterization(LCI_SURF).predicted_degree)
     cd = complex_determinant(st)
     assert unit_multiple_of(g, cd.value)
 
@@ -365,7 +396,7 @@ def test_gcd_minors_matches_determinant_on_lci():
 def test_gcd_minors_matches_determinant_on_surfaces():
     for param, nu in ((QUADRIC, 2), (CUBIC_SURF, 4)):
         st = z_strand(param, nu)
-        g = gcd_of_maximal_minors(st, predicted_degree(param))
+        g = gcd_of_maximal_minors(st, analyze_parameterization(param).predicted_degree)
         assert unit_multiple_of(g, complex_determinant(st).value)
 
 
@@ -401,14 +432,15 @@ def _all_minors_gcd(st):
 def test_gcd_minors_early_stop_keeps_the_answer(param, nu):
     st = z_strand(param, nu)
     full = _all_minors_gcd(st)
+    degree = analyze_parameterization(param).predicted_degree
     for seed in (1, 2, 3):
-        g = gcd_of_maximal_minors(st, predicted_degree(param), seed=seed)
+        g = gcd_of_maximal_minors(st, degree, seed=seed)
         assert unit_multiple_of(g, full)
 
 
 def test_gcd_minors_unreachable_target_folds_every_minor(monkeypatch):
     st = z_strand(QUADRIC, 2)
-    g = gcd_of_maximal_minors(st, predicted_degree(QUADRIC) - 1)
+    g = gcd_of_maximal_minors(st, analyze_parameterization(QUADRIC).predicted_degree - 1)
     assert unit_multiple_of(g, QUADRIC.ring.poly("T1+T2+T3-T4") ** 4)
     # the pipeline's degree check still rejects a target the minors miss
     analyze = pipeline.analyze
@@ -433,6 +465,6 @@ def test_gcd_minors_divisibility_skips_gcds(monkeypatch):
     monkeypatch.setattr(strands, "_gcd_pair", counted)
     st = z_strand(QUADRIC, 2)
     # with this seed, a gcd per nonzero minor would take 5 calls
-    g = gcd_of_maximal_minors(st, predicted_degree(QUADRIC), seed=5)
+    g = gcd_of_maximal_minors(st, analyze_parameterization(QUADRIC).predicted_degree, seed=5)
     assert unit_multiple_of(g, QUADRIC.ring.poly("T1+T2+T3-T4") ** 4)
     assert len(calls) <= 3

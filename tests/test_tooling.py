@@ -95,10 +95,10 @@ def test_source_names_have_callers():
     # every module-level function and class, every method not in dunder
     # style, and every function nested in a module-level function is looked
     # up somewhere in the package outside its own body: a method through an
-    # attribute, a module-level name through a loaded name or attribute, a
-    # nested function through any name or attribute.  So a local variable or
-    # an assignment that shares a dead member's name does not hide it.  A
-    # name that only the tests use belongs in the tests
+    # attribute, a module-level name through a loaded name, a nested
+    # function through any name or attribute.  So a local variable, an
+    # assignment or a dataclass field that shares a dead member's name does
+    # not hide it.  A name that only the tests use belongs in the tests
     allowed = {"make_parameterization", "saturation_piece"}  # public, and called only by users
     defs, attrs, names, stores = [], [], [], []
     for path in sorted(SRC.glob("*.py")):
@@ -120,7 +120,7 @@ def test_source_names_have_callers():
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")
                 ]
     missing = []
-    uses_of = {"method": attrs, "top": attrs + names, "nested": attrs + names + stores}
+    uses_of = {"method": attrs, "top": names, "nested": attrs + names + stores}
     for module, qualname, node, kind in defs:
         name = qualname.rpartition(".")[2]
         uses = uses_of[kind]
