@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from implicax.arith import GF, QQ, Poly, make_parameterization, unit_multiple_of
-from implicax import geometry
+from implicax import cli, geometry, pipeline
 from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError, UsageError
 from implicax.pipeline import analyze, implicitize, verify
 from implicax.problems import load_problem
@@ -96,6 +96,42 @@ def test_sub_bound_quadric_fails_with_degree_mismatch():
         warnings.simplefilter("ignore")
         with pytest.raises(ConsistencyError):
             implicitize(QUADRIC, nu=1, allow_sub_bound=True)
+
+
+def predict_one_too_high(monkeypatch):
+    real = pipeline.analyze
+
+    def high_target(param, run_syzygetic=None):
+        report = real(param, run_syzygetic=run_syzygetic)
+        return dataclasses.replace(report, predicted_degree=report.predicted_degree + 1)
+
+    monkeypatch.setattr(pipeline, "analyze", high_target)
+
+
+def test_gcd_minors_target_above_the_truth_fails_in_the_fold(monkeypatch, capsys):
+    # with seed 1 the fold's first gcd has the true degree 4, below the
+    # target 5 that the theorem would guarantee: the fold raises there, not
+    # the pipeline's degree check, and the CLI exits as that check does
+    predict_one_too_high(monkeypatch)
+    fold = "have a gcd of degree below the predicted degree 5"
+    with pytest.raises(ConsistencyError, match=fold):
+        implicitize(QUADRIC, method="gcd-minors", seed=1)
+    code = cli.main(
+        ["implicitize", str(PROBLEMS / "surface_quadric.txt"), "--method", "gcd-minors", "--seed", "1"]
+    )
+    assert code == cli.EXIT_CONSISTENCY == 4
+    assert fold in capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, reason="the fold stops at a common divisor that meets a too-high target")
+def test_gcd_minors_target_above_the_truth_is_caught_at_every_seed(monkeypatch):
+    # with the default seed the first minor and the first sign recombination
+    # share T1 * (T1+T2+T3-T4)^4, of degree 5: the fold meets the target at
+    # once and returns that divisor, which passes the degree check and the
+    # oracle
+    predict_one_too_high(monkeypatch)
+    with pytest.raises(ConsistencyError):
+        implicitize(QUADRIC, method="gcd-minors")
 
 
 def test_sub_bound_conic_rejected_below_viable():

@@ -1,8 +1,11 @@
 """Koszul differentials, cycle/boundary bases, strand determinants."""
 
 import dataclasses
+import functools
 import itertools
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,13 +13,17 @@ from implicax import pipeline, strands
 from implicax.arith import (
     GF,
     QQ,
+    Poly,
+    Ring,
     gcd_many,
     make_parameterization,
+    multivariate_gcd,
     unit_multiple_of,
 )
 from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError
 from implicax.geometry import analyze_parameterization
 from implicax.linalg import PolyMatrix, det_fraction_free, scalar_rank
+from implicax.problems import load_problem
 from implicax.strands import (
     boundary_basis,
     check_rank_profile,
@@ -27,6 +34,8 @@ from implicax.strands import (
     z_strand,
 )
 from helpers import dense_quadric, polys_to_vector
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 CONIC = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
 CONIC_FAT = make_parameterization(QQ, ["X1", "X2"], ["X1^3", "X1^2*X2", "X1*X2^2"])
@@ -458,9 +467,9 @@ def test_gcd_minors_divisibility_skips_gcds(monkeypatch):
     calls = []
     gcd_pair = strands._gcd_pair
 
-    def counted(a, b, seed):
+    def counted(a, b, degree, seed):
         calls.append(seed)
-        return gcd_pair(a, b, seed)
+        return gcd_pair(a, b, degree, seed)
 
     monkeypatch.setattr(strands, "_gcd_pair", counted)
     st = z_strand(QUADRIC, 2)
@@ -468,3 +477,120 @@ def test_gcd_minors_divisibility_skips_gcds(monkeypatch):
     g = gcd_of_maximal_minors(st, analyze_parameterization(QUADRIC).predicted_degree, seed=5)
     assert unit_multiple_of(g, QUADRIC.ring.poly("T1+T2+T3-T4") ** 4)
     assert len(calls) <= 3
+
+
+# ---------------------------------------------------------------------------
+# the kernel step of the minors fold
+
+PAIR_FIELDS = ("qq", "qq_fraction", "gf65521")
+PAIR_CASES = ("coprime", "shared", "monomial", "common_monomial")
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_pair(kind, case):
+    """(a, b, gcd(a, b)) for seeded forms a = M_a*g*k1, b = M_b*g*k2 in T1..T4.
+
+    "coprime": random cofactors; "shared": k1 and k2 share a quadric factor;
+    "monomial": a carries T1^6 and b none; "common_monomial": a carries
+    T1^3*T2 and b T1*T2^2.  The gcd is `multivariate_gcd`'s.
+    """
+    field = GF(65521) if kind == "gf65521" else QQ
+    ring = Ring(field, ["X1", "X2", "X3"], ["T1", "T2", "T3", "T4"])
+    rng = random.Random("%s:%s" % (kind, case))
+
+    def form(deg, nterms):
+        monos = ring.monomials_of_degree(deg, ring.nx, ring.nv)
+        while True:
+            terms = {}
+            for m in rng.sample(monos, min(nterms, len(monos))):
+                c = rng.randint(-9, 9)
+                terms[m] = Fraction(c, rng.randint(1, 4)) if kind == "qq_fraction" else c
+            terms = field.reduce_terms(terms)
+            if terms:
+                return Poly(ring, terms)
+
+    g = form(3, 5)
+    k1, k2 = form(2, 6), form(3, 6)
+    if case == "shared":
+        h = form(2, 4)
+        k1, k2 = h * k1, h * k2
+    a, b = g * k1, g * k2
+    if case == "monomial":
+        a = a * ring.poly("T1^6")
+    elif case == "common_monomial":
+        a, b = a * ring.poly("T1^3*T2"), b * ring.poly("T1*T2^2")
+    return a, b, multivariate_gcd(a, b)
+
+
+def slow_routes_raise(monkeypatch):
+    def slow(*args, **kwargs):
+        raise AssertionError("a gcd went to the slow route")
+
+    monkeypatch.setattr(strands, "gcd_homogeneous_by_lines", slow)
+    monkeypatch.setattr(strands, "multivariate_gcd", slow)
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+@pytest.mark.parametrize("kind", PAIR_FIELDS)
+def test_gcd_pair_at_the_true_degree_reads_the_kernel(kind, case, monkeypatch):
+    a, b, full = seeded_pair(kind, case)
+    slow_routes_raise(monkeypatch)
+    g = strands._gcd_pair(a, b, full.total_degree(), seed=1)
+    assert unit_multiple_of(g, full)
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+@pytest.mark.parametrize("kind", PAIR_FIELDS)
+def test_gcd_pair_above_the_true_degree_raises(kind, case):
+    a, b, full = seeded_pair(kind, case)
+    degree = full.total_degree() + 1
+    with pytest.raises(ConsistencyError, match="below the predicted degree %d" % degree):
+        strands._gcd_pair(a, b, degree, seed=1)
+
+
+@pytest.mark.parametrize("below", [1, 2])
+@pytest.mark.parametrize("case", PAIR_CASES)
+@pytest.mark.parametrize("kind", PAIR_FIELDS)
+def test_gcd_pair_below_the_true_degree_reads_the_degree_off_the_kernel(
+    kind, case, below, monkeypatch
+):
+    a, b, full = seeded_pair(kind, case)
+    slow_routes_raise(monkeypatch)
+    g = strands._gcd_pair(a, b, full.total_degree() - below, seed=1)
+    assert unit_multiple_of(g, full)
+
+
+@pytest.mark.parametrize("kind", PAIR_FIELDS)
+def test_gcd_pair_with_a_monomial_factor_above_the_target_reads_the_kernel(kind, monkeypatch):
+    # the common T1^5 is above the target 4: the rest is read off at degree 0
+    a, b, _ = seeded_pair(kind, "coprime")
+    t1 = a.ring.poly("T1^5")
+    expected = multivariate_gcd(a * t1, b * t1)
+    slow_routes_raise(monkeypatch)
+    g = strands._gcd_pair(a * t1, b * t1, 4, seed=1)
+    assert unit_multiple_of(g, expected)
+
+
+@pytest.mark.parametrize(
+    "name", ["dense_quadric_qq", "dense_quadric_gf", "surface_quadric", "surface_cubic"]
+)
+def test_gcd_minors_takes_every_gcd_from_the_kernel(name, monkeypatch):
+    if name.startswith("dense_quadric"):
+        param = dense_quadric(GF(65521) if name.endswith("gf") else QQ, 7)
+    else:
+        param = load_problem(PROBLEMS / (name + ".txt")).parameterization()
+    report = analyze_parameterization(param)
+    st = z_strand(param, report.nu0)
+    expected = complex_determinant(st).value
+    calls = []
+    gcd_pair = strands._gcd_pair
+
+    def counted(*args):
+        calls.append(args)
+        return gcd_pair(*args)
+
+    monkeypatch.setattr(strands, "_gcd_pair", counted)
+    slow_routes_raise(monkeypatch)
+    g = gcd_of_maximal_minors(st, report.predicted_degree)
+    assert calls  # the fold took at least one gcd, so the pin bites
+    assert unit_multiple_of(g, expected)

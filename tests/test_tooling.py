@@ -100,6 +100,7 @@ def test_source_names_have_callers():
     # assignment or a dataclass field that shares a dead member's name does
     # not hide it.  A name that only the tests use belongs in the tests
     allowed = {"make_parameterization", "saturation_piece"}  # public, and called only by users
+    allowed.add("gcd_homogeneous_by_lines")  # kept for bench/tracer.py until the trace moves into the package
     defs, attrs, names, stores = [], [], [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
