@@ -9,9 +9,9 @@ only the rows that hold its column, which takes and returns dense rows; a
 PolyMatrix is reduced at a random point of T, where its value is a
 combination of the parts' rows.  Determinants have one elimination
 loop, `_det_scalar` (fraction-free Bareiss elimination; Gaussian mod p), and
-`det_fraction_free` feeds it by the ring: with at most three T variables
-(plane curves) the integer matrices at the points of a grid, whose values
-are interpolated (`_det_on_grid`); with more (surfaces) the entries as
+`det_fraction_free` feeds it by the matrix's density: when at least half of
+the entries are nonzero, the integer matrices at the points of a grid, whose
+values are interpolated (`_det_on_grid`); otherwise the entries as
 polynomials, whose products and exact quotients are Poly's (`_det_bareiss`).
 Over QQ both first make every row a primitive integer row
 (`_integer_parts`) and restore the product of the scales at the end, so
@@ -308,19 +308,22 @@ def _integer_parts(m):
 def det_fraction_free(m):
     """Exact determinant of a square PolyMatrix.
 
-    The one elimination loop, `_det_scalar`, is fed in one of two ways.
-    When the ring has at most three T variables (plane-curve maps: strand
-    maps and their minors, Sylvester matrices, Kravitsky pencils), it takes
-    the integer matrices at the points of a grid and the determinant is
-    interpolated from their values (`_det_on_grid`).  Otherwise, and over
-    GF(p) when a degree bound reaches p, it takes the entries as polynomials
-    (`_det_bareiss`).  Both give the same polynomial: over QQ each undoes
-    its row scaling, so the result is exact, not up to a unit.
+    The one elimination loop, `_det_scalar`, is fed in one of two ways,
+    chosen by the share of nonzero entries, for any number of T's.  When at
+    least half of the n^2 entries are nonzero (curve matrices, dense surface
+    pencils and their sign recombinations), it takes the integer matrices at
+    the points of a grid and the determinant is interpolated from their
+    values (`_det_on_grid`).  Otherwise (sparse strand minors, on which
+    symbolic elimination fills in little), and over GF(p) when a degree
+    bound reaches p, it takes the entries as polynomials (`_det_bareiss`).
+    Both give the same polynomial: over QQ each undoes its row scaling, so
+    the result is exact, not up to a unit.
     """
     if m.rows != m.cols:
         raise LinalgError("determinant of non-square matrix")
-    ring = m.ring
-    if ring.nv - ring.nx <= _GRID_MAX_T:
+    n = m.rows
+    nonzero = sum(sum(map(any, zip(*[P[i] for P in m.parts]))) for i in range(n))
+    if 2 * nonzero >= n * n:
         det = _det_on_grid(m)
         if det is not None:
             return det
@@ -343,9 +346,6 @@ def _det_bareiss(m):
 
 # ---------------------------------------------------------------------------
 # determinants by evaluation and interpolation
-
-_GRID_MAX_T = 3  # the grid engine takes rings with at most this many T's
-
 
 def _det_on_grid(m):
     """Determinant of a square PolyMatrix by evaluation and interpolation

@@ -244,27 +244,38 @@ def _composes_to_zero(a, b, field):
     With T_0 = 1, the coefficient of T_s*T_t in the product is
     A_s*B_t + A_t*B_s for s < t and A_s*B_s for s = t; each must vanish.  A
     row of the product is summed over the nonzero entries of a's row only.
+    Over QQ each row of a, and b as a whole, is scaled by the lcm of its
+    denominators; that does not change whether the product is zero, and the
+    sums then run in integers.
     """
     b_rows = [[(t, B[c]) for t, B in enumerate(b.parts) if any(B[c])] for c in range(b.rows)]
+    if not field.char and (den := _denominators([vec for vecs in b_rows for _, vec in vecs])) > 1:
+        b_rows = [[(t, [_times(x, den) for x in vec]) for t, vec in vecs] for vecs in b_rows]
     for r in range(a.rows):
+        entries = [(s, c, x) for s, A in enumerate(a.parts) for c, x in enumerate(A[r]) if x]
+        if not field.char and (den := _denominators([[x for _, _, x in entries]])) > 1:
+            entries = [(s, c, _times(x, den)) for s, c, x in entries]
         coeffs = {}
-        for s, A in enumerate(a.parts):
-            for c, x in enumerate(A[r]):
-                if not x:
-                    continue
-                for t, row in b_rows[c]:
-                    key = (s, t) if s <= t else (t, s)
-                    acc = coeffs.get(key)
-                    if acc is None:
-                        coeffs[key] = [x * y for y in row]
-                    else:
-                        coeffs[key] = [u + x * y for u, y in zip(acc, row)]
+        for s, c, x in entries:
+            for t, row in b_rows[c]:
+                key = (s, t) if s <= t else (t, s)
+                acc = coeffs.get(key)
+                if acc is None:
+                    coeffs[key] = [x * y for y in row]
+                else:
+                    coeffs[key] = [u + x * y for u, y in zip(acc, row)]
         if not all(field.is_zero(u) for acc in coeffs.values() for u in acc):
             return False
     return True
 
 
 def _combination_matches(vectors, xs, target, field):
+    """Whether sum_r xs[r] * vectors[r] equals target.  Over QQ the vectors
+    and target are integer and xs is scaled by the lcm of its denominators,
+    so the sums run in integers."""
+    if not field.char and (den := _denominators([xs])) > 1:
+        xs = [_times(x, den) for x in xs]
+        target = [b * den for b in target]
     acc = [0] * len(target)
     for x, v in zip(xs, vectors):
         if x:
@@ -272,6 +283,18 @@ def _combination_matches(vectors, xs, target, field):
                 if c:
                     acc[k] += x * c
     return all(field.is_zero(a - b) for a, b in zip(acc, target))
+
+
+def _denominators(vectors):
+    """The lcm of the denominators of the vectors' entries."""
+    return math.lcm(
+        *[x.denominator for v in vectors if not all(map(int.__instancecheck__, v)) for x in v]
+    )
+
+
+def _times(x, den):
+    """x * den as an int, for den a multiple of x's denominator."""
+    return x.numerator * (den // x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +468,12 @@ def _gcd_pair(a, b, degree, seed):
     - larger when deg h > D: the dimension names deg h, where the kernel
       is taken again.
 
-    The kernel is first taken on a row sample (`_cofactors`).  A sample
-    kernel of dimension 1 holds the true one, so a failed division means
-    dimension 0; a larger one is redone on every row.
+    The kernel is first taken on a row sample (`_cofactors`), whose kernel
+    holds the full one.  So a sample kernel of dimension 1 holds the true
+    vector, and a failed division means dimension 0.  A larger one names a
+    degree D + e >= deg h, where a second sample is taken: a kernel of
+    dimension 1 there whose divisions pass gives a common divisor of degree
+    D + e, so deg h = D + e, a proof.  Anything else is redone on every row.
     """
     ring = a.ring
     ma, mb = monomial_content(a), monomial_content(b)
@@ -455,28 +481,41 @@ def _gcd_pair(a, b, degree, seed):
     target = max(degree - mono.total_degree(), 0)
     a1 = a // Poly(ring, {ma: 1})
     b1 = b // Poly(ring, {mb: 1})
-    kernel = _cofactors(a1, b1, target, random.Random("%s:cofactors" % (seed,)))
+    k = ring.nv - ring.nx
+    top = min(a1.total_degree(), b1.total_degree()) - target
+    sizes = [math.comb(e + k - 1, k - 1) for e in range(top + 1)]
+    rng = random.Random("%s:cofactors" % (seed,))
+    kernel = _cofactors(a1, b1, target, rng)
+    if len(kernel) > 1 and len(kernel) in sizes:
+        g = _divisor(a1, b1, _cofactors(a1, b1, target + sizes.index(len(kernel)), rng))
+        if g is not None:
+            return normalize(g * mono)
     if len(kernel) > 1:
         kernel = _cofactors(a1, b1, target)
     if len(kernel) > 1:
-        k = ring.nv - ring.nx
-        top = min(a1.total_degree(), b1.total_degree()) - target
-        sizes = [math.comb(e + k - 1, k - 1) for e in range(top + 1)]
         if len(kernel) not in sizes:
             raise ConsistencyError("a cofactor kernel of dimension %d names no degree" % len(kernel))
         kernel = _cofactors(a1, b1, target + sizes.index(len(kernel)))
-    below = ConsistencyError(
-        "two minors of degrees %d and %d have a gcd of degree below the "
-        "predicted degree %d" % (a.total_degree(), b.total_degree(), degree)
-    )
-    if not kernel:
-        raise below
-    try:
-        g = a1 // kernel[0]
-        b1 // g
-    except NotDivisibleError:
-        raise below from None
+    g = _divisor(a1, b1, kernel)
+    if g is None:
+        raise ConsistencyError(
+            "two minors of degrees %d and %d have a gcd of degree below the "
+            "predicted degree %d" % (a.total_degree(), b.total_degree(), degree)
+        )
     return normalize(g * mono)
+
+
+def _divisor(a, b, kernel):
+    """a // v for the one vector v of a cofactor kernel, when that division
+    and b's by the quotient are exact; otherwise None."""
+    if len(kernel) != 1:
+        return None
+    try:
+        g = a // kernel[0]
+        b // g
+    except NotDivisibleError:
+        return None
+    return g
 
 
 def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):

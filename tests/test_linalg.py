@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from implicax import linalg
-from implicax.arith import GF, QQ, Poly, Ring
+from implicax.arith import GF, QQ, Poly, Ring, normalize
 from implicax.errors import ConsistencyError, HypothesisViolation
 from implicax.linalg import (
     LinalgError,
@@ -22,11 +22,20 @@ from implicax.linalg import (
     rref_kernel_data,
     scalar_rank,
 )
-from implicax.problems import load_problem
-from implicax.strands import ZStrand, _minor_chain, koszul_differential_matrix
+from implicax.geometry import analyze_parameterization
+from implicax.problems import load_problem, parse_problem
+from implicax.strands import (
+    ZStrand,
+    _minor_chain,
+    complex_determinant,
+    gcd_of_maximal_minors,
+    koszul_differential_matrix,
+    z_strand,
+)
 from helpers import dense_rref
 
 T_RING = Ring(QQ, [], ["T1", "T2", "T3", "T4"])
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def pm(rows, ring=T_RING):
@@ -480,7 +489,7 @@ def test_bareiss_integer_guard_raises(monkeypatch):
     assert linalg._det_bareiss(m) == cofactor_det(m)
     monkeypatch.setattr(linalg, "_integer_parts", lambda m: (1, m.parts))
     with pytest.raises(LinalgError):
-        det_fraction_free(m)
+        linalg._det_bareiss(m)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +599,90 @@ def test_grid_engine_equals_bareiss_on_constant_and_one_by_one(field):
         assert linalg._det_on_grid(m) == linalg._det_bareiss(m) == det_fraction_free(m) == m.data[0][0]
 
 
+SURFACE_KINDS = [(QQ, False), (QQ, True), (GF(65521), False)]
+SURFACE_IDS = ["QQ-int", "QQ-fraction", "GF"]
+
+
+def nonzero_entries(m):
+    return sum(1 for row in m.data for e in row if e)
+
+
+@pytest.mark.parametrize("field, fractions", SURFACE_KINDS, ids=SURFACE_IDS)
+def test_grid_engine_equals_bareiss_on_surface_linear_forms(field, fractions):
+    # 4 T's: dense linear-form matrices (homogeneous, then affine) and
+    # sparse ones, about a third of the entries on a permutation pattern
+    # plus random cells, of order 1 .. 7
+    rng = random.Random(2006)
+    ring = Ring(field, ["X1", "X2", "X3"], ["T1", "T2", "T3", "T4"])
+    for n in range(1, 8):
+        for trial in range(3):
+            m = linear_form_matrix(ring, n, rng, fractions, affine=trial == 1)
+            if trial == 2:
+                perm = rng.sample(range(n), n)
+                cells = {(i, perm[i]) for i in range(n)} | set(
+                    rng.sample([(i, j) for i in range(n) for j in range(n)], n * n // 4)
+                )
+                m = PolyMatrix(ring, [
+                    [e if (i, j) in cells else ring.zero for j, e in enumerate(row)]
+                    for i, row in enumerate(m.data)
+                ])
+            grid = linalg._det_on_grid(m)
+            assert grid is not None
+            assert grid.terms == linalg._det_bareiss(m).terms
+            assert det_fraction_free(m) == grid
+
+
+@pytest.mark.parametrize("field, fractions", SURFACE_KINDS, ids=SURFACE_IDS)
+@pytest.mark.parametrize("name", ["surface_quadric", "surface_cubic", "surface_lci"])
+def test_grid_engine_equals_bareiss_on_sign_recombinations(name, field, fractions):
+    # the gcd-minors fold's m*S, S a seeded sign matrix, from the rightmost
+    # map of each shipped surface; with `fractions`, S's columns are scaled
+    # by 1/2 .. 1/5 so the entries carry denominators.  Every one is dense
+    text = (PROBLEMS / (name + ".txt")).read_text()
+    param = parse_problem(text.replace("field: QQ", "field: %s" % field.name)).parameterization()
+    m = z_strand(param, analyze_parameterization(param).nu0).maps[0]
+    rng = random.Random(name)
+    z0, z1 = m.rows, m.cols
+    signs = [[rng.choice((-1, 1)) for _ in range(z1)] for _ in range(z0)]
+    if fractions:
+        signs = [[Fraction(s, rng.randint(2, 5)) for s in col] for col in signs]
+    canon = field.canon
+    parts = [
+        [[canon(sum(a * s for a, s in zip(row, col))) for col in signs] for row in part]
+        for part in m.parts
+    ]
+    r = PolyMatrix.from_parts(m.ring, parts, z0)
+    assert 2 * nonzero_entries(r) >= z0 * z0
+    grid = linalg._det_on_grid(r)
+    assert grid.terms
+    assert grid.terms == linalg._det_bareiss(r).terms
+    assert det_fraction_free(r) == grid
+
+
+def test_gcd_minors_on_the_cubic_surface_sends_no_dense_matrix_to_bareiss(monkeypatch):
+    param = load_problem(PROBLEMS / "surface_cubic.txt").parameterization()
+    report = analyze_parameterization(param)
+    st = z_strand(param, report.nu0)
+    expected = complex_determinant(st).value
+    calls = {"grid": 0, "bareiss": []}
+    bareiss, grid = linalg._det_bareiss, linalg._det_on_grid
+
+    def on_grid(m):
+        calls["grid"] += 1
+        return grid(m)
+
+    def by_bareiss(m):
+        calls["bareiss"].append((nonzero_entries(m), m.rows))
+        return bareiss(m)
+
+    monkeypatch.setattr(linalg, "_det_on_grid", on_grid)
+    monkeypatch.setattr(linalg, "_det_bareiss", by_bareiss)
+    g = gcd_of_maximal_minors(st, report.predicted_degree)
+    assert g.terms == normalize(expected).terms
+    assert calls["grid"]  # the fold's sign recombinations
+    assert all(2 * nz < n * n for nz, n in calls["bareiss"])
+
+
 @pytest.mark.parametrize("p", [3, 7])
 def test_grid_engine_falls_back_when_a_degree_bound_reaches_p(p):
     ring = Ring(GF(p), [], ["T1", "T2"])
@@ -605,19 +698,27 @@ def test_grid_engine_falls_back_when_a_degree_bound_reaches_p(p):
     assert linalg._det_on_grid(small).terms == linalg._det_bareiss(small).terms
 
 
-def test_engine_dispatch_counts_the_rings_t_variables(monkeypatch):
-    plane = Ring(QQ, ["X1", "X2"], ["T1", "T2", "T3"])
-    curve = pm([["T1", "T2"], ["T3", "T1 + T2"]], plane)
-    surface = pm([["T1", "T2"], ["T3", "T4"]])
+@pytest.mark.parametrize("k", [3, 4], ids=["3T", "4T"])
+def test_engine_dispatch_follows_the_entry_density(monkeypatch, k):
+    # at least half of the entries nonzero: the grid, for any number of T's;
+    # fewer: Bareiss.  Each time the other engine refuses
+    ring = Ring(QQ, [], ["T%d" % i for i in range(1, k + 1)])
+    t = "T%d" % k
+    dense = pm([["T1", "T2", t], [t, "T1 + T2", 0], [1, 0, "T2 - " + t]], ring)  # 7 of 9
+    half = pm([["T1", 0], [t, 0]], ring)  # 2 of 4
+    diagonal = pm([["T1", 0, 0], [0, "T2", 0], [0, 0, t]], ring)  # 3 of 9
+    sparse = pm([["T1", "T2", 0], [0, 0, t], [0, "T1 + 1", 0]], ring)  # 4 of 9
 
     def refuse(m):
         raise AssertionError("wrong engine")
 
-    monkeypatch.setattr(linalg, "_det_on_grid", refuse)
-    assert det_fraction_free(surface) == T_RING.poly("T1*T4 - T2*T3")
-    monkeypatch.undo()
     monkeypatch.setattr(linalg, "_det_bareiss", refuse)
-    assert det_fraction_free(curve) == plane.poly("T1^2 + T1*T2 - T2*T3")
+    assert det_fraction_free(dense) == cofactor_det(dense)
+    assert det_fraction_free(half) == ring.zero
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_det_on_grid", refuse)
+    assert det_fraction_free(diagonal) == ring.poly("T1*T2*" + t)
+    assert det_fraction_free(sparse) == cofactor_det(sparse)
 
 
 def test_grid_engine_declines_entries_with_x_variables():

@@ -205,6 +205,25 @@ def test_strand_check_rejects_maps_that_do_not_compose_to_zero(monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
+def test_strand_check_rejects_a_contraction_that_leaves_the_cycle_space(monkeypatch, field):
+    # one T-contraction coordinate moved by 1: the image is no longer the
+    # combination of the cycle basis read off its free coordinates, and
+    # z_strand refuses the strand
+    param = make_parameterization(field, ["X1", "X2", "X3"], ["X1^2", "X2^2", "X3^2", "X1^2+X2^2+X3^2"])
+    z_strand(param, 2)
+    components = strands._dT_components
+
+    def perturbed(*args):
+        comps = components(*args)
+        comps[0][0] += 1
+        return comps
+
+    monkeypatch.setattr(strands, "_dT_components", perturbed)
+    with pytest.raises(ImplicaxError, match="strand grading error"):
+        z_strand(param, 2)
+
+
 def test_strand_over_prime_field():
     conic_p = make_parameterization(GF(65521), ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
     st = z_strand(conic_p, 1)
