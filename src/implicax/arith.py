@@ -112,12 +112,6 @@ class RationalField:
     def random(self, rng, lo=-9, hi=9):
         return rng.randint(lo, hi)
 
-    def random_nonzero(self, rng, lo=-9, hi=9):
-        while True:
-            c = rng.randint(lo, hi)
-            if c:
-                return c
-
     def nth_root(self, c, e):
         """Exact e-th root of c, or None."""
         fr = Fraction(c)
@@ -212,9 +206,6 @@ class PrimeField:
 
     def random(self, rng, lo=None, hi=None):
         return rng.randrange(self.p)
-
-    def random_nonzero(self, rng, lo=None, hi=None):
-        return rng.randrange(1, self.p)
 
     def __repr__(self):
         return self.name
@@ -926,7 +917,10 @@ def multivariate_gcd(a, b):
     """gcd via content/primitive-part recursion + subresultant remainders.
 
     Result is normalized (primitive, positive leading coefficient over QQ;
-    monic over GF(p)).
+    monic over GF(p)).  Its callers are the `content_gcd` of the base-point
+    analysis (through `gcd_many`) and the resultant route's common-factor
+    check; the gcd-minors fold never calls it, since `strands._gcd_pair`
+    reads each of its gcds off a cofactor kernel.
     """
     _check_same_ring(a, b)
     ring = a.ring
@@ -1087,262 +1081,6 @@ def perfect_power_decompose(p):
         if H is not None and H**e == q:
             return normalize(H), e
     return q, 1
-
-
-# ---------------------------------------------------------------------------
-# gcd of large homogeneous polynomials by line evaluation
-#
-# Subresultant remainders swell badly on dense inputs of degree ~15 in four
-# variables.  For homogeneous a, b we instead read off deg(gcd) from
-# univariate gcds along random affine lines, reconstruct the dehomogenized
-# gcd coefficients from a small linear system, and verify by exact division.
-# The division check makes the result a true common divisor; maximality holds
-# unless every sampled line was degenerate, and the caller re-verifies against
-# independent data anyway.
-
-
-def _uni_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _uni_gcd_monic(a, b, field):
-    """Monic univariate gcd of coefficient lists over the field."""
-
-    def trim(v):
-        while v and field.is_zero(v[-1]):
-            v.pop()
-        return v
-
-    canon = field.canon
-    a = trim([canon(x) for x in a])
-    b = trim([canon(x) for x in b])
-    while b:
-        # a mod b
-        inv = field.invert(b[-1])
-        r = list(a)
-        for k in range(len(r) - 1, len(b) - 2, -1):
-            c = r[k]
-            if field.is_zero(c):
-                continue
-            f = canon(c * inv)
-            for j in range(len(b)):
-                r[k - len(b) + 1 + j] -= f * b[j]
-            r = [canon(x) for x in r]
-            r[k] = 0
-        a, b = b, trim(r)
-    if not a:
-        return []
-    inv = field.invert(a[-1])
-    return [canon(x * inv) for x in a]
-
-
-_RECON_PRIME = (1 << 62) - 57  # prime; modulus of kernel lifts and of QQ specializations
-
-
-def _rat_recon(a, q):
-    """Balanced rational reconstruction of a mod q; None when out of range."""
-    a %= q
-    bound = math.isqrt(q // 2)
-    r0, r1 = q, a
-    s0, s1 = 0, 1
-    while r1 > bound:
-        qt = r0 // r1
-        r0, r1 = r1, r0 - qt * r1
-        s0, s1 = s1, s0 - qt * s1
-    if s1 == 0 or abs(s1) > bound or math.gcd(r1, abs(s1)) != 1:
-        return None
-    return Fraction(r1, s1) if s1 > 0 else Fraction(-r1, -s1)
-
-
-def _kernel_vector_modular(rows, width):
-    """One QQ-kernel vector of an integer matrix via a big prime + lifting.
-
-    Returns a primitive integer vector, or None when the modular image is
-    degenerate (caller falls back to the exact solve).
-    """
-    from .linalg import _kernel, _primitive
-
-    q = _RECON_PRIME
-    _, basis, _ = _kernel(q, rows, width)
-    if len(basis) != 1:
-        return None
-    fracs = [_rat_recon(x, q) for x in basis[0]]
-    if None in fracs:
-        return None
-    den = math.lcm(*[fr.denominator for fr in fracs])
-    return _primitive([int(fr * den) for fr in fracs])
-
-
-def _line_powers_cache(field, alpha, beta, maxdeg):
-    """Dense lists for (alpha*t + beta)^e, e = 0..maxdeg."""
-    out = [[1]]
-    base = [beta, alpha]
-    for _ in range(maxdeg):
-        nxt = _uni_mul(out[-1], base)
-        if field.char:
-            nxt = [x % field.char for x in nxt]
-        out.append(nxt)
-    return out
-
-
-def _eval_on_line(p, affine_vars, hvar, caches, field):
-    """Coefficient list of p(L(t)) with hvar set to 1 and var i -> line i."""
-    ring = p.ring
-    deg = p.total_degree()
-    out = [0] * (deg + 1)
-    for m, c in p.terms.items():
-        exps = ring.unpack(m)
-        term = [c]
-        for pos, v in enumerate(affine_vars):
-            e = exps[v]
-            if e:
-                term = _uni_mul(term, caches[pos][e])
-        for i, x in enumerate(term):
-            out[i] += x
-    if field.char:
-        out = [x % field.char for x in out]
-    return out
-
-
-def _line_image(a, b, affine, hvar, rng):
-    """Images of a and b on a random affine line, and their monic gcd.
-
-    Returns (powers of the line's coordinates, gcd coefficient list), or None
-    when either image drops degree on the line.
-    """
-    field = a.ring.field
-    if field.char:
-        al = [field.random_nonzero(rng) for _ in affine]
-    else:
-        al = [rng.randint(-9, 9) or 1 for _ in affine]
-    be = [field.random(rng) for _ in affine]
-    maxdeg = max(a.total_degree(), b.total_degree())
-    caches = [_line_powers_cache(field, x, y, maxdeg) for x, y in zip(al, be)]
-    ia = _eval_on_line(a, affine, hvar, caches, field)
-    ib = _eval_on_line(b, affine, hvar, caches, field)
-    if not ia[-1] or not ib[-1]:
-        return None
-    g = _uni_gcd_monic(ia, ib, field)
-    return (caches, g) if g else None
-
-
-def gcd_homogeneous_by_lines(a, b, seed=20020101):
-    """gcd of two homogeneous polynomials, reconstructed from line images.
-
-    Falls back to the subresultant route when reconstruction fails.  Result
-    normalized like multivariate_gcd.
-    """
-    import random as _random
-
-    _check_same_ring(a, b)
-    ring = a.ring
-    field = ring.field
-    if not a.terms or not b.terms:
-        return multivariate_gcd(a, b)
-    if a.homogeneous_degree() is None or b.homogeneous_degree() is None:
-        return multivariate_gcd(a, b)
-    mono = ring.mono_gcd(monomial_content(a), monomial_content(b))
-    a0 = exact_divide(a, Poly(ring, {monomial_content(a): 1}), verify=False)
-    b0 = exact_divide(b, Poly(ring, {monomial_content(b): 1}), verify=False)
-    allvars = sorted(set(a0.variables()) | set(b0.variables()))
-    if len(allvars) <= 2:
-        g = _gcd_primitive(a0, b0)
-        return normalize(g * Poly(ring, {mono: 1}))
-    hvar = allvars[-1]
-    affine = [v for v in allvars if v != hvar]
-    rng = _random.Random(seed)
-    for attempt in range(4):
-        lines = []
-        want = 6 + 2 * attempt
-        guard = 0
-        while len(lines) < want and guard < 80:
-            guard += 1
-            line = _line_image(a0, b0, affine, hvar, rng)
-            if line is not None:
-                lines.append(line)
-        if not lines:
-            continue
-        delta = min(len(g) - 1 for _, g in lines)
-        if delta == 0:
-            return normalize(Poly(ring, {mono: 1}))
-        keep = [line for line in lines if len(line[1]) - 1 == delta]
-        # unknown dehomogenized coefficients: monomials of degree <= delta in
-        # the affine variables
-        unknown_monos = []
-        for dd in range(delta + 1):
-            unknown_monos.extend(ring.monomials_of_degree(dd, 0, ring.nv))
-        unknown_monos = [
-            m
-            for m in unknown_monos
-            if all(e == 0 or i in affine for i, e in enumerate(ring.unpack(m)))
-            and ring.mono_total_deg(m) <= delta
-        ]
-        # need enough equations: each kept line supplies delta of them
-        needed = len(unknown_monos) + 2
-        while len(keep) * delta < needed and len(lines) < 60:
-            line = _line_image(a0, b0, affine, hvar, rng)
-            if line is None or len(line[1]) - 1 > delta:
-                continue
-            if len(line[1]) - 1 < delta:
-                keep = []  # every kept image had a spurious factor
-                break
-            lines.append(line)
-            keep.append(line)
-        if len(keep) * delta < len(unknown_monos):
-            continue
-        rows = []
-        for caches, u in keep:
-            # column c of "g composed with the line": [t^k] prod (a t + b)^mu
-            col_polys = []
-            for mu in unknown_monos:
-                exps = ring.unpack(mu)
-                term = [1]
-                for pos, v in enumerate(affine):
-                    if exps[v]:
-                        term = _uni_mul(term, caches[pos][exps[v]])
-                if field.char:
-                    term = [x % field.char for x in term]
-                term += [0] * (delta + 1 - len(term))
-                col_polys.append(term)
-            for k in range(delta):
-                uk = u[k]
-                row = []
-                for cp in col_polys:
-                    val = cp[k] - uk * cp[delta]
-                    row.append(val % field.char if field.char else val)
-                rows.append(row)
-        vec = None
-        if not field.char:
-            vec = _kernel_vector_modular(rows, len(unknown_monos))
-        if vec is None:
-            from .linalg import ScalarMatrix, rank_and_kernel
-
-            rank, kernel = rank_and_kernel(ScalarMatrix(field, rows, len(unknown_monos)))
-            if len(kernel) != 1:
-                continue
-            vec = kernel[0]
-        terms = {}
-        for mu, c in zip(unknown_monos, vec):
-            if c:
-                exps = list(ring.unpack(mu))
-                exps[hvar] = delta - sum(exps)
-                terms[ring.pack(tuple(exps))] = c
-        cand = Poly(ring, field.reduce_terms(terms))
-        if not cand.terms:
-            continue
-        try:
-            exact_divide(a0, cand, verify=False)
-            exact_divide(b0, cand, verify=False)
-        except NotDivisibleError:
-            continue
-        return normalize(cand * Poly(ring, {mono: 1}))
-    return multivariate_gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-from .arith import _RECON_PRIME, ArithError, Poly, rational_content
+from .arith import ArithError, Poly, rational_content
 from .errors import ConsistencyError
 
 __all__ = [
@@ -512,6 +512,8 @@ def _interpolate(values, k, p):
 
 # ---------------------------------------------------------------------------
 # minor selection
+
+_RECON_PRIME = (1 << 62) - 57  # prime; over QQ, `_sampled_pivots` eliminates mod it
 
 
 def _sample_size(p):

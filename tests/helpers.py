@@ -22,6 +22,16 @@ def polys_to_vector(param, nu, polys):
     return vec
 
 
+def random_nonzero(field, rng):
+    """A seeded nonzero scalar: from -9 .. 9 over QQ, from 1 .. p-1 over GF(p)."""
+    if field.char:
+        return rng.randrange(1, field.char)
+    while True:
+        c = rng.randint(-9, 9)
+        if c:
+            return c
+
+
 def dense_quadric(field, seed):
     """Four dense quadrics in three variables, seeded coefficients 1..5."""
     rng = random.Random(seed)

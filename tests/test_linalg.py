@@ -13,6 +13,7 @@ from implicax import linalg
 from implicax.arith import GF, QQ, Poly, Ring, normalize
 from implicax.errors import ConsistencyError, HypothesisViolation
 from implicax.linalg import (
+    _RECON_PRIME,
     LinalgError,
     PolyMatrix,
     ScalarMatrix,
@@ -32,7 +33,7 @@ from implicax.strands import (
     koszul_differential_matrix,
     z_strand,
 )
-from helpers import dense_rref
+from helpers import dense_rref, random_nonzero
 
 T_RING = Ring(QQ, [], ["T1", "T2", "T3", "T4"])
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -161,7 +162,6 @@ def _random_matrix(rng, field, nrows, ncols, rank_cap, fractions):
 
 
 def test_elimination_core_matches_fraction_gauss():
-    from implicax.arith import _RECON_PRIME
     from implicax.geometry import _SpanReducer
 
     rng = random.Random(2002)
@@ -323,7 +323,7 @@ def test_det_matches_cofactor_randomized():
                             exps = [0, 0, 0]
                             exps[v] = 1
                             key = ring.pack(tuple(exps))
-                            terms[key] = terms.get(key, 0) + field.random_nonzero(rng)
+                            terms[key] = terms.get(key, 0) + random_nonzero(field, rng)
                         row.append(Poly(ring, field.reduce_terms(terms)))
                     data.append(row)
                 m = PolyMatrix(ring, data)
@@ -507,7 +507,7 @@ def linear_form_matrix(ring, n, rng, fractions=False, affine=False):
         for _ in range(n):
             e = ring.zero
             for nm in ([None] if affine else []) + rng.sample(t_names, rng.randint(0, len(t_names))):
-                c = field.random_nonzero(rng)
+                c = random_nonzero(field, rng)
                 if fractions and rng.random() < 0.4:
                     c = Fraction(c, rng.randint(2, 7))
                 e = e + (ring.const(c) if nm is None else ring.poly(nm) * c)
@@ -575,7 +575,7 @@ def test_grid_engine_equals_bareiss_on_resultant_matrices(field):
     ring = Ring(field, ["X1", "X2"], ["T1", "T2", "T3"])
     t1, t2 = ring.poly("T1"), ring.poly("T2")
     for d in (1, 2, 3, 4, 5):
-        fs = [[field.random_nonzero(rng) for _ in range(d + 1)] for _ in range(3)]
+        fs = [[random_nonzero(field, rng) for _ in range(d + 1)] for _ in range(3)]
         forms = [BinaryForm(ring, [ring.const(c) for c in f]) for f in fs]
         p = BinaryForm(ring, [ring.const(a) - t1 * c for a, c in zip(fs[0], fs[2])])
         q = BinaryForm(ring, [ring.const(b) - t2 * c for b, c in zip(fs[1], fs[2])])

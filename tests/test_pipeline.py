@@ -26,6 +26,9 @@ CONIC_FAT = make_parameterization(QQ, ["X1", "X2"], ["X1^3", "X1^2*X2", "X1*X2^2
 QUADRIC = make_parameterization(
     QQ, ["X1", "X2", "X3"], ["X1^2", "X2^2", "X3^2", "X1^2+X2^2+X3^2"]
 )
+CUBIC_SURF = make_parameterization(
+    QQ, ["X1", "X2", "X3"], ["X1^2*X2", "X2^2*X3", "X1*X3^2", "X1^3+X2^3+X3^3"]
+)
 LCI_SURF = make_parameterization(
     QQ,
     ["X1", "X2", "X3"],
@@ -264,18 +267,18 @@ def test_seed_independence():
 
 
 def test_permutation_invariance():
-    # permute (f1, f2, f3) -> (f2, f3, f1) and relabel T the same way
-    perm = make_parameterization(QQ, ["X1", "X2"], ["X1*X2", "X2^2", "X1^2"])
-    base = implicitize(CONIC)
-    res = implicitize(perm)
-    ring = perm.ring
-    relabel = {"T1": ring.poly("T2"), "T2": ring.poly("T3"), "T3": ring.poly("T1")}
-    assert unit_multiple_of(res.reduced.evaluate(relabel), base.reduced)
-
-
-CUBIC_SURF = make_parameterization(
-    QQ, ["X1", "X2", "X3"], ["X1^2*X2", "X2^2*X3", "X1*X3^2", "X1^3+X2^3+X3^3"]
-)
+    # permute (f1, .., fn) -> (f2, .., fn, f1) cyclically and relabel T the
+    # same way, Ti -> T(i+1) and Tn -> T1
+    for param in (CONIC, QUADRIC, CUBIC_SURF, LCI_SURF):
+        ring = param.ring
+        fs = [str(f) for f in param.polys]
+        perm = make_parameterization(QQ, ring.names[: ring.nx], fs[1:] + fs[:1])
+        base = implicitize(param)
+        res = implicitize(perm)
+        ts = param.t_names()
+        relabel = {t: ring.poly(u) for t, u in zip(ts, ts[1:] + ts[:1])}
+        assert unit_multiple_of(res.reduced.evaluate(relabel), base.reduced)
+        assert res.exponent == base.exponent
 
 
 def test_linear_change_of_coordinates_invariance():
@@ -328,12 +331,17 @@ def residues_mod(poly, ring):
     return Poly(ring, ring.field.reduce_terms(terms))
 
 
-@pytest.mark.parametrize("name", MAP_PROBLEMS)
+@pytest.mark.parametrize("name", MAP_PROBLEMS + ("dense_quadric_1", "dense_quadric_2", "dense_quadric_3"))
 def test_qq_answer_mod_p_is_the_gf_answer(name):
     p = 65521
-    problem = load_problem(PROBLEMS / (name + ".txt"))
-    over_qq = implicitize(problem.parameterization())
-    over_gf = implicitize(dataclasses.replace(problem, field_spec="GF(%d)" % p).parameterization())
+    if name.startswith("dense_quadric_"):
+        seed = int(name.rpartition("_")[2])
+        over_qq = implicitize(dense_quadric(QQ, seed))
+        over_gf = implicitize(dense_quadric(GF(p), seed))
+    else:
+        problem = load_problem(PROBLEMS / (name + ".txt"))
+        over_qq = implicitize(problem.parameterization())
+        over_gf = implicitize(dataclasses.replace(problem, field_spec="GF(%d)" % p).parameterization())
     assert unit_multiple_of(residues_mod(over_qq.reduced, over_gf.reduced.ring), over_gf.reduced)
     assert over_qq.exponent == over_gf.exponent
 

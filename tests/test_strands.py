@@ -542,6 +542,10 @@ def seeded_pair(kind, case):
 
 
 def slow_routes_raise(monkeypatch):
+    """Make the gcds that `strands` can still look up raise: the traced names
+    `multivariate_gcd` and `gcd_homogeneous_by_lines`, so a test fails if the
+    fold sends a pair to either instead of to the cofactor kernel."""
+
     def slow(*args, **kwargs):
         raise AssertionError("a gcd went to the slow route")
 

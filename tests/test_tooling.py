@@ -77,6 +77,22 @@ def test_imports_are_stdlib_only():
     assert not found, "non-stdlib imports in implicax: %s" % ", ".join(found)
 
 
+def test_no_imports_inside_functions():
+    # every import under src/implicax sits at module level, so the module
+    # headers show the whole import graph and no back edge between modules
+    # can hide in a function body
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(
+                    "%s:%d" % (path.name, sub.lineno)
+                    for sub in ast.walk(node)
+                    if isinstance(sub, (ast.Import, ast.ImportFrom))
+                )
+    assert not found, "imports inside functions in implicax: %s" % ", ".join(sorted(found))
+
+
 def test_report_keys_match_schema():
     # every diagnostic the report emits is declared in the schema, and every
     # declared one is emitted, so `--format json` and the schema cannot drift
@@ -100,7 +116,6 @@ def test_source_names_have_callers():
     # assignment or a dataclass field that shares a dead member's name does
     # not hide it.  A name that only the tests use belongs in the tests
     allowed = {"make_parameterization", "saturation_piece"}  # public, and called only by users
-    allowed.add("gcd_homogeneous_by_lines")  # kept for bench/tracer.py until the trace moves into the package
     defs, attrs, names, stores = [], [], [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
