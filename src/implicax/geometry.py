@@ -8,11 +8,17 @@ degreewise saturation, and the Koszul-syzygy comparison B_1 vs Z_1
 intersected with the (saturated) ideal times A^n.
 
 Each graded piece I_nu has one route, the echelon basis of `ideal_piece`;
-a Hilbert value is |A_nu| minus its size.  Saturation descends one chain
+a Hilbert value is |A_nu| minus its size, and above a full piece (I_(nu+1)
+contains A_1 * I_nu) every piece is full.  Saturation descends one chain
 from I_t, t = `_regularity_bound`: below t a piece holds the g with every
-x_i*g in the piece above.  Z_1 n J.A^n is the kernel of (g_j) -> sum g_j f_j
-on J^n, so its dimension is n * dim J minus one rank; an intersection basis
-is built only for the witness.
+x_i*g in the piece above, so below a full piece every piece is full.  Z_1 n
+J.A^n is the kernel of (g_j) -> sum g_j f_j on J^n, so its dimension is
+n * dim J minus one rank; an intersection basis is built only for the
+witness.  Where a proven fact fixes a dimension, no rank is taken: a full
+J_nu maps onto I_(nu+d); I_nu inside I^sat_nu of the same size is equal to
+it; and on an empty base locus with n <= nx + 1 the Koszul homology H_i
+vanishes for i >= 2 (Bruns-Herzog, Cohen-Macaulay Rings, Thm 1.6.17), so
+dim B_1 is an alternating sum of monomial counts.
 """
 
 from __future__ import annotations
@@ -145,30 +151,51 @@ def ideal_piece(param, nu):
     return _koszul_image(param, 1, nu)
 
 
+def _identity(size):
+    """The echelon basis of a full piece: the identity rows."""
+    return [[int(j == k) for j in range(size)] for k in range(size)]
+
+
 class _Pieces(dict):
-    """{nu: `ideal_piece(param, nu)`}, each built on first use, so that one
-    analysis builds each I_nu once."""
+    """{nu: echelon basis of I_nu}, each built on first use, so that one
+    analysis builds each I_nu once.  I_(nu+1) contains A_1 * I_nu, so above a
+    full piece every piece is full: it takes the identity rows, not the rows
+    of `ideal_piece`, whose signs may differ over QQ."""
 
     def __init__(self, param):
         super().__init__()
         self.param = param
 
     def __missing__(self, nu):
-        self[nu] = rows = ideal_piece(self.param, nu)
+        monos = self.param.ring.x_monomials
+        below = self.get(nu - 1)
+        if below and len(below) == len(monos(nu - 1)):
+            rows = _identity(len(monos(nu)))
+        else:
+            rows = ideal_piece(self.param, nu)
+        self[nu] = rows
         return rows
 
 
 def _saturation_pieces(param, low, high, ideal):
     """{nu: `saturation_piece(param, nu)`} from low to high, and on to t - 1;
-    `ideal` is the analysis's `_Pieces`."""
+    `ideal` is the analysis's `_Pieces`.
+
+    Below a full piece the piece is full, since every x_i * g lies in the
+    piece above: it takes the identity rows, the echelon basis of A_nu,
+    without a kernel.  On an empty base locus (I_t = A_t) that is every piece.
+    """
     ring = param.ring
     t = _regularity_bound(param)
     pieces = {}
     for nu in range(max(high, t - 1), low - 1, -1):
         above = ideal[nu + 1] if nu >= t - 1 else pieces[nu + 1]
+        monos = ring.x_monomials(nu)
+        if len(above) == len(ring.x_monomials(nu + 1)):
+            pieces[nu] = _identity(len(monos))
+            continue
         target = {m: k for k, m in enumerate(ring.x_monomials(nu + 1))}
         width = len(target)
-        monos = ring.x_monomials(nu)
         products = [[0] * (ring.nx * width) for _ in monos]  # per g in A_nu: blocks g*x_i
         for vec, g in zip(products, monos):
             for b, u in enumerate(ring.x_monomials(1)):
@@ -222,11 +249,17 @@ class SyzygeticReport:
         return "%s (tested degrees 1..%d)" % (self.verdict, self.nu_max)
 
 
-def _syzygy_dim(param, nu, rows):
+def _syzygy_dim(param, nu, rows, ideal):
     """dim of Z_1 n J.A^n in degree nu, for the piece J_nu spanned by `rows`:
-    n * dim J_nu minus the rank of (g_j) -> sum_j g_j f_j on J_nu^n."""
+    n * dim J_nu minus the rank of (g_j) -> sum_j g_j f_j on J_nu^n.
+
+    When J_nu = A_nu the images g * f_j are the products that span
+    I_(nu+d), so that rank is dim I_(nu+d), read from `ideal` (`_Pieces`).
+    """
     ring = param.ring
     monos = ring.x_monomials(nu)
+    if len(rows) == len(monos):
+        return param.n * len(monos) - len(ideal[nu + param.d])
     target = {m: k for k, m in enumerate(ring.x_monomials(nu + param.d))}
     images = []
     for f in param.polys:
@@ -242,6 +275,16 @@ def _syzygy_dim(param, nu, rows):
     return len(images) - scalar_rank(ring.field, images)
 
 
+def _koszul_tail(param, nu):
+    """dim B_1 in degree nu when H_i(f; A) = 0 for every i >= 2: then
+    0 -> K_n -> .. -> K_2 -> B_1 -> 0 is exact, with K_i = A(-(i-1)d)^C(n,i)
+    in the grading where K_1 = A^n, so dim B_1 is its alternating sum."""
+    ring, n, d = param.ring, param.n, param.d
+    return sum(
+        (-1) ** i * math.comb(n, i) * len(ring.x_monomials(nu - (i - 1) * d)) for i in range(2, n + 1)
+    )
+
+
 def syzygetic_test(param, nu_max=None, ideal=None, saturated=None):
     """Compare Koszul boundaries with syzygies landing in the (saturated) ideal.
 
@@ -252,39 +295,60 @@ def syzygetic_test(param, nu_max=None, ideal=None, saturated=None):
     for the witness, at the first degree where the saturated comparison fails.
     An analysis passes its `_Pieces` as `ideal` and its chain, reaching from
     nu_max down to 1, as `saturated`; otherwise both are built here.
+
+    Where each dimension comes from:
+
+    * boundary: on an empty base locus (I_t = A_t, certificate "empty") I is
+      m-primary of grade nx, so H_i(f; A) = 0 for i > n - nx (Bruns-Herzog,
+      Cohen-Macaulay Rings, Thm 1.6.17); with n <= nx + 1 that is every
+      i >= 2 and dim B_1 is `_koszul_tail`.  Otherwise, and at the witness
+      degree, whose search needs its rows, `boundary_basis` is built.  The
+      guard n <= nx + 1 is needed: on X1^2, X2^2, X3^2, X1*X2, X1*X3 the sum
+      is 30 in degree 3 but B_1 has dimension 29;
+    * saturated: `_syzygy_dim`, one rank, or none where I^sat_nu = A_nu;
+    * plain: I_nu lies in I^sat_nu, so pieces of equal size are equal and
+      the plain dimension is the saturated one, with no second rank.
     """
     if nu_max is None:
         nu_max = 2 * param.d
     if nu_max < param.d:
         raise ImplicaxError("nu_max %d below generator degree %d" % (nu_max, param.d))
-    field = param.ring.field
+    ring = param.ring
+    field = ring.field
     if ideal is None:
         ideal = _Pieces(param)
     if saturated is None:
         saturated = _saturation_pieces(param, 1, nu_max, ideal)
+    t = _regularity_bound(param)
+    tail = param.n <= ring.nx + 1 and len(ideal[t]) == len(ring.x_monomials(t))
     degrees = []
     witness = None
     for nu in range(1, nu_max + 1):
-        b1 = boundary_basis(param, nu)
-        sat_dim = _syzygy_dim(param, nu, saturated[nu])
-        plain_dim = _syzygy_dim(param, nu, ideal[nu])
+        b1 = None if tail else boundary_basis(param, nu)
+        b_dim = _koszul_tail(param, nu) if tail else len(b1)
+        sat_dim = _syzygy_dim(param, nu, saturated[nu], ideal)
+        plain_dim = sat_dim
+        if len(ideal[nu]) != len(saturated[nu]):
+            plain_dim = _syzygy_dim(param, nu, ideal[nu], ideal)
         # boundaries sit in Z_1 n I.A^n, which sits in Z_1 n I^sat.A^n
-        if not len(b1) <= plain_dim <= sat_dim:
+        if not b_dim <= plain_dim <= sat_dim:
             raise ConsistencyError(
                 "degree %d: dimensions boundary %d, plain %d, saturated %d are not"
-                " increasing" % (nu, len(b1), plain_dim, sat_dim)
+                " increasing" % (nu, b_dim, plain_dim, sat_dim)
             )
-        if witness is None and sat_dim > len(b1):
+        if witness is None and sat_dim > b_dim:
             # the first vector of the echelon basis of Z_1 n (I^sat_nu)^n
             # outside the span of the boundaries
+            if b1 is None:
+                b1 = boundary_basis(param, nu)
             z1 = cycle_basis(param, 1, nu)
-            for coeffs in _span_kernel(field, z1, len(param.ring.x_monomials(nu)), saturated[nu]):
+            for coeffs in _span_kernel(field, z1, len(ring.x_monomials(nu)), saturated[nu]):
                 scaled = [[c * x for x in zv] for c, zv in zip(coeffs, z1)]
                 vec = [field.canon(sum(col)) for col in zip(*scaled)]
                 if scalar_rank(field, b1 + [vec]) > len(b1):
                     witness = (nu, vector_to_polys(param, nu, vec))
                     break
-        degrees.append(SyzygeticDegree(nu, len(b1), sat_dim, plain_dim))
+        degrees.append(SyzygeticDegree(nu, b_dim, sat_dim, plain_dim))
     return SyzygeticReport(nu_max=nu_max, degrees=degrees, witness=witness)
 
 

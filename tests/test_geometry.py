@@ -27,7 +27,13 @@ from implicax.geometry import (
 from implicax.linalg import scalar_rank
 from implicax.problems import load_problem
 from implicax.strands import boundary_basis, cycle_basis
-from helpers import intersection_triples, one_shift_saturation, polys_to_vector, seeded_surfaces
+from helpers import (
+    dense_quadric,
+    intersection_triples,
+    one_shift_saturation,
+    polys_to_vector,
+    seeded_surfaces,
+)
 
 CONIC = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
 CONIC_FAT = make_parameterization(QQ, ["X1", "X2"], ["X1^3", "X1^2*X2", "X1*X2^2"])
@@ -55,6 +61,11 @@ CUBES = [
 # (X1^3, X2^3): nine base points, more than t = 7, so only the window decides
 NINE_POINTS = make_parameterization(
     QQ, ["X1", "X2", "X3"], ["X1^3", "X2^3", "X1^3", "X2^3"]
+)
+# five forms in three variables: an empty base locus, but n = nx + 2, so
+# H_2(f; A) need not vanish
+FIVE_FORMS = make_parameterization(
+    QQ, ["X1", "X2", "X3"], ["X1^2", "X2^2", "X3^2", "X1*X2", "X1*X3"]
 )
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 # every shipped map; bezout_squares.txt holds two forms for the resultant commands
@@ -386,6 +397,33 @@ def test_rank_count_triples_equal_the_intersection_route():
         report = syzygetic_test(param)
         triples = [(e.boundary_dim, e.saturated_dim, e.plain_dim) for e in report.degrees]
         assert triples == intersection_triples(param, 2 * param.d)
+
+
+def empty_base_locus(param):
+    t = param.ring.nx * (param.d - 1) + 1
+    return len(ideal_piece(param, t)) == len(param.ring.x_monomials(t))
+
+
+def test_koszul_tail_counts_the_boundaries_on_an_empty_base_locus():
+    # I is m-primary of grade nx, so H_i(f; A) = 0 for i > n - nx; with
+    # n <= nx + 1 the alternating sum of the Koszul ranks counts B_1
+    inputs = [p for p in comparison_inputs() if p.n <= p.ring.nx + 1 and empty_base_locus(p)]
+    assert len(inputs) == 10  # two shipped surfaces, three cube ideals, the conic, four seeded
+    dense = [dense_quadric(field, s) for field in (QQ, GF(65521)) for s in (1, 2, 3)]
+    assert all(empty_base_locus(p) for p in dense)
+    for param in inputs + dense:
+        for nu in range(1, 2 * param.d + 2):
+            assert geometry._koszul_tail(param, nu) == len(boundary_basis(param, nu))
+    # the guard n <= nx + 1 is needed: here the sum overcounts in degree 3,
+    # and syzygetic_test, which the guard keeps off the sum, still equals
+    # the intersections
+    assert empty_base_locus(FIVE_FORMS)
+    assert geometry._koszul_tail(FIVE_FORMS, 3) == 30
+    assert len(boundary_basis(FIVE_FORMS, 3)) == 29
+    report = syzygetic_test(FIVE_FORMS)
+    triples = [(e.boundary_dim, e.saturated_dim, e.plain_dim) for e in report.degrees]
+    assert triples == intersection_triples(FIVE_FORMS, 4)
+    assert triples[2] == (29, 29, 29)
 
 
 def test_intersection_basis_only_for_the_witness(monkeypatch):

@@ -260,6 +260,59 @@ def test_one_analysis_builds_each_ideal_piece_once(name, monkeypatch):
     assert len(chains) == 1
 
 
+def count_calls(monkeypatch, name, log):
+    """Replace geometry.<name> by a wrapper that appends its args to `log`."""
+    inner = getattr(geometry, name)
+
+    def counted(*args):
+        log.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(geometry, name, counted)
+
+
+@pytest.mark.parametrize("name", ["surface_quadric", "surface_cubic"])
+def test_empty_base_locus_skips_the_chain_kernels_and_the_boundaries(name, monkeypatch):
+    # the chain starts from a full I_t, so every piece is full without a
+    # kernel, the pieces of I above t are full without a rank, and the
+    # Koszul tail counts the boundaries
+    param = load_problem(PROBLEMS / (name + ".txt")).parameterization()
+    kernels, boundaries, pieces, in_chain = [], [], [], []
+    count_calls(monkeypatch, "_span_kernel", kernels)
+    count_calls(monkeypatch, "boundary_basis", boundaries)
+    count_calls(monkeypatch, "ideal_piece", pieces)
+    chain = geometry._saturation_pieces
+
+    def counted_chain(*args):
+        before = len(kernels)
+        out = chain(*args)
+        in_chain.append(len(kernels) - before)
+        return out
+
+    monkeypatch.setattr(geometry, "_saturation_pieces", counted_chain)
+    witness = implicitize(param, run_syzygetic=True).report.syzygetic.witness
+    assert in_chain == [0]
+    assert [nu for _, nu in boundaries] == ([witness[0]] if witness else [])
+    assert max(nu for _, nu in pieces) == geometry._regularity_bound(param)
+
+
+def test_equal_pieces_take_one_syzygy_rank(monkeypatch):
+    # I_nu lies in I^sat_nu, so pieces of one size are equal and the plain
+    # dimension is the saturated one
+    param = load_problem(PROBLEMS / "surface_lci.txt").parameterization()
+    equal = [
+        nu
+        for nu in range(1, 7)
+        if len(geometry.ideal_piece(param, nu)) == len(geometry.saturation_piece(param, nu))
+    ]
+    assert set(range(3, 7)) <= set(equal)
+    calls = []
+    count_calls(monkeypatch, "_syzygy_dim", calls)
+    implicitize(param, run_syzygetic=True)
+    per_degree = [sum(1 for args in calls if args[1] == nu) for nu in range(1, 7)]
+    assert per_degree == [1 if nu in equal else 2 for nu in range(1, 7)]
+
+
 def test_seed_independence():
     a = implicitize(QUADRIC, seed=1)
     b = implicitize(QUADRIC, seed=31337)
