@@ -62,10 +62,10 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("problem", help="problem file (text or JSON)")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=None)
 
     p_imp = sub.add_parser("implicitize", parents=[common],
                            help="compute the implicit equation")
+    p_imp.add_argument("--seed", type=int, default=None)
     p_imp.add_argument("--nu", type=int, default=None,
                        help="strand degree (default: nu0 = (n-2)(d-1) - indeg(I^sat), "
                             "the proven bound)")

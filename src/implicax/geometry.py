@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .arith import Poly, gcd_many
 from .errors import ConsistencyError, ImplicaxError
@@ -106,43 +107,29 @@ def nu_bound(n, d):
 
 
 # ---------------------------------------------------------------------------
-# graded pieces and reduction helpers
-
-
-class _SpanReducer:
-    """Reduce integer vectors modulo the row span of a set of vectors."""
-
-    def __init__(self, field, vectors):
-        self.p = field.char
-        self.rows, self.pivots = _rref(self.p, vectors)
-        self.lcm = math.lcm(*[row[c] for row, c in zip(self.rows, self.pivots)])
-
-    def reduce(self, vec):
-        """L times the residue of vec, with L the lcm of the pivot entries.
-
-        Every vector is scaled by the same L, which callers never see: they
-        only take kernels of the reduced vectors or test them for zero.
-        """
-        p = self.p
-        v = [self.lcm * x for x in vec]
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                f = v[c] // row[c]
-                v = [a - f * b for a, b in zip(v, row)]
-                if p:
-                    v = [a % p for a in v]
-        return v
+# graded pieces; span membership is read off the annihilator, the kernel
+# that the one row reduction gives
 
 
 def _span_kernel(field, vectors, width, piece_rows):
     """Echelon kernel basis: coefficient vectors c such that every width-long
-    block of sum_k c[k] * vectors[k] lies in the span of `piece_rows`."""
-    red = _SpanReducer(field, piece_rows)
-    residues = [
-        [x for b in range(0, len(vec), width) for x in red.reduce(vec[b : b + width])]
-        for vec in vectors
-    ]
-    constraints = [row for row in zip(*residues) if any(row)]
+    block of sum_k c[k] * vectors[k] lies in the span of `piece_rows`.
+
+    Over any field the row space is the orthogonal complement of the kernel,
+    so a block lies in the span exactly when it annihilates every kernel
+    vector of the rows: each constraint is one block's product with one such
+    vector, taken over the block's nonzero entries.
+    """
+    annihilator = rank_and_kernel(ScalarMatrix(field, piece_rows, width))[1]
+    entries = list(zip(*annihilator)) or [()] * width  # coordinate -> its value in each vector
+    columns = []
+    for vec in vectors:
+        blocks = [[0] * len(annihilator) for _ in range(len(vec) // width)]
+        for j, x in compress(enumerate(vec), vec):
+            b, j = divmod(j, width)
+            blocks[b] = [s + x * a for s, a in zip(blocks[b], entries[j])]
+        columns.append([field.canon(s) for block in blocks for s in block])
+    constraints = [row for row in zip(*columns) if any(row)]
     return rank_and_kernel(ScalarMatrix(field, constraints, len(vectors)))[1]
 
 

@@ -3,10 +3,12 @@
 Two matrix flavors: ScalarMatrix (field entries) and PolyMatrix, a matrix
 affine in T stored as its scalar parts A_0 + sum_i T_i*A_i (strand maps,
 Sylvester and Bezout matrices, Kravitsky pencils).  Rank, kernel, span
-reduction and minor selection are read off one integer row reduction
+membership and minor selection are read off one integer row reduction
 (`_rref`): Gauss-Jordan elimination on sparse rows, each pivot updating
-only the rows that hold its column, which takes and returns dense rows; a
-PolyMatrix is reduced at a random point of T, where its value is a
+only the rows that hold its column, which takes and returns dense rows.
+A vector lies in the span of some rows exactly when it is orthogonal to
+their kernel (the annihilator), so span membership needs no loop of its
+own.  A PolyMatrix is reduced at a random point of T, where its value is a
 combination of the parts' rows.  Determinants have one elimination
 loop, `_det_scalar` (fraction-free Bareiss elimination; Gaussian mod p), and
 `det_fraction_free` feeds it by the matrix's density: when at least half of
@@ -75,8 +77,9 @@ def _primitive(row):
 def _rref(p, data):
     """Reduced row echelon form of `data`: (nonzero rows, pivot columns).
 
-    The one row reduction of the package; rank, kernel, span reduction and
-    minor selection are read off its output.  Gauss-Jordan elimination on
+    The one row reduction of the package; rank, kernel, span membership
+    (orthogonality to the kernel of the spanning rows) and minor selection
+    are read off its output.  Gauss-Jordan elimination on
     sparse integer rows {column: entry}, with an index from each column to
     the rows holding it, so a pivot updates only the rows that hold its
     column.  Columns go in order; the pivot is the first row from position r

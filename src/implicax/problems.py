@@ -105,10 +105,15 @@ def parse_problem(text):
         for key in ("field", "x_vars", "polys"):
             if key not in doc:
                 raise ParseError("JSON problem file missing %r" % key)
+        kinds = {"field": str, "x_vars": list, "polys": list, "t_vars": (list, type(None))}
+        for key, kind in kinds.items():
+            if key in doc and not isinstance(doc[key], kind):
+                what = "a string" if kind is str else "a list"
+                raise ParseError("JSON problem file: %r must be %s" % (key, what))
         return ProblemFile(
             field_spec=doc["field"],
-            x_vars=list(doc["x_vars"]),
-            t_vars=list(doc["t_vars"]) if doc.get("t_vars") else None,
+            x_vars=doc["x_vars"],
+            t_vars=doc["t_vars"] if doc.get("t_vars") else None,
             polys=[str(p) for p in doc["polys"]],
         )
     field_spec = None
@@ -136,7 +141,10 @@ def parse_problem(text):
             m = re.match(r"^f(\d+)$", name.strip())
             if not m:
                 raise ParseError("line %d: expected fK = <poly>, got %r" % (lineno, raw))
-            polys[int(m.group(1))] = value.strip()
+            k = int(m.group(1))
+            if k in polys:
+                raise ParseError("line %d: f%d is given twice" % (lineno, k))
+            polys[k] = value.strip()
         else:
             raise ParseError("line %d: cannot parse %r" % (lineno, raw))
     if field_spec is None:

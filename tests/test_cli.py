@@ -163,6 +163,38 @@ def test_small_field_map_whose_rank_the_first_draws_miss(capsys, tmp_path):
         )
         assert code == 0 and doc["degree"] == 4 and doc["verified"] is True
 
+def test_repeated_polynomial_line_is_parse_error(capsys, tmp_path):
+    f = tmp_path / "twice.txt"
+    f.write_text("field: QQ\nx_vars: X1 X2\nf1 = X1^2\nf2 = X1*X2\nf3 = X2^2\nf1 = X1^2 + X2^2\n")
+    code, out, err = run_cli(capsys, "implicitize", str(f))
+    assert code == 2
+    assert "parse error" in err and "line 6" in err and "f1" in err
+    assert not out.strip()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("field", 5), ("t_vars", 3), ("x_vars", "X1 X2"), ("polys", "X1^2")],
+    ids=["field-int", "t_vars-int", "x_vars-string", "polys-string"],
+)
+def test_wrongly_typed_json_value_is_parse_error(capsys, tmp_path, key, value):
+    doc = json.loads((PROBLEMS / "curve_conic.json").read_text())
+    doc[key] = value
+    f = tmp_path / "typed.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "implicitize", str(f))
+    assert code == 2
+    assert "parse error" in err and repr(key) in err
+    assert not out.strip()
+
+
+def test_seed_is_an_implicitize_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(PROBLEMS / "surface_quadric.txt"), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_missing_file_is_parse_error(capsys):
     code, _, err = run_cli(capsys, "implicitize", "no_such_file.txt")
     assert code == 2 and "parse error" in err

@@ -162,9 +162,10 @@ def _random_matrix(rng, field, nrows, ncols, rank_cap, fractions):
 
 
 def test_elimination_core_matches_fraction_gauss():
-    from implicax.geometry import _SpanReducer
+    from implicax.geometry import _span_kernel
 
     rng = random.Random(2002)
+    pair_rng = random.Random(2020)
     cases = [(QQ, False), (QQ, True), (GF(65521), False)]
     for field, fractions in cases:
         p = field.char
@@ -202,17 +203,29 @@ def test_elimination_core_matches_fraction_gauss():
 
             if not ncols:
                 continue
-            red = _SpanReducer(field, data)
+
+            def residue(w):
+                for row, c in zip(want_rows, want_pivots):
+                    x = w[c]
+                    w = [field.canon(a - x * b) for a, b in zip(w, row)]
+                return w
+
             for _ in range(3):
                 w = [field.random(rng, -3, 3) for _ in range(ncols)]
-                residue = list(w)
-                for row, c in zip(want_rows, want_pivots):
-                    x = residue[c]
-                    residue = [field.canon(a - x * b) for a, b in zip(residue, row)]
-                got = red.reduce(w)
-                assert all(type(x) is int for x in got)
-                assert [field.canon(x) for x in got] == [field.canon(red.lcm * x) for x in residue]
-                assert (not any(red.reduce(w))) == (scalar_rank(field, data + [w]) == rank)
+                inside = scalar_rank(field, data + [w]) == rank
+                assert bool(_span_kernel(field, [w], ncols, data)) == inside
+            # two blocks: the combinations whose blocks both lie in the span
+            # are the kernel of the blocks' residues (drawn from their own rng,
+            # so that the seeded matrices do not depend on this check)
+            count = pair_rng.randint(1, 5)
+            vectors = [[field.random(pair_rng, -3, 3) for _ in range(2 * ncols)] for _ in range(count)]
+            if data:
+                vectors.append(data[0] + data[-1])
+            residues = [residue(v[:ncols]) + residue(v[ncols:]) for v in vectors]
+            want = rank_and_kernel(ScalarMatrix(field, list(zip(*residues)), len(vectors)))[1]
+            got = _span_kernel(field, vectors, ncols, data)
+            assert all(type(x) is int for v in got for x in v)
+            assert got == want
 
 
 @pytest.mark.parametrize(
