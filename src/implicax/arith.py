@@ -802,12 +802,10 @@ def format_poly(p):
 # exact division and gcd
 
 
-def exact_divide(a, b, verify=True):
-    """Quotient q with a == q*b; raises NotDivisibleError otherwise."""
-    q = a // b
-    if verify and q * b != a:
-        raise NotDivisibleError("division verification failed")
-    return q
+def exact_divide(a, b):
+    """Quotient q with a == q*b; raises NotDivisibleError otherwise, as
+    Poly // does on any remainder."""
+    return a // b
 
 
 def monomial_content(p):
@@ -931,8 +929,8 @@ def multivariate_gcd(a, b):
     if not b.terms:
         return normalize(a)
     mono = ring.mono_gcd(monomial_content(a), monomial_content(b))
-    a = exact_divide(a, Poly(ring, {monomial_content(a): 1}), verify=False)
-    b = exact_divide(b, Poly(ring, {monomial_content(b): 1}), verify=False)
+    a = exact_divide(a, Poly(ring, {monomial_content(a): 1}))
+    b = exact_divide(b, Poly(ring, {monomial_content(b): 1}))
     g = _gcd_primitive(a, b)
     return normalize(g * Poly(ring, {mono: 1}))
 
@@ -969,8 +967,8 @@ def _gcd_primitive(a, b):
     cont_a = gcd_many(ua)
     cont_b = gcd_many(ub)
     cont = multivariate_gcd(cont_a, cont_b) if not (cont_a.is_constant() and cont_b.is_constant()) else ring.one
-    pa = [exact_divide(c, cont_a, verify=False) for c in ua]
-    pb = [exact_divide(c, cont_b, verify=False) for c in ub]
+    pa = [exact_divide(c, cont_a) for c in ua]
+    pb = [exact_divide(c, cont_b) for c in ub]
     if _uni_deg(pa) < _uni_deg(pb):
         pa, pb = pb, pa
     g = ring.one
@@ -987,16 +985,16 @@ def _gcd_primitive(a, b):
             return cont
         divisor = g * h**delta
         r0 = r1
-        r1 = [exact_divide(c, divisor, verify=False) for c in rem]
+        r1 = [exact_divide(c, divisor) for c in rem]
         g = r0[_uni_deg(r0)]
         if delta == 0:
             pass
         elif delta == 1:
             h = g
         else:
-            h = exact_divide(g**delta, h ** (delta - 1), verify=False)
+            h = exact_divide(g**delta, h ** (delta - 1))
     pp_cont = gcd_many(pp)
-    pp = [exact_divide(c, pp_cont, verify=False) for c in pp]
+    pp = [exact_divide(c, pp_cont) for c in pp]
     return cont * _from_univariate(pp, v)
 
 

@@ -29,7 +29,7 @@ from itertools import compress
 
 from .arith import Poly, gcd_many
 from .errors import ConsistencyError, ImplicaxError
-from .linalg import ScalarMatrix, _rref, rank_and_kernel, scalar_rank
+from .linalg import ScalarMatrix, _echelon_kernel, _rref, rank_and_kernel, scalar_rank
 from .strands import _koszul_image, boundary_basis, cycle_basis, vector_to_polys
 
 __all__ = [
@@ -113,14 +113,16 @@ def nu_bound(n, d):
 
 def _span_kernel(field, vectors, width, piece_rows):
     """Echelon kernel basis: coefficient vectors c such that every width-long
-    block of sum_k c[k] * vectors[k] lies in the span of `piece_rows`.
+    block of sum_k c[k] * vectors[k] lies in the span of `piece_rows`, which
+    must be in reduced echelon form (`_rref` output or identity rows).
 
     Over any field the row space is the orthogonal complement of the kernel,
     so a block lies in the span exactly when it annihilates every kernel
-    vector of the rows: each constraint is one block's product with one such
-    vector, taken over the block's nonzero entries.
+    vector of the rows, read straight off the echelon rows: each constraint
+    is one block's product with one such vector, taken over the block's
+    nonzero entries.
     """
-    annihilator = rank_and_kernel(ScalarMatrix(field, piece_rows, width))[1]
+    annihilator = _echelon_kernel(field.char, piece_rows, width)[0]
     entries = list(zip(*annihilator)) or [()] * width  # coordinate -> its value in each vector
     columns = []
     for vec in vectors:

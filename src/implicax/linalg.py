@@ -153,16 +153,17 @@ def _rref(p, data):
     return out, pivots
 
 
-def _kernel(p, data, ncols):
-    """(rank, kernel basis, free columns) of the rows, read off their RREF.
+def _echelon_kernel(p, rows, ncols):
+    """(kernel basis, free columns) of integer rows in reduced echelon form.
 
-    With L the lcm of the pivot entries, the vector of free column f has L at
-    f and -(L / row[c]) * row[f] at the pivot column c of each row.  This is
-    exact because the rows vanish at each other's pivots.  Over QQ the vector
-    is then divided by its gcd, so it is primitive and positive at f; mod p
-    the pivots are 1, so L is 1.
+    Precondition: each row's first nonzero entry, its pivot, lies in a
+    column where every other row is zero, as in `_rref`'s output or identity
+    rows; nothing checks it.  With L the lcm of the pivot entries, the
+    vector of free column f has L at f and -(L / row[c]) * row[f] at the
+    pivot column c of each row.  Over QQ the vector is then divided by its
+    gcd, so it is primitive and positive at f; mod p with pivots 1, L is 1.
     """
-    rows, pivots = _rref(p, data)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
     taken = set(pivots)
     free = [c for c in range(ncols) if c not in taken]
     lcm = math.lcm(*[row[c] for row, c in zip(rows, pivots)])
@@ -174,7 +175,7 @@ def _kernel(p, data, ncols):
             if row[f]:
                 vec[c] = -(lcm // row[c]) * row[f]
         basis.append([x % p for x in vec] if p else _primitive(vec))
-    return len(pivots), basis, free
+    return basis, free
 
 
 def rank_and_kernel(m):
@@ -189,7 +190,8 @@ def rank_and_kernel(m):
 
 def rref_kernel_data(m):
     """(rank, kernel basis, free columns) from one row-reduction pass."""
-    rank, basis, free = _kernel(m.field.char, m.data, m.cols)
+    rows, pivots = _rref(m.field.char, m.data)
+    basis, free = _echelon_kernel(m.field.char, rows, m.cols)
     if basis:
         # A*v by columns over v's support; rows no support column touches are 0
         columns = [[(i, a) for i, a in enumerate(col) if a] for col in zip(*m.data)] or [[]] * m.cols
@@ -200,7 +202,7 @@ def rref_kernel_data(m):
                     acc[i] = acc.get(i, 0) + a * x
             if not all(map(m.field.is_zero, acc.values())):
                 raise ConsistencyError("kernel vector fails A*v = 0")
-    return rank, basis, free
+    return len(pivots), basis, free
 
 
 def scalar_rank(field, data):

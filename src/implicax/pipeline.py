@@ -15,7 +15,7 @@ from .geometry import BasePointReport, analyze_parameterization
 from .linalg import DEFAULT_SEED
 from .resultants import curve_implicitize_resultant
 from .strands import (
-    check_rank_profile,
+    check_rank_profile,  # no caller here; bench/tracer.py wraps it
     complex_determinant,
     gcd_of_maximal_minors,
     z_strand,
@@ -163,7 +163,6 @@ def implicitize(
             det = cd.value
             minor_sizes = cd.minor_sizes()
         else:
-            check_rank_profile(strand, seed=seed)
             det = gcd_of_maximal_minors(strand, report.predicted_degree, seed=seed)
     det = normalize(det)
     predicted = report.predicted_degree

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Poly, multivariate_gcd, normalize
+from .arith import Poly, multivariate_gcd, normalize  # bench/tracer.py wraps multivariate_gcd
 from .errors import HypothesisViolation, ImplicaxError, UsageError
 from .linalg import PolyMatrix, det_fraction_free
 
@@ -163,26 +163,23 @@ class CurveResultant:
 def curve_implicitize_resultant(param):
     """Implicit power of a plane curve as one Kravitsky pencil determinant.
 
-    Requires three polynomials with trivial gcd (resultant methods need no
-    base points).  The dehomogenized equation is read off the same
-    determinant at T3 = 1: by bilinearity and antisymmetry
-    Bez(T3 f1 - T1 f3, T3 f2 - T2 f3) = T3 * pencil, and det Bez = +-Res for
-    two forms of one formal degree, so the pencil determinant at T3 = 1 is
-    +-Res(f1 - T1 f3, f2 - T2 f3); normalization removes the sign.
+    Requires three polynomials with no common factor (no base points): one
+    would be a common root of f1 - T1 f3 and f2 - T2 f3 for every T, so the
+    determinant would vanish, which raises HypothesisViolation.  The
+    dehomogenized equation is read off the same determinant at T3 = 1: by
+    bilinearity and antisymmetry Bez(T3 f1 - T1 f3, T3 f2 - T2 f3) =
+    T3 * pencil, and det Bez = +-Res for two forms of one formal degree, so
+    the pencil determinant at T3 = 1 is +-Res(f1 - T1 f3, f2 - T2 f3);
+    normalization removes the sign.
     """
     if param.n != 3:
         raise UsageError("resultant implicitization needs exactly 3 polynomials")
     param.require_map_shape()
     if any(not p.terms for p in param.polys):
         raise ImplicaxError("zero entry in the parameterization")
-    g = multivariate_gcd(multivariate_gcd(param.polys[0], param.polys[1]), param.polys[2])
-    if not g.is_constant():
-        raise HypothesisViolation(
-            "common factor %s present; divide it out before using resultants" % g
-        )
     pencil = kravitsky_pencil(*[binary_form(param, p) for p in param.polys])
     det = det_fraction_free(pencil)
     if not det.terms:
-        raise HypothesisViolation("resultant vanished identically")
+        raise HypothesisViolation("resultant vanished identically: f1, f2, f3 share a factor")
     dehom = det.evaluate({param.t_names()[2]: 1})
     return CurveResultant(pencil, det, normalize(det), normalize(dehom))

@@ -186,7 +186,14 @@ def _dT_components(param, kb_src, kb_dst, vec):
 
 
 def z_strand(param, nu):
-    """Assemble the degree-nu strand with verified differentials."""
+    """Assemble the degree-nu strand with verified differentials.
+
+    maps[0] is the T-contraction sum_j T_j iota_j of (Z_1)_nu into A_nu.  A
+    deeper map writes each iota_j of a source cycle in the target's cycle
+    basis, checked exactly by `_combination_matches`, so it is that
+    contraction on the cycle bases too.  So two maps compose to sum_(j,l)
+    T_j T_l iota_j iota_l = 0, as the iota_j anticommute: no further check.
+    """
     if nu < 0:
         raise UsageError("strand degree must be nonnegative")
     ring = param.ring
@@ -235,41 +242,7 @@ def z_strand(param, nu):
                 for r in range(rows):
                     parts[j + 1][r][s] = xs[r]
         maps.append(PolyMatrix.from_parts(ring, parts, cols))
-    for a, b in zip(maps, maps[1:]):
-        if a.cols and b.cols and not _composes_to_zero(a, b, field):
-            raise ImplicaxError("strand differentials do not compose to zero")
     return ZStrand(param, nu, dims, maps)
-
-
-def _composes_to_zero(a, b, field):
-    """Whether the product of the T-affine matrices a and b is zero.
-
-    With T_0 = 1, the coefficient of T_s*T_t in the product is
-    A_s*B_t + A_t*B_s for s < t and A_s*B_s for s = t; each must vanish.  A
-    row of the product is summed over the nonzero entries of a's row only.
-    Over QQ each row of a, and b as a whole, is scaled by the lcm of its
-    denominators; that does not change whether the product is zero, and the
-    sums then run in integers.
-    """
-    b_rows = [[(t, B[c]) for t, B in enumerate(b.parts) if any(B[c])] for c in range(b.rows)]
-    if not field.char and (den := _denominators([vec for vecs in b_rows for _, vec in vecs])) > 1:
-        b_rows = [[(t, [_times(x, den) for x in vec]) for t, vec in vecs] for vecs in b_rows]
-    for r in range(a.rows):
-        entries = [(s, c, x) for s, A in enumerate(a.parts) for c, x in enumerate(A[r]) if x]
-        if not field.char and (den := _denominators([[x for _, _, x in entries]])) > 1:
-            entries = [(s, c, _times(x, den)) for s, c, x in entries]
-        coeffs = {}
-        for s, c, x in entries:
-            for t, row in b_rows[c]:
-                key = (s, t) if s <= t else (t, s)
-                acc = coeffs.get(key)
-                if acc is None:
-                    coeffs[key] = [x * y for y in row]
-                else:
-                    coeffs[key] = [u + x * y for u, y in zip(acc, row)]
-        if not all(field.is_zero(u) for acc in coeffs.values() for u in acc):
-            return False
-    return True
 
 
 def _combination_matches(vectors, xs, target, field):
@@ -320,7 +293,7 @@ class ComplexDet:
 
 
 def _profile_draws(strand):
-    """Draws per level of `_minor_chain` before a short rank is declared a
+    """Draws per level of `check_rank_profile` before a short rank is declared a
     violation.
 
     On an exact strand the rows of a level have full rank r over k(T).
@@ -345,7 +318,7 @@ def _profile_draws(strand):
     return k
 
 
-def _minor_chain(strand, rng, maps=None):
+def check_rank_profile(strand, seed=DEFAULT_SEED):
     """Nested nonsingular minors of the strand maps: one (rows, cols) per map.
 
     A level takes the rows outside the columns chosen at the level before
@@ -354,14 +327,15 @@ def _minor_chain(strand, rng, maps=None):
     they do over k(T), since the kernel of the map before projects
     injectively onto those coordinates.  Conversely a minor that is
     nonsingular at a point is nonsingular over k(T), and the maps compose
-    to zero, so a chain through every map that leaves no rows over proves
-    the strand exact over k(T).  `maps`, a prefix of the strand's maps,
-    walks only those and leaves the rows after them unchecked.
+    to zero (`z_strand`), so a chain through every map that leaves no rows
+    over proves the strand exact over k(T) off the zeroth spot.  Raises
+    HypothesisViolation otherwise.  The draws are seeded "<seed>:chain:0".
     """
+    rng = random.Random("%s:chain:0" % seed)
     draws = _profile_draws(strand)
     links = []
     rows = list(range(strand.dims[0]))
-    for m in strand.maps if maps is None else maps:
+    for m in strand.maps:
         cols = []
         for _ in range(draws):
             if len(cols) == len(rows):
@@ -373,7 +347,7 @@ def _minor_chain(strand, rng, maps=None):
         taken = set(cols)
         rows = [c for c in range(m.cols) if c not in taken]
     else:
-        if maps is not None or not rows:
+        if not rows:
             return links
     raise HypothesisViolation(
         "rank profile %s inconsistent with exactness for dims %s "
@@ -383,24 +357,15 @@ def _minor_chain(strand, rng, maps=None):
     )
 
 
-def check_rank_profile(strand, seed=DEFAULT_SEED):
-    """Ranks of the strand maps, read off one `_minor_chain`.
-
-    Raises HypothesisViolation unless the chain proves the strand exact
-    over k(T) off the zeroth spot.
-    """
-    return [len(cols) for _, cols in _minor_chain(strand, random.Random(seed))]
-
-
 def complex_determinant(strand, seed=DEFAULT_SEED):
     """Determinant of the strand: alternating product of nested minors.
 
-    The minors are the links of one `_minor_chain`, which also proves the
+    The minors are the links of `check_rank_profile`, which also proves the
     strand exact; their numerator and denominator products are divided
     once at the end, exactly.
     """
     ring = strand.param.ring
-    links = _minor_chain(strand, random.Random("%s:chain:0" % seed))
+    links = check_rank_profile(strand, seed)
     chain = []
     num = den = ring.one
     for idx, (m, (rows, cols)) in enumerate(zip(strand.maps, links)):
@@ -412,7 +377,7 @@ def complex_determinant(strand, seed=DEFAULT_SEED):
             den = den * det
         chain.append((idx, rows, cols, det, sign))
     try:
-        value = exact_divide(num, den, verify=True)
+        value = exact_divide(num, den)
     except NotDivisibleError:
         raise HypothesisViolation(
             "minor quotient is not exact; the strand is not a "
@@ -533,11 +498,12 @@ def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):
     of the gcd G of all of them, and deg G >= degree.  Once
     deg g = degree = deg G, g is a unit times G.
 
-    g starts as one nonsingular minor, found at a seeded point.  Then come
-    determinants of the map times seeded +-1 sign matrices S, which by
-    Cauchy-Binet are sums of all the maximal minors, each times the matching
-    minor of S.  A determinant that g divides leaves g as it is, and no gcd
-    is taken.  The fold also stops once two determinants in a row leave g
+    g starts as the first link of `check_rank_profile`, a nonsingular minor
+    (the chain also proves the strand exact).  Then come determinants of
+    the map times seeded +-1 sign matrices S, which by Cauchy-Binet are sums
+    of all the maximal minors, each times the matching minor of S.  A
+    determinant that g divides leaves g as it is, and no gcd is taken.  The
+    fold also stops once two determinants in a row leave g
     unchanged, or after _RECOMBINATIONS of them.  A scalar multiple of g
     does not count toward the two: with few columns the minors of S often
     vanish (5/8 of the 3 x 3 sign matrices are singular), and the sum then
@@ -561,13 +527,9 @@ def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):
     ring = m.ring
     canon = ring.field.canon
     z0, z1 = m.rows, m.cols
-    if z1 < z0:
-        raise HypothesisViolation(
-            "rightmost map is %dx%d; need at least as many syzygies as monomials" % (z0, z1)
-        )
-    rng = random.Random("%s:minors" % (seed,))
-    ((rows, cols),) = _minor_chain(strand, rng, strand.maps[:1])
+    rows, cols = check_rank_profile(strand, seed)[0]
     g = det_fraction_free(m.submatrix(rows, cols))
+    rng = random.Random("%s:minors" % (seed,))
     clean = 0
     for _ in range(_RECOMBINATIONS):
         if g.total_degree() <= degree or clean >= 2:
@@ -581,7 +543,7 @@ def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):
         if not det.terms:
             continue
         try:
-            exact_divide(det, g, verify=False)
+            exact_divide(det, g)
         except NotDivisibleError:
             g = _gcd_pair(g, det, degree, seed)
             clean = 0

@@ -221,8 +221,7 @@ def test_exact_divide_roundtrip_randomized():
 
 
 def test_exact_divide_raises_on_a_remainder_randomized():
-    # verify=False: the division loops themselves must refuse, not the
-    # product check behind them
+    # the division loops themselves must refuse: exact_divide is Poly //
     rng = random.Random(303)
     for field, fractions in ((QQ, False), (QQ, True), (GF(65521), False)):
         ring = xt_ring(field)
@@ -242,18 +241,18 @@ def test_exact_divide_raises_on_a_remainder_randomized():
                 continue
             tried += 1
             lt_b = max(b.terms)
-            assert exact_divide(q * b, b, verify=False) == q
+            assert exact_divide(q * b, b) == q
             # a nonzero remainder none of whose terms lt(b) divides
             r = {m: c for m, c in draw(4).terms.items() if ring.mono_div(m, lt_b) is None}
             r = Poly(ring, r) + ring.const(random_nonzero(field, rng))
             if r.terms:
                 with pytest.raises(NotDivisibleError):
-                    exact_divide(q * b + r, b, verify=False)
+                    exact_divide(q * b + r, b)
             # a monomial of higher degree than every term
             mono = ring.const(random_nonzero(field, rng)) * ring.poly("X1") ** (q.total_degree() + 1)
             with pytest.raises(NotDivisibleError):
-                exact_divide(q, mono, verify=False)
-            assert exact_divide(q * mono, mono, verify=False) == q
+                exact_divide(q, mono)
+            assert exact_divide(q * mono, mono) == q
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +290,7 @@ def test_gcd_divides_both_and_scales():
             exact_divide(a, g)
             exact_divide(b, g)
             g2 = multivariate_gcd(a * c, b * c)
-            assert unit_multiple_of(g2, g * c) or exact_divide(g2, g * c, verify=False)
+            assert unit_multiple_of(g2, g * c) or exact_divide(g2, g * c)
 
 
 def test_gcd_known_common_factor():

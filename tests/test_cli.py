@@ -281,6 +281,15 @@ def test_resultant_kravitsky(capsys):
     assert doc["dehomogenized"] == "T2^2 - T1"
 
 
+def test_resultant_kravitsky_refuses_a_common_factor(capsys):
+    code, out, err = run_cli(
+        capsys, "resultant", str(PROBLEMS / "curve_with_base_point.txt"), "--kind", "kravitsky"
+    )
+    assert code == 3
+    assert "hypothesis violation" in err and "share a factor" in err
+    assert not out.strip()
+
+
 def test_resultant_bezout_matrix(capsys):
     code, doc, _ = run_json(
         capsys,

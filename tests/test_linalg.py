@@ -27,7 +27,7 @@ from implicax.geometry import analyze_parameterization
 from implicax.problems import load_problem, parse_problem
 from implicax.strands import (
     ZStrand,
-    _minor_chain,
+    check_rank_profile,
     complex_determinant,
     gcd_of_maximal_minors,
     koszul_differential_matrix,
@@ -213,7 +213,7 @@ def test_elimination_core_matches_fraction_gauss():
             for _ in range(3):
                 w = [field.random(rng, -3, 3) for _ in range(ncols)]
                 inside = scalar_rank(field, data + [w]) == rank
-                assert bool(_span_kernel(field, [w], ncols, data)) == inside
+                assert bool(_span_kernel(field, [w], ncols, rows)) == inside
             # two blocks: the combinations whose blocks both lie in the span
             # are the kernel of the blocks' residues (drawn from their own rng,
             # so that the seeded matrices do not depend on this check)
@@ -223,7 +223,7 @@ def test_elimination_core_matches_fraction_gauss():
                 vectors.append(data[0] + data[-1])
             residues = [residue(v[:ncols]) + residue(v[ncols:]) for v in vectors]
             want = rank_and_kernel(ScalarMatrix(field, list(zip(*residues)), len(vectors)))[1]
-            got = _span_kernel(field, vectors, ncols, data)
+            got = _span_kernel(field, vectors, ncols, rows)
             assert all(type(x) is int for v in got for x in v)
             assert got == want
 
@@ -365,9 +365,10 @@ def test_det_singular_poly_matrix():
 
 
 def one_map_chain(m, seed):
-    """(rows, cols) of the one link of m's `_minor_chain`."""
+    """(rows, cols) of the one link of `check_rank_profile` on the one-map
+    strand of the square map m, which leaves no rows over."""
     strand = ZStrand(types.SimpleNamespace(ring=m.ring), 0, [m.rows, m.cols], [m])
-    ((rows, cols),) = _minor_chain(strand, random.Random(seed), strand.maps)
+    ((rows, cols),) = check_rank_profile(strand, seed)
     return rows, cols
 
 
@@ -470,7 +471,7 @@ def test_evaluation_matches_the_entries_and_commutes_with_det(field):
 def test_kernel_check_raises_on_a_wrong_vector(monkeypatch):
     m = ScalarMatrix(QQ, [[1, 1, 0], [0, 0, 1]])
     assert rank_and_kernel(m) == (2, [[-1, 1, 0]])
-    monkeypatch.setattr(linalg, "_kernel", lambda p, data, ncols: (2, [[1, 1, 0]], [1]))
+    monkeypatch.setattr(linalg, "_echelon_kernel", lambda p, rows, ncols: ([[1, 1, 0]], [1]))
     with pytest.raises(ConsistencyError):
         rank_and_kernel(m)
 
@@ -482,7 +483,7 @@ def test_kernel_check_raises_when_one_row_fails(monkeypatch, field):
     m = ScalarMatrix(field, [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     good = [field.canon(-1), 1, 0, 0]
     assert rank_and_kernel(m) == (3, [good])
-    monkeypatch.setattr(linalg, "_kernel", lambda p, data, ncols: (3, [good[:3] + [2]], [1]))
+    monkeypatch.setattr(linalg, "_echelon_kernel", lambda p, rows, ncols: ([good[:3] + [2]], [1]))
     with pytest.raises(ConsistencyError):
         rank_and_kernel(m)
 

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from implicax.arith import GF, QQ, Poly, make_parameterization, unit_multiple_of
-from implicax import cli, geometry, pipeline
+from implicax import cli, geometry, pipeline, strands
 from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError, UsageError
+from implicax.linalg import DEFAULT_SEED
 from implicax.pipeline import analyze, implicitize, verify
 from implicax.problems import load_problem
 
@@ -128,13 +129,27 @@ def test_gcd_minors_target_above_the_truth_fails_in_the_fold(monkeypatch, capsys
 
 @pytest.mark.xfail(strict=True, reason="the fold stops at a common divisor that meets a too-high target")
 def test_gcd_minors_target_above_the_truth_is_caught_at_every_seed(monkeypatch):
-    # with the default seed the first minor and the first sign recombination
-    # share T1 * (T1+T2+T3-T4)^4, of degree 5: the fold meets the target at
-    # once and returns that divisor, which passes the degree check and the
-    # oracle
+    # at seeds 8, 31 and 48 the folded determinants share a divisor of degree
+    # 5: the fold meets the target and returns that divisor, which passes the
+    # degree check and the oracle
     predict_one_too_high(monkeypatch)
-    with pytest.raises(ConsistencyError):
-        implicitize(QUADRIC, method="gcd-minors")
+    for seed in [DEFAULT_SEED, *range(1, 61)]:
+        with pytest.raises(ConsistencyError):
+            implicitize(QUADRIC, method="gcd-minors", seed=seed)
+
+
+@pytest.mark.parametrize("method", ["det-complex", "gcd-minors"])
+def test_implicitize_walks_the_minor_chain_once(method, monkeypatch):
+    calls = []
+    walk = strands.check_rank_profile
+
+    def counted(*args):
+        calls.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(strands, "check_rank_profile", counted)
+    implicitize(QUADRIC, method=method)
+    assert len(calls) == 1
 
 
 def test_sub_bound_conic_rejected_below_viable():

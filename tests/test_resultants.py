@@ -218,10 +218,18 @@ def test_curve_implicitize_conic():
     assert unit_multiple_of(out.homogeneous, param.ring.poly("T2^2 - T1*T3"))
 
 
-def test_curve_implicitize_rejects_common_factor():
-    param = make_parameterization(QQ, ["X1", "X2"], ["X1^3", "X1^2*X2", "X1*X2^2"])
-    with pytest.raises(HypothesisViolation):
-        curve_implicitize_resultant(param)
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
+def test_curve_implicitize_rejects_common_factor(field):
+    # a common factor is a common root of f1 - T1*f3 and f2 - T2*f3 for
+    # every T, so the pencil determinant vanishes identically
+    for forms in (
+        ["X1^3", "X1^2*X2", "X1*X2^2"],
+        # (X1 + 2*X2) times X1^2, X1*X2 - X2^2 and X2^2
+        ["X1^3 + 2*X1^2*X2", "X1^2*X2 + X1*X2^2 - 2*X2^3", "X1*X2^2 + 2*X2^3"],
+    ):
+        param = make_parameterization(field, ["X1", "X2"], forms)
+        with pytest.raises(HypothesisViolation, match="share a factor"):
+            curve_implicitize_resultant(param)
 
 
 def test_curve_implicitize_rejects_wrong_n():

@@ -22,7 +22,7 @@ from implicax.arith import (
 )
 from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError
 from implicax.geometry import analyze_parameterization
-from implicax.linalg import PolyMatrix, det_fraction_free, scalar_rank
+from implicax.linalg import DEFAULT_SEED, det_fraction_free, scalar_rank
 from implicax.problems import load_problem
 from implicax.strands import (
     boundary_basis,
@@ -181,30 +181,6 @@ def test_strand_differentials_compose_to_zero():
                     assert not sum((e * col[j] for e, col in zip(row, b)), param.ring.zero).terms
 
 
-def test_strand_check_rejects_maps_that_do_not_compose_to_zero(monkeypatch):
-    # one entry of the second map moved by 1: the product's T_s*T_t part is
-    # no longer zero, and z_strand refuses the strand
-    built = []
-    from_parts = PolyMatrix.from_parts
-
-    def perturbed(ring, parts, cols):
-        m = from_parts(ring, parts, cols)
-        built.append(m)
-        if len(built) == 2:
-            j = next(t for t in range(1, len(parts)) if any(map(any, parts[t])))
-            r, c = next((r, c) for r, row in enumerate(parts[j]) for c, x in enumerate(row) if x)
-            parts[j][r][c] += 1
-        return m
-
-    for param, nu in ((CONIC_FAT, 2), (QUADRIC, 2)):
-        z_strand(param, nu)
-        del built[:]
-        monkeypatch.setattr(PolyMatrix, "from_parts", perturbed)
-        with pytest.raises(ImplicaxError, match="do not compose to zero"):
-            z_strand(param, nu)
-        monkeypatch.undo()
-
-
 @pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
 def test_strand_check_rejects_a_contraction_that_leaves_the_cycle_space(monkeypatch, field):
     # one T-contraction coordinate moved by 1: the image is no longer the
@@ -312,17 +288,33 @@ def test_inexact_chain_quotient_raises_after_one_chain(monkeypatch):
         raise strands.NotDivisibleError("forced")
 
     calls = []
-    walk = strands._minor_chain
+    walk = strands.check_rank_profile
 
     def counted(*args):
         calls.append(1)
         return walk(*args)
 
     monkeypatch.setattr(strands, "exact_divide", not_divisible)
-    monkeypatch.setattr(strands, "_minor_chain", counted)
+    monkeypatch.setattr(strands, "check_rank_profile", counted)
     with pytest.raises(HypothesisViolation, match="not exact"):
         complex_determinant(z_strand(QUADRIC, 2))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 7])
+def test_gcd_route_starts_at_the_chains_first_link(seed, monkeypatch):
+    st = z_strand(QUADRIC, 2)
+    first = complex_determinant(st, seed=seed).chain[0][3]
+    dets = []
+    det = strands.det_fraction_free
+
+    def recorded(m):
+        dets.append(det(m))
+        return dets[-1]
+
+    monkeypatch.setattr(strands, "det_fraction_free", recorded)
+    gcd_of_maximal_minors(st, 4, seed=seed)
+    assert dets[0] == first
 
 
 def count_sampled_pivots(monkeypatch, short=False):
@@ -355,8 +347,8 @@ def test_chain_short_of_full_rank_raises_after_profile_draws(monkeypatch):
     assert calls == [15] * strands._profile_draws(st)
 
 
-# a dense quadric map over GF(101) whose 6 x 9 rightmost map loses rank at the
-# first point that seed 13 draws
+# a dense quadric map over GF(101) whose 9 x 4 second map loses rank on the 3
+# rows the chain leaves it at the first point that seed 35 draws
 GF101_QUADRIC = make_parameterization(
     GF(101),
     ["X1", "X2", "X3"],
@@ -372,10 +364,10 @@ GF101_QUADRIC = make_parameterization(
 def test_rank_profile_redraws_until_a_small_field_finds_the_rank(monkeypatch):
     st = z_strand(GF101_QUADRIC, 2)
     calls = count_sampled_pivots(monkeypatch)
-    assert check_rank_profile(st, seed=13) == [6, 3, 1]
-    assert calls == [6, 6, 3, 1]
+    assert [len(cols) for _, cols in check_rank_profile(st, seed=35)] == [6, 3, 1]
+    assert calls == [6, 3, 3, 1]
     routes = [
-        pipeline.implicitize(GF101_QUADRIC, method=method, seed=13)
+        pipeline.implicitize(GF101_QUADRIC, method=method, seed=35)
         for method in ("det-complex", "gcd-minors")
     ]
     assert routes[0].reduced == routes[1].reduced and routes[0].reduced.total_degree() == 4
