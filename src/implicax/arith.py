@@ -14,13 +14,20 @@ declared order, each field storing MAXEXP - exponent.  With this layout
 so the hot loops (multiplication, exact division, determinants) run on plain
 int arithmetic.  Exponents must stay below 2**15 and total degrees below
 2**23; far beyond anything this library is used for.
+
+This module also holds the package's one row reduction (`_rref`, with the
+checked kernel `rref_kernel_data` read off it), which `linalg`, `strands`
+and `geometry` take from here, and its one gcd (`multivariate_gcd`), read
+off a cofactor kernel of that row reduction.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import re
 from fractions import Fraction
+from itertools import compress
 
 __all__ = [
     "QQ",
@@ -32,6 +39,7 @@ __all__ = [
     "ParseError",
     "NotDivisibleError",
     "SmallCharacteristicError",
+    "ConsistencyError",
 ]
 
 
@@ -49,6 +57,11 @@ class NotDivisibleError(ArithError):
 
 class SmallCharacteristicError(ArithError):
     """Operation needs characteristic 0 or larger than the degree at hand."""
+
+
+class ConsistencyError(ArithError):
+    """An internal cross-check failed: a degree mismatch, the evaluation
+    oracle, a kernel vector with A*v != 0, or the gcd's dimension rule."""
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +812,7 @@ def format_poly(p):
 
 
 # ---------------------------------------------------------------------------
-# exact division and gcd
+# exact division, normalization and perfect powers
 
 
 def exact_divide(a, b):
@@ -860,142 +873,6 @@ def unit_multiple_of(a, b):
     if not a.terms or not b.terms:
         return (not a.terms) == (not b.terms)
     return normalize(a) == normalize(b)
-
-
-def _as_univariate(p, v):
-    """Coefficient list [c_0 .. c_deg] of p seen in variable v; entries are
-    polynomials not involving v."""
-    ring = p.ring
-    deg = p.degree_in_var(v)
-    coeffs = [dict() for _ in range(deg + 1)]
-    off = _EXP_BITS * v
-    for m, c in p.terms.items():
-        e = _MAXE - ((m >> off) & _MAXE)
-        drop = ring.pack(tuple(e if j == v else 0 for j in range(ring.nv)))
-        coeffs[e][ring.mono_div(m, drop)] = c
-    return [Poly(ring, t) for t in coeffs]
-
-
-def _from_univariate(coeffs, v):
-    ring = coeffs[0].ring
-    out = {}
-    for e, ce in enumerate(coeffs):
-        if not ce.terms:
-            continue
-        shift = ring.pack(tuple(e if j == v else 0 for j in range(ring.nv)))
-        for m, c in ce.terms.items():
-            out[ring.mono_mul(m, shift)] = c
-    return Poly(ring, out)
-
-
-def _uni_deg(coeffs):
-    d = len(coeffs) - 1
-    while d >= 0 and not coeffs[d].terms:
-        d -= 1
-    return d
-
-
-def _uni_pseudo_rem(a, b, ring):
-    """Pseudo-remainder of coefficient lists a by b (lc(b)^(da-db+1) * a mod b)."""
-    da, db = _uni_deg(a), _uni_deg(b)
-    lc_b = b[db]
-    r = list(a[: da + 1])
-    for k in range(da, db - 1, -1):
-        lead = r[k]
-        r = [ci * lc_b for ci in r[:k]]
-        if lead.terms:
-            for j in range(db):
-                r[k - db + j] = r[k - db + j] - lead * b[j]
-    while r and not r[-1].terms:
-        r.pop()
-    return r
-
-
-def multivariate_gcd(a, b):
-    """gcd via content/primitive-part recursion + subresultant remainders.
-
-    Result is normalized (primitive, positive leading coefficient over QQ;
-    monic over GF(p)).  Its callers are the `content_gcd` of the base-point
-    analysis (through `gcd_many`) and the resultant route's common-factor
-    check; the gcd-minors fold never calls it, since `strands._gcd_pair`
-    reads each of its gcds off a cofactor kernel.
-    """
-    _check_same_ring(a, b)
-    ring = a.ring
-    if not a.terms and not b.terms:
-        raise ArithError("gcd(0, 0) undefined")
-    if not a.terms:
-        return normalize(b)
-    if not b.terms:
-        return normalize(a)
-    mono = ring.mono_gcd(monomial_content(a), monomial_content(b))
-    a = exact_divide(a, Poly(ring, {monomial_content(a): 1}))
-    b = exact_divide(b, Poly(ring, {monomial_content(b): 1}))
-    g = _gcd_primitive(a, b)
-    return normalize(g * Poly(ring, {mono: 1}))
-
-
-def gcd_many(polys):
-    """Iterated pairwise gcd of a non-empty sequence."""
-    polys = [p for p in polys if p.terms]
-    if not polys:
-        raise ArithError("gcd of all-zero collection")
-    g = polys[0]
-    for p in polys[1:]:
-        g = multivariate_gcd(g, p)
-        if g.is_constant():
-            break
-    return normalize(g)
-
-
-def _gcd_primitive(a, b):
-    ring = a.ring
-    if a.is_constant() or b.is_constant():
-        return ring.one
-    avars = set(a.variables())
-    bvars = set(b.variables())
-    common = avars | bvars
-    v = max(common)
-    ua = _as_univariate(a, v)
-    ub = _as_univariate(b, v)
-    if len(ua) == 1 or len(ub) == 1:
-        # one input does not involve v after all (can't happen with v chosen
-        # from the union unless the poly is v-free): gcd with its content
-        if len(ua) == 1:
-            return gcd_many([ua[0]] + ub)
-        return gcd_many([ub[0]] + ua)
-    cont_a = gcd_many(ua)
-    cont_b = gcd_many(ub)
-    cont = multivariate_gcd(cont_a, cont_b) if not (cont_a.is_constant() and cont_b.is_constant()) else ring.one
-    pa = [exact_divide(c, cont_a) for c in ua]
-    pb = [exact_divide(c, cont_b) for c in ub]
-    if _uni_deg(pa) < _uni_deg(pb):
-        pa, pb = pb, pa
-    g = ring.one
-    h = ring.one
-    r0, r1 = pa, pb
-    while True:
-        d0, d1 = _uni_deg(r0), _uni_deg(r1)
-        delta = d0 - d1
-        rem = _uni_pseudo_rem(r0, r1, ring)
-        if _uni_deg(rem) < 0:
-            pp = r1
-            break
-        if _uni_deg(rem) == 0:
-            return cont
-        divisor = g * h**delta
-        r0 = r1
-        r1 = [exact_divide(c, divisor) for c in rem]
-        g = r0[_uni_deg(r0)]
-        if delta == 0:
-            pass
-        elif delta == 1:
-            h = g
-        else:
-            h = exact_divide(g**delta, h ** (delta - 1))
-    pp_cont = gcd_many(pp)
-    pp = [exact_divide(c, pp_cont) for c in pp]
-    return cont * _from_univariate(pp, v)
 
 
 def _check_characteristic(p):
@@ -1079,6 +956,265 @@ def perfect_power_decompose(p):
         if H is not None and H**e == q:
             return normalize(H), e
     return q, 1
+
+
+# ---------------------------------------------------------------------------
+# the one row reduction, and the one gcd read off its cofactor kernels
+
+
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _rref(p, data):
+    """Reduced row echelon form of `data`: (nonzero rows, pivot columns).
+
+    The one row reduction of the package; rank, kernel, span membership
+    (orthogonality to the kernel of the spanning rows) and minor selection
+    are read off its output.  Gauss-Jordan elimination on sparse integer
+    rows {column: entry}, with an index from each column to the rows
+    holding it, so a pivot updates only the rows that hold its column.
+    Columns go in order; the pivot is the first row from position r on that
+    holds the column, swapped to position r.  Over QQ (p = 0) a row with
+    fractions is scaled by the lcm of its denominators, and rows are
+    eliminated fraction-free, cross-multiplying and then dividing by the
+    content; mod p every pivot is 1.  The rows come back dense, each zero at
+    the other rows' pivot columns; `data` is not modified.
+    """
+    ncols = len(data[0]) if data else 0
+    rows = []
+    holders = [set() for _ in range(ncols)]  # column -> ids of the rows holding it
+    for i, row in enumerate(data):
+        row = dict(compress(enumerate(row), row))
+        if not all(map(int.__instancecheck__, row.values())):
+            den = math.lcm(*[x.denominator for x in row.values()])
+            row = {j: int(x * den) for j, x in row.items()}
+        rows.append({j: x % p for j, x in row.items() if x % p} if p else row)
+        for j in rows[i]:
+            holders[j].add(i)
+    order = list(range(len(rows)))  # position -> row id
+    pos = list(order)  # row id -> position
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = min((pos[i] for i in holders[c] if pos[i] >= r), default=None)
+        if sel is None:
+            continue
+        k = order[sel]
+        order[r], order[sel] = k, order[r]
+        pos[k], pos[order[sel]] = r, sel
+        prow = rows[k]
+        if p:
+            s = pow(prow[c], -1, p)
+            for j in prow:
+                prow[j] = prow[j] * s % p
+        elif (g := math.gcd(*prow.values())) > 1:
+            for j in prow:
+                prow[j] //= g
+        pc = prow[c]
+        for i in holders[c]:
+            if i == k:
+                continue
+            row = rows[i]
+            ic = row[c]
+            if not p and pc != 1:
+                for j in row:
+                    row[j] *= pc
+            for j, b in prow.items():
+                a = row.get(j)
+                if a is None:
+                    row[j] = -ic * b % p if p else -ic * b
+                    holders[j].add(i)
+                elif a := (a - ic * b) % p if p else a - ic * b:
+                    row[j] = a
+                else:
+                    del row[j]
+                    if j != c:
+                        holders[j].discard(i)
+            if not p and (g := math.gcd(*row.values())) > 1:
+                for j in row:
+                    row[j] //= g
+        holders[c] = {k}
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    out = [[0] * ncols for _ in pivots]
+    for dense, k in zip(out, order):
+        for j, x in rows[k].items():
+            dense[j] = x
+    return out, pivots
+
+
+def _echelon_kernel(p, rows, ncols):
+    """(kernel basis, free columns) of integer rows in reduced echelon form.
+
+    Precondition: each row's first nonzero entry, its pivot, lies in a
+    column where every other row is zero, as in `_rref`'s output or identity
+    rows; nothing checks it.  With L the lcm of the pivot entries, the
+    vector of free column f has L at f and -(L / row[c]) * row[f] at the
+    pivot column c of each row.  Over QQ the vector is then divided by its
+    gcd, so it is primitive and positive at f; mod p with pivots 1, L is 1.
+    """
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    taken = set(pivots)
+    free = [c for c in range(ncols) if c not in taken]
+    lcm = math.lcm(*[row[c] for row, c in zip(rows, pivots)])
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = lcm
+        for row, c in zip(rows, pivots):
+            if row[f]:
+                vec[c] = -(lcm // row[c]) * row[f]
+        basis.append([x % p for x in vec] if p else _primitive(vec))
+    return basis, free
+
+
+def rref_kernel_data(field, data, ncols):
+    """(rank, kernel basis, free columns) of the rows `data`, ncols wide,
+    from one `_rref` pass.  Every kernel vector is checked, A*v = 0, or
+    ConsistencyError."""
+    rows, pivots = _rref(field.char, data)
+    basis, free = _echelon_kernel(field.char, rows, ncols)
+    if basis:
+        # A*v by columns over v's support; rows no support column touches are 0
+        columns = [[(i, a) for i, a in enumerate(col) if a] for col in zip(*data)] or [[]] * ncols
+        for v in basis:
+            acc = {}
+            for j, x in compress(enumerate(v), v):
+                for i, a in columns[j]:
+                    acc[i] = acc.get(i, 0) + a * x
+            if not all(map(field.is_zero, acc.values())):
+                raise ConsistencyError("kernel vector fails A*v = 0")
+    return len(pivots), basis, free
+
+
+_SPARE_ROWS = 4  # rows past the unknowns in a sampled cofactor system
+
+
+def multivariate_gcd(a, b, degree=0, seed=0):
+    """gcd of two polynomials, normalized, read off an exact cofactor kernel.
+
+    `degree` is a lower bound on the gcd's degree that the caller has proven
+    (the minors fold passes the predicted degree).  Write gcd(a, b) = M * h,
+    M the gcd of the monomial contents, h = gcd(a', b') of the rest, and D =
+    max(degree - deg M, 0).  Forms are read in the bank the inputs involve
+    (X, T or all variables), of size k; a non-form counts as a form in one
+    more variable, as the polynomials of degree <= e in k variables number
+    C(e + k, k), like the forms of degree e in k + 1.  For a' = h*a1 and
+    b' = h*b1, u*a' = v*b' with u, v of degrees (at most, for non-forms)
+    deg b' - D and deg a' - D exactly when (u, v) = w*(b1, a1), w of degree
+    deg h - D.  So the kernel of (u, v) -> u*a' - v*b' has dimension
+    C(deg h - D + k - 1, k - 1) (the Sylvester characterisation; von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 6):
+
+    - 1 when deg h = D: G = a' // v, with a' // v and b' // G checked exact,
+      is a common divisor of degree deg h, so h up to a unit.  A proof.
+    - 0 when deg h < D, against the bound: ConsistencyError.
+    - larger when deg h > D: the dimension names deg h, where the kernel
+      is taken again.
+
+    The kernel is first taken on a row sample seeded by `seed`, whose kernel
+    holds the full one.  So a sample kernel of dimension 1 holds the true
+    vector, and a failed division means dimension 0.  A larger one names a
+    degree D + e >= deg h, where a second sample is taken: a kernel of
+    dimension 1 there whose divisions pass gives a common divisor of degree
+    D + e, so deg h = D + e, a proof.  Anything else is redone on every row,
+    so the sample changes the speed, never the answer.
+    """
+    _check_same_ring(a, b)
+    ring = a.ring
+    if not a.terms and not b.terms:
+        raise ArithError("gcd(0, 0) undefined")
+    if not a.terms or not b.terms:
+        return normalize(a if a.terms else b)
+    ma, mb = monomial_content(a), monomial_content(b)
+    mono = Poly(ring, {ring.mono_gcd(ma, mb): 1})
+    target = max(degree - mono.total_degree(), 0)
+    a1 = a // Poly(ring, {ma: 1})
+    b1 = b // Poly(ring, {mb: 1})
+    top = min(a1.total_degree(), b1.total_degree()) - target
+    if top == target == 0:
+        return normalize(mono)  # a1 or b1 is a constant, so h = 1
+    # a1 and b1 are not constants, so a and b involve some variable
+    start = ring.nx if a.bank_degree(0, ring.nx) == b.bank_degree(0, ring.nx) == 0 else 0
+    stop = ring.nx if a.t_degree() == b.t_degree() == 0 else ring.nv
+    forms = a.homogeneous_degree() is not None and b.homogeneous_degree() is not None
+    k = stop - start + (not forms)
+
+    def monomials(e):
+        degrees = [e] if forms else range(e, -1, -1)
+        return [m for d in degrees for m in ring.monomials_of_degree(d, start, stop)]
+
+    sizes = [math.comb(e + k - 1, k - 1) for e in range(top + 1)]
+    rng = random.Random("%s:cofactors" % (seed,))
+    kernel = _cofactors(a1, b1, target, monomials, rng)
+    if len(kernel) > 1 and len(kernel) in sizes:
+        g = _divisor(a1, b1, _cofactors(a1, b1, target + sizes.index(len(kernel)), monomials, rng))
+        if g is not None:
+            return normalize(g * mono)
+    if len(kernel) > 1:
+        kernel = _cofactors(a1, b1, target, monomials)
+    if len(kernel) > 1:
+        if len(kernel) not in sizes:
+            raise ConsistencyError("a cofactor kernel of dimension %d names no degree" % len(kernel))
+        kernel = _cofactors(a1, b1, target + sizes.index(len(kernel)), monomials)
+    g = _divisor(a1, b1, kernel)
+    if g is None:
+        raise ConsistencyError(
+            "two polynomials of degrees %d and %d have a gcd of degree below the "
+            "predicted degree %d" % (a.total_degree(), b.total_degree(), degree)
+        )
+    return normalize(g * mono)
+
+
+def _cofactors(a, b, degree, monomials, rng=None):
+    """The v parts of a kernel basis of (u, v) -> u*a - v*b, u and v spanned by
+    monomials(deg b - degree) and monomials(deg a - degree); with `rng`, of a
+    seeded sample of width + _SPARE_ROWS rows, whose kernel holds the full one."""
+    ring = a.ring
+    da, db = a.total_degree(), b.total_degree()
+    if degree > min(da, db):
+        return []
+    us = monomials(db - degree)
+    vs = monomials(da - degree)
+    mono_mul = ring.mono_mul
+    cols = [{mono_mul(m, t): c for t, c in a.terms.items()} for m in us]
+    cols += [{mono_mul(m, t): -c for t, c in b.terms.items()} for m in vs]
+    keys = list(dict.fromkeys(r for col in cols for r in col))
+    if rng is not None and len(keys) > len(cols) + _SPARE_ROWS:
+        keys = rng.sample(keys, len(cols) + _SPARE_ROWS)
+    rows = [[col.get(r, 0) for col in cols] for r in keys]
+    _, basis, _ = rref_kernel_data(ring.field, rows, len(cols))
+    return [Poly(ring, {m: c for m, c in zip(vs, vec[len(us) :]) if c}) for vec in basis]
+
+
+def _divisor(a, b, kernel):
+    """a // v for the one vector v of a cofactor kernel, when that division
+    and b's by the quotient are exact; otherwise None."""
+    if len(kernel) != 1:
+        return None
+    try:
+        g = a // kernel[0]
+        b // g
+    except NotDivisibleError:
+        return None
+    return g
+
+
+def gcd_many(polys):
+    """Iterated pairwise gcd of a non-empty sequence."""
+    polys = [p for p in polys if p.terms]
+    if not polys:
+        raise ArithError("gcd of all-zero collection")
+    g = polys[0]
+    for p in polys[1:]:
+        g = multivariate_gcd(g, p)
+        if g.is_constant():
+            break
+    return normalize(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Failure taxonomy shared by the strand, geometry and pipeline layers."""
 
-from .arith import ArithError, NotDivisibleError, ParseError, SmallCharacteristicError
+from .arith import ArithError, ConsistencyError, NotDivisibleError, ParseError, SmallCharacteristicError
 
 __all__ = [
     "ImplicaxError",
@@ -23,10 +23,6 @@ class HypothesisViolation(ImplicaxError):
     some level stays short of full rank at every draw the 2^-40 bound of
     `strands._profile_draws` asks for, or the chain leaves rows over.
     """
-
-
-class ConsistencyError(ImplicaxError):
-    """An internal cross-check failed (degree mismatch, evaluation oracle)."""
 
 
 class UsageError(ImplicaxError):

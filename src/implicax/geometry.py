@@ -27,9 +27,9 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-from .arith import Poly, gcd_many
+from .arith import Poly, _echelon_kernel, _rref, gcd_many
 from .errors import ConsistencyError, ImplicaxError
-from .linalg import ScalarMatrix, _echelon_kernel, _rref, rank_and_kernel, scalar_rank
+from .linalg import ScalarMatrix, rank_and_kernel, scalar_rank
 from .strands import _koszul_image, boundary_basis, cycle_basis, vector_to_polys
 
 __all__ = [

@@ -3,30 +3,27 @@
 Two matrix flavors: ScalarMatrix (field entries) and PolyMatrix, a matrix
 affine in T stored as its scalar parts A_0 + sum_i T_i*A_i (strand maps,
 Sylvester and Bezout matrices, Kravitsky pencils).  Rank, kernel, span
-membership and minor selection are read off one integer row reduction
-(`_rref`): Gauss-Jordan elimination on sparse rows, each pivot updating
-only the rows that hold its column, which takes and returns dense rows.
-A vector lies in the span of some rows exactly when it is orthogonal to
-their kernel (the annihilator), so span membership needs no loop of its
-own.  A PolyMatrix is reduced at a random point of T, where its value is a
-combination of the parts' rows.  Determinants have one elimination
-loop, `_det_scalar` (fraction-free Bareiss elimination; Gaussian mod p), and
-`det_fraction_free` feeds it by the matrix's density: when at least half of
-the entries are nonzero, the integer matrices at the points of a grid, whose
-values are interpolated (`_det_on_grid`); otherwise the entries as
-polynomials, whose products and exact quotients are Poly's (`_det_bareiss`).
-Over QQ both first make every row a primitive integer row
-(`_integer_parts`) and restore the product of the scales at the end, so
-results are exact, not "up to unit".
+membership and minor selection are read off the package's one integer row
+reduction, `arith._rref` (with the checked kernel `rref_kernel_data`),
+which lives in `arith` beside the one gcd that reads its cofactor kernels
+off it: Gauss-Jordan elimination on sparse rows, each pivot updating only
+the rows that hold its column.  A vector lies in the span of some rows
+exactly when it is orthogonal to their kernel (the annihilator), so span
+membership needs no loop of its own.  A PolyMatrix is reduced at a
+random point of T, where its value is a combination of the parts' rows.
+Determinants have one elimination loop, `_det_scalar` (fraction-free
+Bareiss elimination; Gaussian mod p), and `det_fraction_free` feeds it by
+the matrix's density: when at least half of the entries are nonzero, the
+integer matrices at the points of a grid, whose values are interpolated
+(`_det_on_grid`); otherwise the entries as polynomials, whose products and
+exact quotients are Poly's (`_det_bareiss`).  Over QQ both first make every
+row a primitive integer row (`_integer_parts`) and restore the product of
+the scales at the end, so results are exact, not "up to unit".
 """
 
 from __future__ import annotations
 
-import math
-from itertools import compress
-
-from .arith import ArithError, Poly, rational_content
-from .errors import ConsistencyError
+from .arith import ArithError, Poly, _rref, rational_content, rref_kernel_data
 
 __all__ = [
     "ScalarMatrix",
@@ -68,141 +65,13 @@ class ScalarMatrix:
         return "ScalarMatrix(%dx%d over %s)" % (self.rows, self.cols, self.field)
 
 
-def _primitive(row):
-    """The integer row divided by the gcd of its entries."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _rref(p, data):
-    """Reduced row echelon form of `data`: (nonzero rows, pivot columns).
-
-    The one row reduction of the package; rank, kernel, span membership
-    (orthogonality to the kernel of the spanning rows) and minor selection
-    are read off its output.  Gauss-Jordan elimination on
-    sparse integer rows {column: entry}, with an index from each column to
-    the rows holding it, so a pivot updates only the rows that hold its
-    column.  Columns go in order; the pivot is the first row from position r
-    on that holds the column, swapped to position r.  Over QQ (p = 0) a row
-    with fractions is scaled by the lcm of its denominators, and rows are
-    eliminated fraction-free, cross-multiplying and then dividing by the
-    content; mod p every pivot is 1.  The rows come back dense, each zero at
-    the other rows' pivot columns; `data` is not modified.
-    """
-    ncols = len(data[0]) if data else 0
-    rows = []
-    holders = [set() for _ in range(ncols)]  # column -> ids of the rows holding it
-    for i, row in enumerate(data):
-        row = dict(compress(enumerate(row), row))
-        if not all(map(int.__instancecheck__, row.values())):
-            den = math.lcm(*[x.denominator for x in row.values()])
-            row = {j: int(x * den) for j, x in row.items()}
-        rows.append({j: x % p for j, x in row.items() if x % p} if p else row)
-        for j in rows[i]:
-            holders[j].add(i)
-    order = list(range(len(rows)))  # position -> row id
-    pos = list(order)  # row id -> position
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        sel = min((pos[i] for i in holders[c] if pos[i] >= r), default=None)
-        if sel is None:
-            continue
-        k = order[sel]
-        order[r], order[sel] = k, order[r]
-        pos[k], pos[order[sel]] = r, sel
-        prow = rows[k]
-        if p:
-            s = pow(prow[c], -1, p)
-            for j in prow:
-                prow[j] = prow[j] * s % p
-        elif (g := math.gcd(*prow.values())) > 1:
-            for j in prow:
-                prow[j] //= g
-        pc = prow[c]
-        for i in holders[c]:
-            if i == k:
-                continue
-            row = rows[i]
-            ic = row[c]
-            if not p and pc != 1:
-                for j in row:
-                    row[j] *= pc
-            for j, b in prow.items():
-                a = row.get(j)
-                if a is None:
-                    row[j] = -ic * b % p if p else -ic * b
-                    holders[j].add(i)
-                elif a := (a - ic * b) % p if p else a - ic * b:
-                    row[j] = a
-                else:
-                    del row[j]
-                    if j != c:
-                        holders[j].discard(i)
-            if not p and (g := math.gcd(*row.values())) > 1:
-                for j in row:
-                    row[j] //= g
-        holders[c] = {k}
-        pivots.append(c)
-        if len(pivots) == len(rows):
-            break
-    out = [[0] * ncols for _ in pivots]
-    for dense, k in zip(out, order):
-        for j, x in rows[k].items():
-            dense[j] = x
-    return out, pivots
-
-
-def _echelon_kernel(p, rows, ncols):
-    """(kernel basis, free columns) of integer rows in reduced echelon form.
-
-    Precondition: each row's first nonzero entry, its pivot, lies in a
-    column where every other row is zero, as in `_rref`'s output or identity
-    rows; nothing checks it.  With L the lcm of the pivot entries, the
-    vector of free column f has L at f and -(L / row[c]) * row[f] at the
-    pivot column c of each row.  Over QQ the vector is then divided by its
-    gcd, so it is primitive and positive at f; mod p with pivots 1, L is 1.
-    """
-    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
-    taken = set(pivots)
-    free = [c for c in range(ncols) if c not in taken]
-    lcm = math.lcm(*[row[c] for row, c in zip(rows, pivots)])
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = lcm
-        for row, c in zip(rows, pivots):
-            if row[f]:
-                vec[c] = -(lcm // row[c]) * row[f]
-        basis.append([x % p for x in vec] if p else _primitive(vec))
-    return basis, free
-
-
 def rank_and_kernel(m):
     """(rank, kernel basis) with deterministic reduced-echelon kernel vectors.
 
     Over QQ kernel vectors are primitive integer vectors, positive at their
     own free coordinate; over GF(p) that coordinate is 1.
     """
-    rank, basis, _ = rref_kernel_data(m)
-    return rank, basis
-
-
-def rref_kernel_data(m):
-    """(rank, kernel basis, free columns) from one row-reduction pass."""
-    rows, pivots = _rref(m.field.char, m.data)
-    basis, free = _echelon_kernel(m.field.char, rows, m.cols)
-    if basis:
-        # A*v by columns over v's support; rows no support column touches are 0
-        columns = [[(i, a) for i, a in enumerate(col) if a] for col in zip(*m.data)] or [[]] * m.cols
-        for v in basis:
-            acc = {}
-            for j, x in compress(enumerate(v), v):
-                for i, a in columns[j]:
-                    acc[i] = acc.get(i, 0) + a * x
-            if not all(map(m.field.is_zero, acc.values())):
-                raise ConsistencyError("kernel vector fails A*v = 0")
-    return len(pivots), basis, free
+    return rref_kernel_data(m.field, m.data, m.cols)[:2]
 
 
 def scalar_rank(field, data):

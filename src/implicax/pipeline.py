@@ -15,7 +15,7 @@ from .geometry import BasePointReport, analyze_parameterization
 from .linalg import DEFAULT_SEED
 from .resultants import curve_implicitize_resultant
 from .strands import (
-    check_rank_profile,  # no caller here; bench/tracer.py wraps it
+    check_rank_profile,  # no caller here; bench/tracer.py wraps it (ROADMAP item 5 removes it)
     complex_determinant,
     gcd_of_maximal_minors,
     z_strand,

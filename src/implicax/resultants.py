@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Poly, multivariate_gcd, normalize  # bench/tracer.py wraps multivariate_gcd
+# multivariate_gcd has no caller here; bench/tracer.py wraps it (ROADMAP item 5 removes it)
+from .arith import Poly, multivariate_gcd, normalize
 from .errors import HypothesisViolation, ImplicaxError, UsageError
 from .linalg import PolyMatrix, det_fraction_free
 

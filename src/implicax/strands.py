@@ -23,21 +23,20 @@ from dataclasses import dataclass
 from .arith import (
     NotDivisibleError,
     Poly,
+    _rref,
     exact_divide,
-    monomial_content,
-    multivariate_gcd,  # no caller here; bench/tracer.py wraps it
+    multivariate_gcd,
     normalize,
+    rref_kernel_data,
 )
-from .errors import ConsistencyError, HypothesisViolation, ImplicaxError, UsageError
+from .errors import HypothesisViolation, ImplicaxError, UsageError
 from .linalg import (
     DEFAULT_SEED,
     PolyMatrix,
     ScalarMatrix,
-    _rref,
     _sample_size,
     _sampled_pivots,
     det_fraction_free,
-    rref_kernel_data,
 )
 
 __all__ = [
@@ -52,8 +51,8 @@ __all__ = [
     "gcd_of_maximal_minors",
 ]
 
-# A traced name only, with no caller: bench/tracer.py still wraps it.  It goes
-# when the trace moves into the package (ROADMAP item 5).
+# A traced name only, with no caller: bench/tracer.py still wraps it.  ROADMAP
+# item 5, which moves the trace into the package, removes it.
 gcd_homogeneous_by_lines = multivariate_gcd
 
 
@@ -105,8 +104,7 @@ def koszul_differential_matrix(param, i, nu):
 def _cycle_data(param, i, nu):
     """(kernel vectors, free column positions) of the degree-nu cycles."""
     m = koszul_differential_matrix(param, i, nu)
-    _, basis, frees = rref_kernel_data(m)
-    return basis, frees
+    return rref_kernel_data(m.field, m.data, m.cols)[1:]
 
 
 def cycle_basis(param, i, nu):
@@ -393,97 +391,6 @@ def complex_determinant(strand, seed=DEFAULT_SEED):
 
 
 _RECOMBINATIONS = 12  # most sign recombinations folded into the gcd
-_SPARE_ROWS = 4  # rows past the unknowns in a sampled cofactor system
-
-
-def _cofactors(a, b, degree, rng=None):
-    """The v parts of a kernel basis of (u, v) -> u*a - v*b, u and v forms
-    of degrees deg b - degree and deg a - degree.  With `rng`, of a seeded
-    sample of width + _SPARE_ROWS rows, whose kernel holds the full one."""
-    ring = a.ring
-    da, db = a.total_degree(), b.total_degree()
-    if degree > min(da, db):
-        return []
-    us = ring.monomials_of_degree(db - degree, ring.nx, ring.nv)
-    vs = ring.monomials_of_degree(da - degree, ring.nx, ring.nv)
-    mono_mul = ring.mono_mul
-    cols = [{mono_mul(m, t): c for t, c in a.terms.items()} for m in us]
-    cols += [{mono_mul(m, t): -c for t, c in b.terms.items()} for m in vs]
-    keys = list(dict.fromkeys(r for col in cols for r in col))
-    if rng is not None and len(keys) > len(cols) + _SPARE_ROWS:
-        keys = rng.sample(keys, len(cols) + _SPARE_ROWS)
-    rows = [[col.get(r, 0) for col in cols] for r in keys]
-    _, basis, _ = rref_kernel_data(ScalarMatrix(ring.field, rows, len(cols)))
-    return [Poly(ring, {m: c for m, c in zip(vs, vec[len(us) :]) if c}) for vec in basis]
-
-
-def _gcd_pair(a, b, degree, seed):
-    """gcd of two minors of the rightmost map, read off at the predicted degree.
-
-    `degree` is the least degree the gcd can have, as the strand determinant
-    divides both minors.  Write gcd(a, b) = M * h, M the gcd of the monomial
-    contents and h = gcd(a', b') of the rest, with target D = max(degree -
-    deg M, 0).  For a' = h*a1 and b' = h*b1, u*a' = v*b' with u, v of
-    degrees deg b' - D and deg a' - D exactly when (u, v) = w*(b1, a1), w a
-    form of degree deg h - D.  So the kernel of (u, v) -> u*a' - v*b' has
-    dimension C(deg h - D + k - 1, k - 1) in k variables T (the Sylvester
-    characterisation; von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 6):
-
-    - 1 when deg h = D: G = a' // v, with a' // v and b' // G checked exact,
-      is a common divisor of degree deg h, so h up to a unit.  A proof.
-    - 0 when deg h < D, against the theorem: ConsistencyError.
-    - larger when deg h > D: the dimension names deg h, where the kernel
-      is taken again.
-
-    The kernel is first taken on a row sample (`_cofactors`), whose kernel
-    holds the full one.  So a sample kernel of dimension 1 holds the true
-    vector, and a failed division means dimension 0.  A larger one names a
-    degree D + e >= deg h, where a second sample is taken: a kernel of
-    dimension 1 there whose divisions pass gives a common divisor of degree
-    D + e, so deg h = D + e, a proof.  Anything else is redone on every row.
-    """
-    ring = a.ring
-    ma, mb = monomial_content(a), monomial_content(b)
-    mono = Poly(ring, {ring.mono_gcd(ma, mb): 1})
-    target = max(degree - mono.total_degree(), 0)
-    a1 = a // Poly(ring, {ma: 1})
-    b1 = b // Poly(ring, {mb: 1})
-    k = ring.nv - ring.nx
-    top = min(a1.total_degree(), b1.total_degree()) - target
-    sizes = [math.comb(e + k - 1, k - 1) for e in range(top + 1)]
-    rng = random.Random("%s:cofactors" % (seed,))
-    kernel = _cofactors(a1, b1, target, rng)
-    if len(kernel) > 1 and len(kernel) in sizes:
-        g = _divisor(a1, b1, _cofactors(a1, b1, target + sizes.index(len(kernel)), rng))
-        if g is not None:
-            return normalize(g * mono)
-    if len(kernel) > 1:
-        kernel = _cofactors(a1, b1, target)
-    if len(kernel) > 1:
-        if len(kernel) not in sizes:
-            raise ConsistencyError("a cofactor kernel of dimension %d names no degree" % len(kernel))
-        kernel = _cofactors(a1, b1, target + sizes.index(len(kernel)))
-    g = _divisor(a1, b1, kernel)
-    if g is None:
-        raise ConsistencyError(
-            "two minors of degrees %d and %d have a gcd of degree below the "
-            "predicted degree %d" % (a.total_degree(), b.total_degree(), degree)
-        )
-    return normalize(g * mono)
-
-
-def _divisor(a, b, kernel):
-    """a // v for the one vector v of a cofactor kernel, when that division
-    and b's by the quotient are exact; otherwise None."""
-    if len(kernel) != 1:
-        return None
-    try:
-        g = a // kernel[0]
-        b // g
-    except NotDivisibleError:
-        return None
-    return g
 
 
 def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):
@@ -510,9 +417,9 @@ def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):
     collapses onto g's own minor.  That g divides the determinants does not
     prove that g divides every minor.  Only the degree equality does.
 
-    Each gcd is `_gcd_pair` at `degree`: the dimension of an exact cofactor
-    kernel gives the pair's gcd degree, and a kernel of dimension 1 gives
-    the gcd itself by one exact division, with no multivariate gcd.  A pair
+    Each gcd is `multivariate_gcd` with `degree` as its proven lower bound:
+    the dimension of an exact cofactor kernel gives the pair's gcd degree,
+    and a kernel of dimension 1 gives the gcd by one exact division.  A pair
     whose gcd falls below `degree` contradicts the theorem and raises
     ConsistencyError.  A target above the truth is caught that way only
     when some pair's gcd falls below it; a common divisor of the folded
@@ -545,7 +452,7 @@ def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):
         try:
             exact_divide(det, g)
         except NotDivisibleError:
-            g = _gcd_pair(g, det, degree, seed)
+            g = multivariate_gcd(g, det, degree, seed)
             clean = 0
         else:
             clean += det.total_degree() > g.total_degree()  # not a scalar multiple

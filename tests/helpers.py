@@ -3,9 +3,24 @@
 import math
 import random
 
-from implicax.arith import GF, QQ, Parameterization, Ring, make_parameterization, normalize
+from implicax.arith import (
+    _EXP_BITS,
+    _MAXE,
+    GF,
+    QQ,
+    ArithError,
+    Parameterization,
+    Poly,
+    Ring,
+    _check_same_ring,
+    _rref,
+    exact_divide,
+    make_parameterization,
+    monomial_content,
+    normalize,
+)
 from implicax.geometry import _regularity_bound, _span_kernel, ideal_piece, saturation_piece
-from implicax.linalg import _rref, det_fraction_free
+from implicax.linalg import det_fraction_free
 from implicax.resultants import BinaryForm, binary_form, sylvester_matrix
 from implicax.strands import boundary_basis, cycle_basis
 
@@ -128,7 +143,7 @@ def seeded_surfaces():
 
 def dense_rref(p, data):
     """Gauss-Jordan elimination on dense integer rows: the reference for
-    `linalg._rref`, which must return the same rows, signs and pivots.
+    `arith._rref`, which must return the same rows, signs and pivots.
 
     Rows with fractions are scaled by the lcm of their denominators and
     reduced mod p when p > 0; over QQ the elimination is fraction-free,
@@ -170,3 +185,141 @@ def dense_rref(p, data):
         if len(pivots) == len(rows):
             break
     return rows[: len(pivots)], pivots
+
+
+# ---------------------------------------------------------------------------
+# the subresultant gcd: a reference independent of the cofactor kernel
+
+
+def _as_univariate(p, v):
+    """Coefficient list [c_0 .. c_deg] of p seen in variable v; entries are
+    polynomials not involving v."""
+    ring = p.ring
+    deg = p.degree_in_var(v)
+    coeffs = [dict() for _ in range(deg + 1)]
+    off = _EXP_BITS * v
+    for m, c in p.terms.items():
+        e = _MAXE - ((m >> off) & _MAXE)
+        drop = ring.pack(tuple(e if j == v else 0 for j in range(ring.nv)))
+        coeffs[e][ring.mono_div(m, drop)] = c
+    return [Poly(ring, t) for t in coeffs]
+
+
+def _from_univariate(coeffs, v):
+    ring = coeffs[0].ring
+    out = {}
+    for e, ce in enumerate(coeffs):
+        if not ce.terms:
+            continue
+        shift = ring.pack(tuple(e if j == v else 0 for j in range(ring.nv)))
+        for m, c in ce.terms.items():
+            out[ring.mono_mul(m, shift)] = c
+    return Poly(ring, out)
+
+
+def _uni_deg(coeffs):
+    d = len(coeffs) - 1
+    while d >= 0 and not coeffs[d].terms:
+        d -= 1
+    return d
+
+
+def _uni_pseudo_rem(a, b, ring):
+    """Pseudo-remainder of coefficient lists a by b (lc(b)^(da-db+1) * a mod b)."""
+    da, db = _uni_deg(a), _uni_deg(b)
+    lc_b = b[db]
+    r = list(a[: da + 1])
+    for k in range(da, db - 1, -1):
+        lead = r[k]
+        r = [ci * lc_b for ci in r[:k]]
+        if lead.terms:
+            for j in range(db):
+                r[k - db + j] = r[k - db + j] - lead * b[j]
+    while r and not r[-1].terms:
+        r.pop()
+    return r
+
+
+def subresultant_gcd(a, b):
+    """gcd via content/primitive-part recursion + subresultant remainders.
+
+    Result is normalized (primitive, positive leading coefficient over QQ;
+    monic over GF(p)).  The tests' reference for `arith.multivariate_gcd`,
+    which reads every gcd off a cofactor kernel instead.
+    """
+    _check_same_ring(a, b)
+    ring = a.ring
+    if not a.terms and not b.terms:
+        raise ArithError("gcd(0, 0) undefined")
+    if not a.terms:
+        return normalize(b)
+    if not b.terms:
+        return normalize(a)
+    mono = ring.mono_gcd(monomial_content(a), monomial_content(b))
+    a = exact_divide(a, Poly(ring, {monomial_content(a): 1}))
+    b = exact_divide(b, Poly(ring, {monomial_content(b): 1}))
+    g = _gcd_primitive(a, b)
+    return normalize(g * Poly(ring, {mono: 1}))
+
+
+def subresultant_gcd_many(polys):
+    """Iterated pairwise `subresultant_gcd` of a non-empty sequence."""
+    polys = [p for p in polys if p.terms]
+    if not polys:
+        raise ArithError("gcd of all-zero collection")
+    g = polys[0]
+    for p in polys[1:]:
+        g = subresultant_gcd(g, p)
+        if g.is_constant():
+            break
+    return normalize(g)
+
+
+def _gcd_primitive(a, b):
+    ring = a.ring
+    if a.is_constant() or b.is_constant():
+        return ring.one
+    avars = set(a.variables())
+    bvars = set(b.variables())
+    common = avars | bvars
+    v = max(common)
+    ua = _as_univariate(a, v)
+    ub = _as_univariate(b, v)
+    if len(ua) == 1 or len(ub) == 1:
+        # one input does not involve v after all (can't happen with v chosen
+        # from the union unless the poly is v-free): gcd with its content
+        if len(ua) == 1:
+            return subresultant_gcd_many([ua[0]] + ub)
+        return subresultant_gcd_many([ub[0]] + ua)
+    cont_a = subresultant_gcd_many(ua)
+    cont_b = subresultant_gcd_many(ub)
+    cont = subresultant_gcd(cont_a, cont_b) if not (cont_a.is_constant() and cont_b.is_constant()) else ring.one
+    pa = [exact_divide(c, cont_a) for c in ua]
+    pb = [exact_divide(c, cont_b) for c in ub]
+    if _uni_deg(pa) < _uni_deg(pb):
+        pa, pb = pb, pa
+    g = ring.one
+    h = ring.one
+    r0, r1 = pa, pb
+    while True:
+        d0, d1 = _uni_deg(r0), _uni_deg(r1)
+        delta = d0 - d1
+        rem = _uni_pseudo_rem(r0, r1, ring)
+        if _uni_deg(rem) < 0:
+            pp = r1
+            break
+        if _uni_deg(rem) == 0:
+            return cont
+        divisor = g * h**delta
+        r0 = r1
+        r1 = [exact_divide(c, divisor) for c in rem]
+        g = r0[_uni_deg(r0)]
+        if delta == 0:
+            pass
+        elif delta == 1:
+            h = g
+        else:
+            h = exact_divide(g**delta, h ** (delta - 1))
+    pp_cont = subresultant_gcd_many(pp)
+    pp = [exact_divide(c, pp_cont) for c in pp]
+    return cont * _from_univariate(pp, v)

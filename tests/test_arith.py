@@ -1,10 +1,12 @@
 """Polynomial arithmetic: ring ops, parsing, gcd, perfect powers."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from implicax import arith
 from implicax.arith import (
     GF,
     QQ,
@@ -24,7 +26,7 @@ from implicax.arith import (
     perfect_power_decompose,
     unit_multiple_of,
 )
-from helpers import random_nonzero
+from helpers import random_nonzero, subresultant_gcd
 
 
 def xt_ring(field=QQ, nx=2, nt=3):
@@ -298,6 +300,43 @@ def test_gcd_known_common_factor():
     a = ring.poly("X1+X2") * ring.poly("T1^2+T2")
     b = ring.poly("X1+X2") * ring.poly("T1-3*T2")
     assert unit_multiple_of(multivariate_gcd(a, b), ring.poly("X1+X2"))
+
+
+def test_gcd_agrees_with_the_subresultant_reference():
+    # the draws of test_gcd_divides_both_and_scales: non-forms in all four
+    # variables, each read as a form in one more variable
+    for field in (QQ, GF(65521)):
+        ring = xt_ring(field, nx=2, nt=2)
+        rng = random.Random(33)
+        for _ in range(40):
+            a = rand_poly(ring, rng, nterms=3, maxdeg=3)
+            b = rand_poly(ring, rng, nterms=3, maxdeg=3)
+            rand_poly(ring, rng, nterms=2, maxdeg=2)
+            if a.terms and b.terms:
+                assert multivariate_gcd(a, b) == subresultant_gcd(a, b)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
+def test_gcd_at_target_zero_reads_the_degree_off_the_kernel_dimension(field, monkeypatch):
+    # forms in the X bank (k = 3) with a common quadric h: the kernel at
+    # target 0 has dimension C(2 + 2, 2) = 6, which names deg h = 2, where
+    # the kernel is taken again
+    ring = Ring(field, ["X1", "X2", "X3"], ["T1", "T2"])
+    h = ring.poly("X1^2 + X2*X3 - 3*X3^2")
+    a = h * ring.poly("2*X1 - X2 + 5*X3")
+    b = h * ring.poly("X1^2 - 4*X2^2 + X1*X3 + 7*X3^2")
+    kernels = []
+    cofactors = arith._cofactors
+
+    def recorded(a, b, degree, monomials, rng=None):
+        kernel = cofactors(a, b, degree, monomials, rng)
+        kernels.append((degree, len(kernel)))
+        return kernel
+
+    monkeypatch.setattr(arith, "_cofactors", recorded)
+    assert unit_multiple_of(multivariate_gcd(a, b), h)
+    assert kernels[0] == (0, math.comb(2 + 2, 2))
+    assert kernels[-1] == (2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from implicax.arith import (
     GF,
     QQ,
     Parameterization,
+    Poly,
     Ring,
     make_parameterization,
     unit_multiple_of,
@@ -32,7 +33,9 @@ from helpers import (
     intersection_triples,
     one_shift_saturation,
     polys_to_vector,
+    random_nonzero,
     seeded_surfaces,
+    subresultant_gcd_many,
 )
 
 CONIC = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
@@ -548,6 +551,30 @@ def test_analyze_degenerate():
     assert rep.predicted_degree == 0
     assert rep.generically_finite is False
     assert unit_multiple_of(rep.content_gcd, SQUARES.ring.poly("X1^2"))
+
+
+CONTENT_FACTORS = {
+    "one": "1",
+    "monomial": "X1*X2^2",
+    "linear": "X1 + 2*X2 - X3",
+    "quadric_times_monomial": "X1^2*X2 + X2^2*X3 - 3*X2*X3^2",
+}
+
+
+@pytest.mark.parametrize("factor", sorted(CONTENT_FACTORS))
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
+def test_content_gcd_is_the_common_factor(field, factor):
+    # f_i = h * g_i for seeded dense quadrics g_i, coprime by the reference
+    # gcd: the analysis's content gcd, a fold of cofactor kernels over the X
+    # bank, is h up to a unit
+    ring = Ring(field, ["X1", "X2", "X3"], ["T1", "T2", "T3", "T4"])
+    rng = random.Random("content:%s:%s" % (field, factor))
+    monos = ring.x_monomials(2)
+    gs = [Poly(ring, {m: random_nonzero(field, rng) for m in monos}) for _ in range(4)]
+    assert subresultant_gcd_many(gs).is_constant()
+    h = ring.poly(CONTENT_FACTORS[factor])
+    rep = analyze_parameterization(Parameterization(ring, [h * g for g in gs]), run_syzygetic=False)
+    assert unit_multiple_of(rep.content_gcd, h)
 
 
 def test_boundary_outside_saturated_intersection_raises(monkeypatch):

@@ -9,18 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from implicax import linalg
-from implicax.arith import GF, QQ, Poly, Ring, normalize
+from implicax import arith, linalg
+from implicax.arith import GF, QQ, Poly, Ring, _rref, normalize, rref_kernel_data
 from implicax.errors import ConsistencyError, HypothesisViolation
 from implicax.linalg import (
     _RECON_PRIME,
     LinalgError,
     PolyMatrix,
     ScalarMatrix,
-    _rref,
     det_fraction_free,
     rank_and_kernel,
-    rref_kernel_data,
     scalar_rank,
 )
 from implicax.geometry import analyze_parameterization
@@ -184,8 +182,7 @@ def test_elimination_core_matches_fraction_gauss():
                 # reduced mod the specialization prime, small QQ data keeps its pivots
                 assert _rref(_RECON_PRIME, data)[1] == want_pivots
 
-            m = ScalarMatrix(field, data, ncols)
-            got_rank, basis, free = rref_kernel_data(m)
+            got_rank, basis, free = rref_kernel_data(field, data, ncols)
             assert got_rank == rank and len(basis) == ncols - rank
             assert free == [c for c in range(ncols) if c not in want_pivots]
             for v, f in zip(basis, free):
@@ -471,7 +468,7 @@ def test_evaluation_matches_the_entries_and_commutes_with_det(field):
 def test_kernel_check_raises_on_a_wrong_vector(monkeypatch):
     m = ScalarMatrix(QQ, [[1, 1, 0], [0, 0, 1]])
     assert rank_and_kernel(m) == (2, [[-1, 1, 0]])
-    monkeypatch.setattr(linalg, "_echelon_kernel", lambda p, rows, ncols: ([[1, 1, 0]], [1]))
+    monkeypatch.setattr(arith, "_echelon_kernel", lambda p, rows, ncols: ([[1, 1, 0]], [1]))
     with pytest.raises(ConsistencyError):
         rank_and_kernel(m)
 
@@ -483,7 +480,7 @@ def test_kernel_check_raises_when_one_row_fails(monkeypatch, field):
     m = ScalarMatrix(field, [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     good = [field.canon(-1), 1, 0, 0]
     assert rank_and_kernel(m) == (3, [good])
-    monkeypatch.setattr(linalg, "_echelon_kernel", lambda p, rows, ncols: ([good[:3] + [2]], [1]))
+    monkeypatch.setattr(arith, "_echelon_kernel", lambda p, rows, ncols: ([good[:3] + [2]], [1]))
     with pytest.raises(ConsistencyError):
         rank_and_kernel(m)
 

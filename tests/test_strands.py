@@ -9,17 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from implicax import pipeline, strands
-from implicax.arith import (
-    GF,
-    QQ,
-    Poly,
-    Ring,
-    gcd_many,
-    make_parameterization,
-    multivariate_gcd,
-    unit_multiple_of,
-)
+from implicax import arith, pipeline, strands
+from implicax.arith import GF, QQ, Poly, Ring, make_parameterization, multivariate_gcd, unit_multiple_of
 from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError
 from implicax.geometry import analyze_parameterization
 from implicax.linalg import DEFAULT_SEED, det_fraction_free, scalar_rank
@@ -33,7 +24,7 @@ from implicax.strands import (
     koszul_differential_matrix,
     z_strand,
 )
-from helpers import dense_quadric, polys_to_vector
+from helpers import dense_quadric, polys_to_vector, subresultant_gcd, subresultant_gcd_many
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -432,7 +423,7 @@ def test_degree_bookkeeping():
 def _all_minors_gcd(st):
     m = st.maps[0]
     rows = range(m.rows)
-    return gcd_many(
+    return subresultant_gcd_many(
         det_fraction_free(m.submatrix(rows, cols))
         for cols in itertools.combinations(range(m.cols), m.rows)
     )
@@ -476,13 +467,12 @@ def test_gcd_minors_unreachable_target_folds_every_minor(monkeypatch):
 
 def test_gcd_minors_divisibility_skips_gcds(monkeypatch):
     calls = []
-    gcd_pair = strands._gcd_pair
 
     def counted(a, b, degree, seed):
         calls.append(seed)
-        return gcd_pair(a, b, degree, seed)
+        return multivariate_gcd(a, b, degree, seed)
 
-    monkeypatch.setattr(strands, "_gcd_pair", counted)
+    monkeypatch.setattr(strands, "multivariate_gcd", counted)
     st = z_strand(QUADRIC, 2)
     # with this seed, a gcd per nonzero minor would take 5 calls
     g = gcd_of_maximal_minors(st, analyze_parameterization(QUADRIC).predicted_degree, seed=5)
@@ -491,7 +481,8 @@ def test_gcd_minors_divisibility_skips_gcds(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the kernel step of the minors fold
+# the kernel step of the minors fold: `arith.multivariate_gcd` at the
+# predicted degree
 
 PAIR_FIELDS = ("qq", "qq_fraction", "gf65521")
 PAIR_CASES = ("coprime", "shared", "monomial", "common_monomial")
@@ -503,7 +494,7 @@ def seeded_pair(kind, case):
 
     "coprime": random cofactors; "shared": k1 and k2 share a quadric factor;
     "monomial": a carries T1^6 and b none; "common_monomial": a carries
-    T1^3*T2 and b T1*T2^2.  The gcd is `multivariate_gcd`'s.
+    T1^3*T2 and b T1*T2^2.  The gcd is the reference `subresultant_gcd`'s.
     """
     field = GF(65521) if kind == "gf65521" else QQ
     ring = Ring(field, ["X1", "X2", "X3"], ["T1", "T2", "T3", "T4"])
@@ -530,27 +521,14 @@ def seeded_pair(kind, case):
         a = a * ring.poly("T1^6")
     elif case == "common_monomial":
         a, b = a * ring.poly("T1^3*T2"), b * ring.poly("T1*T2^2")
-    return a, b, multivariate_gcd(a, b)
-
-
-def slow_routes_raise(monkeypatch):
-    """Make the gcds that `strands` can still look up raise: the traced names
-    `multivariate_gcd` and `gcd_homogeneous_by_lines`, so a test fails if the
-    fold sends a pair to either instead of to the cofactor kernel."""
-
-    def slow(*args, **kwargs):
-        raise AssertionError("a gcd went to the slow route")
-
-    monkeypatch.setattr(strands, "gcd_homogeneous_by_lines", slow)
-    monkeypatch.setattr(strands, "multivariate_gcd", slow)
+    return a, b, subresultant_gcd(a, b)
 
 
 @pytest.mark.parametrize("case", PAIR_CASES)
 @pytest.mark.parametrize("kind", PAIR_FIELDS)
-def test_gcd_pair_at_the_true_degree_reads_the_kernel(kind, case, monkeypatch):
+def test_gcd_pair_at_the_true_degree_reads_the_kernel(kind, case):
     a, b, full = seeded_pair(kind, case)
-    slow_routes_raise(monkeypatch)
-    g = strands._gcd_pair(a, b, full.total_degree(), seed=1)
+    g = multivariate_gcd(a, b, full.total_degree(), seed=1)
     assert unit_multiple_of(g, full)
 
 
@@ -560,29 +538,25 @@ def test_gcd_pair_above_the_true_degree_raises(kind, case):
     a, b, full = seeded_pair(kind, case)
     degree = full.total_degree() + 1
     with pytest.raises(ConsistencyError, match="below the predicted degree %d" % degree):
-        strands._gcd_pair(a, b, degree, seed=1)
+        multivariate_gcd(a, b, degree, seed=1)
 
 
 @pytest.mark.parametrize("below", [1, 2])
 @pytest.mark.parametrize("case", PAIR_CASES)
 @pytest.mark.parametrize("kind", PAIR_FIELDS)
-def test_gcd_pair_below_the_true_degree_reads_the_degree_off_the_kernel(
-    kind, case, below, monkeypatch
-):
+def test_gcd_pair_below_the_true_degree_reads_the_degree_off_the_kernel(kind, case, below):
     a, b, full = seeded_pair(kind, case)
-    slow_routes_raise(monkeypatch)
-    g = strands._gcd_pair(a, b, full.total_degree() - below, seed=1)
+    g = multivariate_gcd(a, b, full.total_degree() - below, seed=1)
     assert unit_multiple_of(g, full)
 
 
 @pytest.mark.parametrize("kind", PAIR_FIELDS)
-def test_gcd_pair_with_a_monomial_factor_above_the_target_reads_the_kernel(kind, monkeypatch):
+def test_gcd_pair_with_a_monomial_factor_above_the_target_reads_the_kernel(kind):
     # the common T1^5 is above the target 4: the rest is read off at degree 0
     a, b, _ = seeded_pair(kind, "coprime")
     t1 = a.ring.poly("T1^5")
-    expected = multivariate_gcd(a * t1, b * t1)
-    slow_routes_raise(monkeypatch)
-    g = strands._gcd_pair(a * t1, b * t1, 4, seed=1)
+    expected = subresultant_gcd(a * t1, b * t1)
+    g = multivariate_gcd(a * t1, b * t1, 4, seed=1)
     assert unit_multiple_of(g, expected)
 
 
@@ -598,14 +572,12 @@ def test_gcd_minors_takes_every_gcd_from_the_kernel(name, monkeypatch):
     st = z_strand(param, report.nu0)
     expected = complex_determinant(st).value
     calls = []
-    gcd_pair = strands._gcd_pair
 
     def counted(*args):
         calls.append(args)
-        return gcd_pair(*args)
+        return multivariate_gcd(*args)
 
-    monkeypatch.setattr(strands, "_gcd_pair", counted)
-    slow_routes_raise(monkeypatch)
+    monkeypatch.setattr(strands, "multivariate_gcd", counted)
     g = gcd_of_maximal_minors(st, report.predicted_degree)
     assert calls  # the fold took at least one gcd, so the pin bites
     assert unit_multiple_of(g, expected)

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +37,34 @@ def test_traced_names_are_module_attributes():
         if attr not in owner.__dict__
     ]
     assert not missing, "traced names missing: %s" % ", ".join(missing)
+
+
+def test_traced_bindings_are_the_engine_itself():
+    # a name the tracer wraps in more than one module, and the alias
+    # strands.gcd_homogeneous_by_lines, is one function object under every
+    # binding, the very function of the module that defines it: a traced span
+    # then times the one engine, and no second gcd can hide behind a binding
+    from implicax import strands
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    owners = {}
+    for _, targets, _, _ in tracer._targets():
+        for owner, attr in targets:
+            if isinstance(owner, types.ModuleType):
+                owners.setdefault(attr, []).append(owner)
+    shared = {attr: mods for attr, mods in owners.items() if len(mods) > 1}
+    assert set(shared) == {"multivariate_gcd", "det_fraction_free", "check_rank_profile"}
+    bindings = [(module, attr, attr) for attr, mods in shared.items() for module in mods]
+    bindings.append((strands, "gcd_homogeneous_by_lines", "multivariate_gcd"))
+    engines, stray = {}, []
+    for module, attr, name in bindings:
+        fn = module.__dict__[attr]
+        defined = getattr(sys.modules[fn.__module__], fn.__name__, None)
+        if fn.__name__ != name or fn is not defined or engines.setdefault(name, fn) is not fn:
+            stray.append("%s.%s" % (module.__name__, attr))
+    assert not stray, "traced bindings that are not the engine itself: %s" % ", ".join(stray)
 
 
 def test_all_exports_resolve():
