@@ -30,7 +30,7 @@ from itertools import compress
 from .arith import Poly, _echelon_kernel, _rref, gcd_many
 from .errors import ConsistencyError, ImplicaxError
 from .linalg import ScalarMatrix, rank_and_kernel, scalar_rank
-from .strands import _koszul_image, boundary_basis, cycle_basis, vector_to_polys
+from .strands import _acyclic_above, _koszul_image, boundary_basis, cycle_basis, vector_to_polys
 
 __all__ = [
     "hilbert_value",
@@ -288,10 +288,10 @@ def syzygetic_test(param, nu_max=None, ideal=None, saturated=None):
     Where each dimension comes from:
 
     * boundary: on an empty base locus (I_t = A_t, certificate "empty") I is
-      m-primary of grade nx, so H_i(f; A) = 0 for i > n - nx (Bruns-Herzog,
-      Cohen-Macaulay Rings, Thm 1.6.17); with n <= nx + 1 that is every
-      i >= 2 and dim B_1 is `_koszul_tail`.  Otherwise, and at the witness
-      degree, whose search needs its rows, `boundary_basis` is built.  The
+      m-primary of grade nx, so H_i(f; A) = 0 for i > n - nx
+      (`_acyclic_above`); with n <= nx + 1 that is every i >= 2 and dim B_1
+      is `_koszul_tail`.  Otherwise, and at the witness degree, whose
+      search needs its rows, `boundary_basis` is built.  The
       guard n <= nx + 1 is needed: on X1^2, X2^2, X3^2, X1*X2, X1*X3 the sum
       is 30 in degree 3 but B_1 has dimension 29;
     * saturated: `_syzygy_dim`, one rank, or none where I^sat_nu = A_nu;
@@ -309,7 +309,7 @@ def syzygetic_test(param, nu_max=None, ideal=None, saturated=None):
     if saturated is None:
         saturated = _saturation_pieces(param, 1, nu_max, ideal)
     t = _regularity_bound(param)
-    tail = param.n <= ring.nx + 1 and len(ideal[t]) == len(ring.x_monomials(t))
+    tail = _acyclic_above(param, -1) <= 1 and len(ideal[t]) == len(ring.x_monomials(t))
     degrees = []
     witness = None
     for nu in range(1, nu_max + 1):

@@ -157,7 +157,7 @@ def implicitize(
         det = out.homogeneous
         dehom = out.dehomogenized
     else:
-        strand = z_strand(param, nu_used)
+        strand = z_strand(param, nu_used, report)
         if method == "det-complex":
             cd = complex_determinant(strand, seed=seed)
             det = cd.value

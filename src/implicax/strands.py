@@ -7,7 +7,12 @@ the finite complex of free k[T]-modules
 
 where (Z_i)_nu is the kernel of the contraction against f on the i-th
 exterior power (coefficients in A_nu), and the maps contract against the
-T variables.  The strand determinant (alternating product of nested minors)
+T variables.  Z_1, and every Z_i when nothing more is proven, takes the
+echelon kernel basis of its Koszul matrix.  Where the base-locus report
+proves the grade of I, the Koszul homology H_i vanishes for i > n - grade
+(Bruns-Herzog, Thm 1.6.17); there, below degree 2d, Z_i is spanned freely
+by the Koszul images of the exterior degree i + 1, a basis in closed form
+(`z_strand`).  The strand determinant (alternating product of nested minors)
 yields the implicit equation of the closed image raised to the degree of the
 map; the same polynomial arises as the gcd of the maximal minors of the
 rightmost map.
@@ -183,26 +188,60 @@ def _dT_components(param, kb_src, kb_dst, vec):
     return comps
 
 
-def z_strand(param, nu):
+def _acyclic_above(param, locus_dim):
+    """n - grade(I) for a base locus of proven dimension `locus_dim` (-1 when
+    empty): H_i(f; A) = 0 for every i above it.
+
+    A is Cohen-Macaulay, so grade(I) is the height nx - 1 - locus_dim, and
+    H_i(f; A) = 0 exactly for i > n - grade(I) (Bruns-Herzog, Cohen-Macaulay
+    Rings, Thm 1.6.17).
+    """
+    return param.n - (param.ring.nx - 1 - locus_dim)
+
+
+def z_strand(param, nu, report=None):
     """Assemble the degree-nu strand with verified differentials.
 
     maps[0] is the T-contraction sum_j T_j iota_j of (Z_1)_nu into A_nu.  A
-    deeper map writes each iota_j of a source cycle in the target's cycle
-    basis, checked exactly by `_combination_matches`, so it is that
-    contraction on the cycle bases too.  So two maps compose to sum_(j,l)
-    T_j T_l iota_j iota_l = 0, as the iota_j anticommute: no further check.
+    level i below `image` takes the echelon kernel basis of the Koszul
+    matrix.  A map into such a level writes each iota_j of a source basis
+    vector in that kernel basis, checked exactly by `_combination_matches`,
+    so it is the T-contraction on the chosen bases too.
+
+    When `report` proves the base-locus dimension (certificate "empty" or
+    "persistence"; "window" proves nothing) and nu < 2d, I has grade
+    g = nx - 1 - base_locus_dim, and H_i(f; A) = 0 for i > n - g
+    (`_acyclic_above`).  There Z_i = B_i, so every level i >= image =
+    max(2, n - g + 1) takes the Koszul images d_f(e_J m), |J| = i + 1,
+    m in A_(nu-d): the columns of `koszul_differential_matrix(param, i + 1,
+    nu - d)`, none when nu < d.  They span (B_i)_nu.  Their relations are
+    (Z_(i+1))_(nu-d) = (B_(i+1))_(nu-d), which is 0 as B starts in degree d
+    > nu - d, so they are a basis.  Between two image levels d_T and d_f
+    anticommute, d_T(d_f(e_K m)) = -d_f(d_T(e_K m)), so the map is minus the
+    T-contraction on the exterior powers over A_(nu-d): entries +-T_j, with
+    no kernel and no check.
+
+    Every map is thus the T-contraction on its bases, and two maps compose
+    to sum_(j,l) T_j T_l iota_j iota_l = 0, as the iota_j anticommute: no
+    further check.
     """
     if nu < 0:
         raise UsageError("strand degree must be nonnegative")
     ring = param.ring
     field = ring.field
-    n = param.n
+    n, d = param.n, param.d
+    image = n
+    if report is not None and report.base_locus_certificate in ("empty", "persistence") and nu < 2 * d:
+        image = max(2, _acyclic_above(param, report.base_locus_dim) + 1)
     kbs = [KoszulBasis(param, i, nu) for i in range(n)]
     z0 = len(kbs[0].monos)
     bases = []
     frees = []
     for i in range(1, n):
-        vecs, fr = _cycle_data(param, i, nu)
+        if i < image:
+            vecs, fr = _cycle_data(param, i, nu)
+        else:
+            vecs, fr = list(zip(*koszul_differential_matrix(param, i + 1, nu - d).data)), None
         bases.append(vecs)
         frees.append(fr)
     dims = [z0] + [len(b) for b in bases]
@@ -219,24 +258,31 @@ def z_strand(param, nu):
             for r in range(z0):
                 parts[j + 1][r][s] = vec[j * z0 + r]
     maps.append(PolyMatrix.from_parts(ring, parts, dims[1]))
-    # deeper maps: re-express T-contractions in the next cycle basis
+    # deeper maps: T-contractions, re-expressed in a kernel basis or, between
+    # image levels, minus the contraction of the unit vectors over A_(nu-d)
     for i in range(1, n - 1):
-        src_vecs = bases[i]
-        dst_vecs = bases[i - 1]
-        dst_free = frees[i - 1]
-        dividers = [field._divider(v[f]) for v, f in zip(dst_vecs, dst_free)]
-        rows = len(dst_vecs)
-        cols = len(src_vecs)
+        rows, cols = dims[i], dims[i + 1]
+        explicit = i >= image
+        if explicit:
+            src_kb, dst_kb = KoszulBasis(param, i + 2, nu - d), KoszulBasis(param, i + 1, nu - d)
+            src_vecs = [[int(k == s) for k in range(cols)] for s in range(cols)]
+        else:
+            src_kb, dst_kb = kbs[i + 1], kbs[i]
+            src_vecs, dst_vecs, dst_free = bases[i], bases[i - 1], frees[i - 1]
+            dividers = [field._divider(v[f]) for v, f in zip(dst_vecs, dst_free)]
         parts = zero_parts(rows, cols)
         for s, vec in enumerate(src_vecs):
-            comps = _dT_components(param, kbs[i + 1], kbs[i], vec)
+            comps = _dT_components(param, src_kb, dst_kb, vec)
             for j in range(n):
                 w = comps[j]
-                xs = [div(w[f]) for div, f in zip(dividers, dst_free)]
-                if not _combination_matches(dst_vecs, xs, w, field):
-                    raise ImplicaxError(
-                        "strand grading error: contraction image left the cycle space"
-                    )
+                if explicit:
+                    xs = [field.canon(-c) for c in w]
+                else:
+                    xs = [div(w[f]) for div, f in zip(dividers, dst_free)]
+                    if not _combination_matches(dst_vecs, xs, w, field):
+                        raise ImplicaxError(
+                            "strand grading error: contraction image left the cycle space"
+                        )
                 for r in range(rows):
                     parts[j + 1][r][s] = xs[r]
         maps.append(PolyMatrix.from_parts(ring, parts, cols))
@@ -245,8 +291,9 @@ def z_strand(param, nu):
 
 def _combination_matches(vectors, xs, target, field):
     """Whether sum_r xs[r] * vectors[r] equals target.  Over QQ the vectors
-    and target are integer and xs is scaled by the lcm of its denominators,
-    so the sums run in integers."""
+    are integer and xs is scaled by the lcm of its denominators, so the sums
+    run in integers; a Koszul-image target carries f's coefficients, which
+    may be fractions, and is compared exactly."""
     if not field.char and (den := _denominators([xs])) > 1:
         xs = [_times(x, den) for x in xs]
         target = [b * den for b in target]

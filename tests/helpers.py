@@ -22,6 +22,7 @@ from implicax.arith import (
 from implicax.geometry import _regularity_bound, _span_kernel, ideal_piece, saturation_piece
 from implicax.linalg import det_fraction_free
 from implicax.resultants import BinaryForm, binary_form, sylvester_matrix
+from implicax import strands
 from implicax.strands import boundary_basis, cycle_basis
 
 
@@ -47,12 +48,42 @@ def random_nonzero(field, rng):
             return c
 
 
-def dense_quadric(field, seed):
-    """Four dense quadrics in three variables, seeded coefficients 1..5."""
+def _dense_surface(field, monos, seed):
+    """Four forms in three variables with every monomial of `monos`, seeded
+    coefficients 1..5."""
     rng = random.Random(seed)
-    monos = ["X1^2", "X2^2", "X3^2", "X1*X2", "X1*X3", "X2*X3"]
     forms = [" + ".join("%d*%s" % (rng.randint(1, 5), m) for m in monos) for _ in range(4)]
     return make_parameterization(field, ["X1", "X2", "X3"], forms)
+
+
+def dense_quadric(field, seed):
+    """Four dense quadrics in three variables, seeded coefficients 1..5."""
+    return _dense_surface(field, ["X1^2", "X2^2", "X3^2", "X1*X2", "X1*X3", "X2*X3"], seed)
+
+
+def dense_cubic(field, seed):
+    """Four dense cubics in three variables, seeded coefficients 1..5."""
+    monos = ["X1^%d*X2^%d*X3^%d" % (a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+    return _dense_surface(field, monos, seed)
+
+
+def over_field(param, field):
+    """The map with the same forms, read over `field`."""
+    ring = param.ring
+    return make_parameterization(field, list(ring.names[: ring.nx]), [str(f) for f in param.polys])
+
+
+def count_cycle_kernels(monkeypatch):
+    """The exterior degrees of the cycle kernels `strands` takes from now on,
+    in order."""
+    calls = []
+
+    def counted(param, i, nu, _inner=strands._cycle_data):
+        calls.append(i)
+        return _inner(param, i, nu)
+
+    monkeypatch.setattr(strands, "_cycle_data", counted)
+    return calls
 
 
 def sylvester_resultant(p, q):

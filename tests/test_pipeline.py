@@ -15,7 +15,7 @@ from implicax.linalg import DEFAULT_SEED
 from implicax.pipeline import analyze, implicitize, verify
 from implicax.problems import load_problem
 
-from helpers import dense_quadric, seeded_surfaces
+from helpers import count_cycle_kernels, dense_cubic, dense_quadric, seeded_surfaces
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 MAP_PROBLEMS = (
@@ -399,13 +399,16 @@ def residues_mod(poly, ring):
     return Poly(ring, ring.field.reduce_terms(terms))
 
 
-@pytest.mark.parametrize("name", MAP_PROBLEMS + ("dense_quadric_1", "dense_quadric_2", "dense_quadric_3"))
+@pytest.mark.parametrize(
+    "name", MAP_PROBLEMS + ("dense_quadric_1", "dense_quadric_2", "dense_quadric_3", "dense_cubic_1")
+)
 def test_qq_answer_mod_p_is_the_gf_answer(name):
     p = 65521
-    if name.startswith("dense_quadric_"):
+    if name.startswith("dense_"):
+        dense = dense_cubic if name.startswith("dense_cubic") else dense_quadric
         seed = int(name.rpartition("_")[2])
-        over_qq = implicitize(dense_quadric(QQ, seed))
-        over_gf = implicitize(dense_quadric(GF(p), seed))
+        over_qq = implicitize(dense(QQ, seed))
+        over_gf = implicitize(dense(GF(p), seed))
     else:
         problem = load_problem(PROBLEMS / (name + ".txt"))
         over_qq = implicitize(problem.parameterization())
@@ -479,6 +482,40 @@ def dense_curve_text(d, rng):
     return [
         " ".join("%+d*%s" % (rng.randint(-9, 9) or 1, m) for m in monos) for _ in range(3)
     ]
+
+
+def dense_maps(name):
+    """The maps of one counting case: a shipped problem, or the dense
+    quadrics (seeds 1-3) or dense plane curves (degrees 6, 8, 10), each over
+    QQ and GF(65521)."""
+    fields = (QQ, GF(65521))
+    if name == "dense_quadrics":
+        return [dense_quadric(field, seed) for field in fields for seed in (1, 2, 3)]
+    if name == "dense_curves":
+        rng = random.Random("dense-curves")
+        texts = [dense_curve_text(d, rng) for d in (6, 8, 10)]
+        return [make_parameterization(field, ["X1", "X2"], t) for field in fields for t in texts]
+    return [load_problem(PROBLEMS / (name + ".txt")).parameterization()]
+
+
+@pytest.mark.parametrize(
+    "name, kernels",
+    [
+        ("surface_quadric", 1),
+        ("surface_cubic", 1),
+        ("dense_quadrics", 1),
+        ("dense_curves", 1),
+        ("surface_lci", 2),
+    ],
+)
+def test_implicitize_takes_cycle_kernels_only_below_the_koszul_images(name, kernels, monkeypatch):
+    # H_i(f; A) = 0 for i > n - grade: from Z_2 on without base points and
+    # from Z_3 on with isolated ones, the strand takes Koszul images
+    calls = count_cycle_kernels(monkeypatch)
+    for param in dense_maps(name):
+        calls.clear()
+        assert implicitize(param, check_eval=2).verified
+        assert calls == list(range(1, kernels + 1))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

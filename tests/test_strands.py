@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 
 from implicax import arith, pipeline, strands
-from implicax.arith import GF, QQ, Poly, Ring, make_parameterization, multivariate_gcd, unit_multiple_of
+from implicax.arith import (
+    GF,
+    QQ,
+    Poly,
+    Ring,
+    make_parameterization,
+    multivariate_gcd,
+    normalize,
+    unit_multiple_of,
+)
 from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError
 from implicax.geometry import analyze_parameterization
 from implicax.linalg import DEFAULT_SEED, det_fraction_free, scalar_rank
@@ -24,7 +33,16 @@ from implicax.strands import (
     koszul_differential_matrix,
     z_strand,
 )
-from helpers import dense_quadric, polys_to_vector, subresultant_gcd, subresultant_gcd_many
+from helpers import (
+    count_cycle_kernels,
+    dense_cubic,
+    dense_quadric,
+    over_field,
+    polys_to_vector,
+    subresultant_gcd,
+    subresultant_gcd_many,
+)
+from test_geometry import comparison_inputs
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -172,13 +190,19 @@ def test_strand_differentials_compose_to_zero():
                     assert not sum((e * col[j] for e, col in zip(row, b)), param.ring.zero).terms
 
 
-@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
-def test_strand_check_rejects_a_contraction_that_leaves_the_cycle_space(monkeypatch, field):
+@pytest.mark.parametrize(
+    "field, images",
+    [(QQ, False), (GF(65521), False), (QQ, True), (GF(65521), True)],
+    ids=["QQ", "GF", "QQ-images", "GF-images"],
+)
+def test_strand_check_rejects_a_contraction_that_leaves_the_cycle_space(monkeypatch, field, images):
     # one T-contraction coordinate moved by 1: the image is no longer the
     # combination of the cycle basis read off its free coordinates, and
-    # z_strand refuses the strand
+    # z_strand refuses the strand; with Koszul images from Z_2 on, the link
+    # from Z_2 into the kernel basis of Z_1 is still checked
     param = make_parameterization(field, ["X1", "X2", "X3"], ["X1^2", "X2^2", "X3^2", "X1^2+X2^2+X3^2"])
-    z_strand(param, 2)
+    report = analyze_parameterization(param) if images else None
+    z_strand(param, 2, report)
     components = strands._dT_components
 
     def perturbed(*args):
@@ -188,7 +212,7 @@ def test_strand_check_rejects_a_contraction_that_leaves_the_cycle_space(monkeypa
 
     monkeypatch.setattr(strands, "_dT_components", perturbed)
     with pytest.raises(ImplicaxError, match="strand grading error"):
-        z_strand(param, 2)
+        z_strand(param, 2, report)
 
 
 def test_strand_over_prime_field():
@@ -581,3 +605,131 @@ def test_gcd_minors_takes_every_gcd_from_the_kernel(name, monkeypatch):
     g = gcd_of_maximal_minors(st, report.predicted_degree)
     assert calls  # the fold took at least one gcd, so the pin bites
     assert unit_multiple_of(g, expected)
+
+
+# ---------------------------------------------------------------------------
+# Koszul-image bases where the Koszul homology provably vanishes
+
+MAP_PROBLEMS = ("curve_conic", "curve_with_base_point", "surface_quadric", "surface_cubic", "surface_lci")
+ROUTE_CASES = (
+    MAP_PROBLEMS
+    + tuple("comparison_%d" % k for k in range(len(list(comparison_inputs()))))
+    + ("dense_quadric_1", "dense_quadric_2", "dense_quadric_3", "dense_cubic_1")
+)
+
+
+def route_case(name, field):
+    """The named map, over its own field or, with field "GF65521", over GF(65521)."""
+    if name in MAP_PROBLEMS:
+        param = load_problem(PROBLEMS / (name + ".txt")).parameterization()
+    elif name.startswith("comparison_"):
+        param = list(comparison_inputs())[int(name.rpartition("_")[2])]
+    else:
+        dense = dense_cubic if name.startswith("dense_cubic") else dense_quadric
+        param = dense(QQ, int(name.rpartition("_")[2]))
+    return over_field(param, GF(65521)) if field == "GF65521" else param
+
+
+def first_image_level(param, report, nu):
+    """The first level z_strand builds from Koszul images; n when it builds none."""
+    if report.base_locus_certificate in ("empty", "persistence") and nu < 2 * param.d:
+        return max(2, strands._acyclic_above(param, report.base_locus_dim) + 1)
+    return param.n
+
+
+def outcome(route, *args):
+    """route(*args), or the type of the ImplicaxError it raises."""
+    try:
+        return route(*args)
+    except ImplicaxError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("field", ["native", "GF65521"])
+@pytest.mark.parametrize("name", ROUTE_CASES)
+def test_image_route_equals_the_kernel_route(name, field):
+    param = route_case(name, field)
+    report = analyze_parameterization(param)
+    ring = param.ring
+    signed = {ring.field.canon(1), ring.field.canon(-1)}
+    # one degree more where nu0 leaves images only over A_0
+    nus = [report.nu0] if report.nu0 > param.d else [report.nu0, report.nu0 + 1]
+    strands_at = {}
+    for nu in nus:
+        kernels, images = strands_at[nu] = z_strand(param, nu), z_strand(param, nu, report)
+        assert images.dims == kernels.dims
+        for m in images.maps[first_image_level(param, report, nu) :]:
+            # a map between two image levels: every entry is 0 or +-T_j
+            assert not any(map(any, m.parts[0]))
+            for r in range(m.rows):
+                for s in range(m.cols):
+                    entry = [part[r][s] for part in m.parts[1:] if part[r][s]]
+                    assert len(entry) <= 1 and set(entry) <= signed
+        answers = [outcome(complex_determinant, st) for st in (kernels, images)]
+        answers = [a if isinstance(a, type) else normalize(a.value) for a in answers]
+        assert answers[0] == answers[1]
+    # the gcd-minors fold reads only maps[0] and the rank profile's first
+    # link, so where those are equal its answers are
+    kernels, images = strands_at[report.nu0]
+    assert images.maps[0].parts == kernels.maps[0].parts
+    links = [outcome(check_rank_profile, st) for st in (kernels, images)]
+    if isinstance(links[0], type):
+        assert links[1] == links[0]
+    else:
+        assert links[1][0] == links[0][0]
+        assert [len(c) for _, c in links[1]] == [len(c) for _, c in links[0]]
+    # the fold itself runs on the shipped and dense maps; on the comparison
+    # maps and the QQ dense cubic, whose fold does not finish in minutes,
+    # the equal first links stand for it
+    if report.predicted_degree and not name.startswith("comparison_"):
+        if ring.field.char or not name.startswith("dense_cubic"):
+            gcds = [outcome(gcd_of_maximal_minors, st, report.predicted_degree) for st in (kernels, images)]
+            assert gcds[0] == gcds[1]
+
+
+def test_image_levels_of_the_cubic_are_signed_contractions():
+    # Z_2 and Z_3 of surface_cubic at nu = 4 are the images of the exterior
+    # powers 3 and 4 over A_1: the map Z_3 -> Z_2 is minus the contraction
+    # of e_1234 * m, four signed T's per column, one per row
+    report = analyze_parameterization(CUBIC_SURF)
+    st = z_strand(CUBIC_SURF, 4, report)
+    assert st.dims == [15, 24, 12, 3]
+    m = st.maps[2]
+    entries = [[[j for j, part in enumerate(m.parts) if part[r][s]] for s in range(3)] for r in range(12)]
+    assert all(sum(map(len, row)) == 1 for row in entries)
+    assert all(sorted(j for row in entries for j in row[s]) == [1, 2, 3, 4] for s in range(3))
+
+
+def test_a_false_empty_locus_claim_is_refused_by_the_rank_profile(monkeypatch):
+    # surface_lci has base points, so H_2 does not vanish; a report that
+    # claims an empty base locus makes Z_2 the (empty) Koszul images, and the
+    # rank profile refuses the strand instead of an answer coming out
+    report = analyze_parameterization(LCI_SURF)
+    false = dataclasses.replace(report, base_locus_dim=-1, base_locus_certificate="empty")
+    st = z_strand(LCI_SURF, report.nu0, false)
+    assert st.dims == [6, 9, 0, 0]
+    with pytest.raises(HypothesisViolation, match=r"rank profile \[6, 0\] .* dims \[6, 9, 0, 0\]"):
+        check_rank_profile(st)
+    monkeypatch.setattr(pipeline, "analyze", lambda param, run_syzygetic=None: false)
+    for method in ("det-complex", "gcd-minors"):
+        with pytest.raises(HypothesisViolation, match="rank profile"):
+            pipeline.implicitize(LCI_SURF, method=method)
+
+
+@pytest.mark.parametrize("variant", ["window", "nu_at_2d", "no_report"])
+def test_unproven_hypotheses_keep_a_kernel_at_every_level(variant, monkeypatch):
+    report = analyze_parameterization(QUADRIC)
+    nu = 2 * QUADRIC.d if variant == "nu_at_2d" else report.nu0
+    if variant == "window":
+        report = dataclasses.replace(report, base_locus_certificate="window")
+    elif variant == "no_report":
+        report = None
+    kernels = z_strand(QUADRIC, nu)
+    calls = count_cycle_kernels(monkeypatch)
+    st = z_strand(QUADRIC, nu, report)
+    assert calls == [1, 2, 3]
+    assert st.dims == kernels.dims
+    assert [m.parts for m in st.maps] == [m.parts for m in kernels.maps]
+    if variant == "nu_at_2d":
+        # the images are dependent there: C(4, 3) * |A_2| of them in Z_2
+        assert 4 * 6 > st.dims[2]
