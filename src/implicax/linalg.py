@@ -13,15 +13,20 @@ membership needs no loop of its own.  A PolyMatrix is reduced at a
 random point of T, where its value is a combination of the parts' rows.
 Determinants have one elimination loop, `_det_scalar` (fraction-free
 Bareiss elimination; Gaussian mod p), and `det_fraction_free` feeds it by
-the matrix's density: when at least half of the entries are nonzero, the
-integer matrices at the points of a grid, whose values are interpolated
-(`_det_on_grid`); otherwise the entries as polynomials, whose products and
-exact quotients are Poly's (`_det_bareiss`).  Over QQ both first make every
-row a primitive integer row (`_integer_parts`) and restore the product of
-the scales at the end, so results are exact, not "up to unit".
+the matrix's density: when at least half of the entries are nonzero, integer
+matrices on a grid, whose values are interpolated (`_det_on_grid`);
+otherwise the entries as polynomials, whose products and exact quotients are
+Poly's (`_det_bareiss`).  On the grid, one axis is read off the digits of
+one exact integer determinant per line of the grid (Kronecker substitution),
+unless the digits would be too wide; then one determinant per point.  Over
+QQ both engines first make every row a primitive integer row
+(`_integer_parts`) and restore the product of the scales at the end, so
+results are exact, not "up to unit".
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .arith import ArithError, Poly, _rref, rational_content, rref_kernel_data
 
@@ -185,9 +190,9 @@ def det_fraction_free(m):
     The one elimination loop, `_det_scalar`, is fed in one of two ways,
     chosen by the share of nonzero entries, for any number of T's.  When at
     least half of the n^2 entries are nonzero (curve matrices, dense surface
-    pencils and their sign recombinations), it takes the integer matrices at
-    the points of a grid and the determinant is interpolated from their
-    values (`_det_on_grid`).  Otherwise (sparse strand minors, on which
+    pencils and their sign recombinations), it takes integer matrices on the
+    lines (or points) of a grid and the determinant is interpolated from
+    their values (`_det_on_grid`).  Otherwise (sparse strand minors, on which
     symbolic elimination fills in little), and over GF(p) when a degree
     bound reaches p, it takes the entries as polynomials (`_det_bareiss`).
     Both give the same polynomial: over QQ each undoes its row scaling, so
@@ -221,6 +226,17 @@ def _det_bareiss(m):
 # ---------------------------------------------------------------------------
 # determinants by evaluation and interpolation
 
+# Widest packed line, n*B bits for n rows and B-bit digits, that
+# `_det_on_grid` reads off one determinant: Bareiss on the packed rows meets
+# integers of about n*B bits.  Points -> lines on dense homogeneous n x n
+# pencils in three T's (n*B in brackets; best of 3, Python 3.11.7, 2 vCPUs):
+# GF(65521) n=6 [672] 2.61 -> 1.36 ms, n=8 [1208] 6.41 -> 4.74 ms, n=10
+# [1910] 13.8 -> 15.7 ms, n=12 [2784] 26.4 -> 55.0 ms; QQ n=10 [1610] 15.2
+# -> 12.8 ms, n=8 [2280] 8.2 -> 9.3 ms, n=10 [3600] 21.1 -> 41.0 ms.  A gate
+# on B alone would send the GF(65521) 12 x 12 (B = 232) to lines.
+_KRONECKER_WIDTH = 1800
+
+
 def _det_on_grid(m):
     """Determinant of a square PolyMatrix by evaluation and interpolation
     (Marco & Martinez, CAGD 18, 2001); None where it does not apply: over
@@ -229,12 +245,34 @@ def _det_on_grid(m):
     With m = A_0 + sum_i T_i*A_i, the determinant has degree at most the
     number of rows where A_i is nonzero in T_i, and total degree at most the
     number of rows where some A_i with i >= 1 is.  When A_0 = 0 it is
-    homogeneous of degree n: one occurring T is set to 1 (the one leaving
-    the smallest grid) and restored at the end.  The determinant is
-    evaluated at the integer points within these bounds (`_grid`) and read
-    back by Newton interpolation (`_interpolate`).  Over QQ each row is
-    first made a primitive integer row (`_integer_parts`), and the product of
-    the scales is kept, so every value is an integer determinant.
+    homogeneous of degree n: one occurring T is set to 1 and restored at the
+    end.  Over QQ each row is first made a primitive integer row
+    (`_integer_parts`), and the product of the scales is kept, so every
+    value is an integer determinant.
+
+    One axis x is read off Kronecker digits (von zur Gathen & Gerhard, MCA
+    8.4): one exact integer determinant per line, not one per point.  At
+    each point `head` of the grid over the other axes (`_grid`), the rows
+    are a_i + x*c_i, over GF(p) lifted to balanced residues.  Expanded over
+    permutations s, det(A + x*C) sums the products
+    prod_i (a_i,s(i) + x*c_i,s(i)), each of coefficient 1-norm at most
+    prod_i (|a_i,s(i)| + |c_i,s(i)|), and these are distinct terms of
+    prod_i sum_j (|a_ij| + |c_ij|).  That product bounds every coefficient,
+    so with B two bits longer (`_digit_bits`) the balanced base-2^B digits
+    of the determinant at x = 2^B (`_det_scalar` with p = 0, exact in ZZ)
+    are the coefficients; reduced mod p over GF(p).  A digit left past the
+    degree bound raises LinalgError.  The coefficient of x^e has total
+    degree at most total - e, so it is kept at heads of coordinate sum up
+    to that, and the other axes are interpolated (`_interpolate`) with the
+    exponent of x carried along.  The T set to 1 and the digit axis are the
+    pair leaving the fewest lines (`_lower_set_size`); any choice gives the
+    same polynomial.
+
+    Gate: B is taken once per matrix, before any determinant, at the largest
+    head coordinates, so it holds for every line.  When n*B exceeds
+    `_KRONECKER_WIDTH`, or there is no axis, the matrix takes one
+    determinant per point of the whole grid instead, with the T set to 1
+    that leaves the fewest points, and every axis is interpolated.
     """
     ring = m.ring
     field = ring.field
@@ -244,28 +282,56 @@ def _det_on_grid(m):
     live = [{t for t, part in enumerate(parts) if any(part[i])} for i in range(n)]
     if not all(live):
         return ring.zero
-
-    def bounds(axes):
-        return [sum(a in ts for ts in live) for a in axes], sum(not ts.isdisjoint(axes) for ts in live)
-
     used = sorted(set().union(*live) - {0})
-    one = None  # the T set to 1 when the determinant is homogeneous
-    if not any(0 in ts for ts in live):
-        one = min(
-            used, key=lambda t: len(_grid(*bounds([a for a in used if a != t]))), default=None
-        )
-    axes = [a for a in used if a != one]
-    degs, total = bounds(axes)
+    deg = {a: sum(a in ts for ts in live) for a in used}
+
+    def plan(one, kron=None):
+        # (lines or points, one, axes with kron last, degree bounds, total degree bound)
+        axes = [a for a in used if a not in (one, kron)] + ([kron] if kron else [])
+        degs = [deg[a] for a in axes]
+        total = sum(not ts.isdisjoint(axes) for ts in live)
+        return _lower_set_size(degs[:-1] if kron else degs, total), one, axes, degs, total
+
+    def fewest(plans):
+        return min(plans, key=lambda plan: plan[0], default=None)
+
+    ones = used if used and not any(0 in ts for ts in live) else [None]
+    # a lower set only grows with each bound, so the digit axis that leaves
+    # the fewest lines is the one of largest degree bound
+    chosen = fewest(
+        plan(t, max((a for a in used if a != t), key=deg.get)) for t in ones if set(used) - {t}
+    )
+    kron = None
+    if chosen:
+        _, one, axes, degs, total = chosen
+        if p:  # balanced residues
+            parts = [[[c - p if 2 * c > p else c for c in row] for row in part] for part in parts]
+        base, digit = parts[0 if one is None else one], parts[axes[-1]]
+        # |a_ij| at any head, whose coordinates reach min(bound, total)
+        weighted = [(min(b, total), parts[a]) for b, a in zip(degs, axes[:-1])]
+        sizes = []
+        for i in range(n):
+            size = 0
+            for j in range(n):
+                a = abs(base[i][j]) + sum(w * abs(part[i][j]) for w, part in weighted)
+                size += (min(a, p // 2) if p else a) + abs(digit[i][j])
+            sizes.append(size)
+        bits = _digit_bits(sizes)
+        if n * bits <= _KRONECKER_WIDTH:
+            kron = axes[-1]
+    if kron is None:
+        _, one, axes, degs, total = fewest(plan(t) for t in ones)
     if p and any(b >= p for b in degs):
         return None
     base = parts[0 if one is None else one]
+    moving = axes[:-1] if kron else axes
     # per row: (base row, [(axis position, coefficient row)])
     rows = [
-        (base[i], [(k, parts[a][i]) for k, a in enumerate(axes) if any(parts[a][i])])
+        (base[i], [(k, parts[a][i]) for k, a in enumerate(moving) if any(parts[a][i])])
         for i in range(n)
     ]
-    values = {}
-    for point in _grid(degs, total):
+
+    def at(point):
         mat = []
         for acc, terms in rows:
             for k, vec in terms:
@@ -273,9 +339,31 @@ def _det_on_grid(m):
                 if x:
                     acc = [a + x * b for a, b in zip(acc, vec)]
             mat.append(acc)
-        values[point] = _det_scalar(mat, p)
+        return mat
+
+    values = {}
+    if kron is None:
+        for point in _grid(degs, total):
+            values[point] = _det_scalar(at(point), p)
+    else:
+        shifted = [[c << bits for c in row] for row in digit]
+        mask, top, half = (1 << bits) - 1, 1 << (bits - 1), p // 2
+        for head in _grid(degs[:-1], total):
+            mat = at(head)
+            if p:
+                mat = [[(a + half) % p - half for a in row] for row in mat]
+            v = _det_scalar([[a + c for a, c in zip(row, crow)] for row, crow in zip(mat, shifted)], 0)
+            # the coefficient of x^e has total degree <= total - e in the
+            # head axes, so it is read at heads up to that sum
+            for e in range(min(degs[-1], total) + 1):
+                d = ((v + top) & mask) - top  # balanced digit
+                v = (v - d) >> bits
+                if e <= total - sum(head):
+                    values[head + (e,)] = d % p if p else d
+            if v:
+                raise LinalgError("a Kronecker line has digits past its degree bound")
     terms = {}
-    for point, c in _interpolate(values, len(axes), p).items():
+    for point, c in _interpolate(values, len(moving), p).items():
         if c:
             exps = [0] * (ring.nv - ring.nx)
             for a, e in zip(axes, point):
@@ -284,6 +372,21 @@ def _det_on_grid(m):
                 exps[one - 1] = n - sum(point)
             terms[ring.pack((0,) * ring.nx + tuple(exps))] = c if p else field.canon(c * scale)
     return Poly(ring, terms)
+
+
+def _digit_bits(sizes):
+    """Bits B per Kronecker digit of det(A + x*C) when row i has
+    sum_j (|a_ij| + |c_ij|) <= sizes[i]: 2^(B-2) exceeds the coefficient
+    bound prod(sizes) (proof in `_det_on_grid`)."""
+    return prod(sizes).bit_length() + 2
+
+
+def _lower_set_size(bounds, total):
+    """The number of points of `_grid(bounds, total)`, counted by coordinate sum."""
+    ways = [1] + [0] * total
+    for b in bounds:
+        ways = [sum(ways[max(0, s - b):s + 1]) for s in range(total + 1)]
+    return sum(ways)
 
 
 def _grid(bounds, total):

@@ -748,3 +748,112 @@ def test_interpolation_raises_on_an_inexact_divided_difference():
     with pytest.raises(LinalgError):
         linalg._interpolate({(0,): 0, (1,): 1, (2,): 1}, 1, 0)
     assert linalg._interpolate({(0,): 0, (1,): 1, (2,): 4}, 1, 0) == {(0,): 0, (1,): 0, (2,): 1}
+
+
+# ---------------------------------------------------------------------------
+# Kronecker lines and the gate
+
+
+def dense_pencil(field, n, k, rng, lo, hi, affine=False):
+    """n x n matrix A_0 + T_1*A_1 + ... + T_k*A_k with every entry of A_1 ..
+    A_k (and of A_0 with `affine`, else A_0 = 0) of absolute value in lo .. hi."""
+    def part():
+        return [[field.canon(rng.choice((-1, 1)) * rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)]
+
+    ring = Ring(field, [], ["T%d" % i for i in range(1, k + 1)])
+    parts = [part() if affine else [[0] * n for _ in range(n)]] + [part() for _ in range(k)]
+    return PolyMatrix.from_parts(ring, parts, n)
+
+
+def counted_dets(monkeypatch):
+    """The p of every `_det_scalar` call from now on: 0 for a Kronecker line
+    (and for a point over QQ), p for a point over GF(p)."""
+    calls = []
+    inner = linalg._det_scalar
+
+    def counted(rows, p, size=None):
+        calls.append(p)
+        return inner(rows, p, size)
+
+    monkeypatch.setattr(linalg, "_det_scalar", counted)
+    return calls
+
+
+P31 = 2147483647
+# (field, n, k, entry sizes, affine, lines if Kronecker else None, points).
+# Homogeneous in k T's, one T is set to 1 and one more is the digit axis, so
+# the lines are the lower set in k - 2 axes of total n and the points the one
+# in k - 1; affine, in k - 1 and k.  Entries near 2^50 over QQ, n = 10 over
+# GF(65521) (B about 190) and n = 8 over GF(2^31 - 1) put the packed width
+# n*B past the gate
+GATE_CASES = {
+    "QQ-small": (QQ, 5, 3, (1, 9), False, 6, 21),
+    "QQ-2^50": (QQ, 7, 3, (2**50 - 2**10, 2**50), False, None, 36),
+    "QQ-affine-three-axes": (QQ, 4, 3, (1, 9), True, 15, 35),
+    "QQ-one-axis": (QQ, 5, 1, (1, 99), True, 1, 6),
+    "QQ-homogeneous-one-axis": (QQ, 5, 2, (1, 99), False, 1, 6),
+    "GF65521": (GF(65521), 6, 4, (1, 32760), False, 28, 84),
+    "GF65521-affine": (GF(65521), 4, 2, (1, 32760), True, 5, 15),
+    "GF65521-10x10": (GF(65521), 10, 3, (1, 32760), False, None, 66),
+    "GF2^31-1": (GF(P31), 4, 3, (1, P31 // 2), False, 5, 15),
+    "GF2^31-1-wide": (GF(P31), 8, 3, (1, P31 // 2), False, None, 45),
+}
+
+
+@pytest.mark.parametrize("case", list(GATE_CASES))
+def test_kronecker_lines_equal_bareiss_on_both_sides_of_the_gate(monkeypatch, case):
+    field, n, k, (lo, hi), affine, lines, points = GATE_CASES[case]
+    rng = random.Random(case)
+    p = field.char
+    m = dense_pencil(field, n, k, rng, lo, hi, affine)
+    want = linalg._det_bareiss(m)
+    calls = counted_dets(monkeypatch)
+    got = linalg._det_on_grid(m)
+    assert got.terms == want.terms and got.terms
+    assert calls == ([0] * lines if lines else [p] * points)
+    # a singular matrix, the last row the sum of the first two: every line
+    # (or point) determinant is zero
+    parts = [part[:-1] + [[a + b for a, b in zip(part[0], part[1])]] for part in m.parts]
+    singular = PolyMatrix.from_parts(m.ring, [[[field.canon(c) for c in row] for row in part] for part in parts], n)
+    del calls[:]
+    assert not linalg._det_on_grid(singular).terms
+    assert len(calls) == (lines or points)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
+def test_kronecker_lines_on_kravitsky_and_sylvester_matrices(monkeypatch, field):
+    # the Kravitsky pencil is homogeneous in T1, T2, T3: one T set to 1 and
+    # one digit axis leave d + 1 lines; the 2d x 2d Sylvester matrix of
+    # f1 - T1*f3 and f2 - T2*f3 is affine, with T1 and T2 in d rows each:
+    # d + 1 lines too
+    from implicax.resultants import BinaryForm, kravitsky_pencil, sylvester_matrix
+
+    rng = random.Random(2024)
+    ring = Ring(field, ["X1", "X2"], ["T1", "T2", "T3"])
+    t1, t2 = ring.poly("T1"), ring.poly("T2")
+    d = 4
+    fs = [[random_nonzero(field, rng) for _ in range(d + 1)] for _ in range(3)]
+    forms = [BinaryForm(ring, [ring.const(c) for c in f]) for f in fs]
+    p = BinaryForm(ring, [ring.const(a) - t1 * c for a, c in zip(fs[0], fs[2])])
+    q = BinaryForm(ring, [ring.const(b) - t2 * c for b, c in zip(fs[1], fs[2])])
+    for m in (kravitsky_pencil(*forms), sylvester_matrix(p, q)):
+        want = linalg._det_bareiss(m)
+        calls = counted_dets(monkeypatch)
+        assert linalg._det_on_grid(m).terms == want.terms
+        assert calls == [0] * (d + 1)
+        monkeypatch.undo()
+
+
+def test_a_digit_past_the_degree_bound_raises(monkeypatch):
+    # a digit width below the coefficients' size leaves digits past the
+    # line's degree 2
+    m = pm([["T1 + 100", 7], [5, "T1 - 50"]])
+    assert linalg._det_on_grid(m) == T_RING.poly("T1^2 + 50*T1 - 5035")
+    monkeypatch.setattr(linalg, "_digit_bits", lambda sizes: 3)
+    with pytest.raises(LinalgError):
+        linalg._det_on_grid(m)
+
+
+def test_lower_set_size_counts_the_grid():
+    for bounds, total in (([], 0), ([3], 2), ([2, 5], 4), ([4, 4, 4], 4), ([1, 0, 6], 9), ([6, 6], 0)):
+        assert linalg._lower_set_size(bounds, total) == len(linalg._grid(bounds, total))
