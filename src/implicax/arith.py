@@ -754,7 +754,10 @@ def parse_poly(ring, text):
                 coeff = c if coeff is None else coeff * c
                 i += 1
             else:
-                vi = ring.var_index(val)
+                try:
+                    vi = ring.var_index(val)
+                except ArithError as exc:
+                    raise ParseError("%s in %r" % (exc, text)) from None
                 i += 1
                 e = 1
                 if (
@@ -773,7 +776,10 @@ def parse_poly(ring, text):
         c = coeff if coeff is not None else 1
         if sign < 0:
             c = -c
-        key = ring.pack(tuple(exps))
+        try:
+            key = ring.pack(tuple(exps))
+        except ArithError as exc:
+            raise ParseError("%s in %r" % (exc, text)) from None
         result[key] = result.get(key, 0) + c
     return Poly(ring, field.reduce_terms(result))
 

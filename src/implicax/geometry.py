@@ -27,9 +27,9 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-from .arith import Poly, _echelon_kernel, _rref, gcd_many
+from .arith import Poly, _echelon_kernel, _rref, gcd_many, rref_kernel_data
 from .errors import ConsistencyError, ImplicaxError
-from .linalg import ScalarMatrix, rank_and_kernel, scalar_rank
+from .linalg import scalar_rank
 from .strands import _acyclic_above, _koszul_image, boundary_basis, cycle_basis, vector_to_polys
 
 __all__ = [
@@ -132,7 +132,7 @@ def _span_kernel(field, vectors, width, piece_rows):
             blocks[b] = [s + x * a for s, a in zip(blocks[b], entries[j])]
         columns.append([field.canon(s) for block in blocks for s in block])
     constraints = [row for row in zip(*columns) if any(row)]
-    return rank_and_kernel(ScalarMatrix(field, constraints, len(vectors)))[1]
+    return rref_kernel_data(field, constraints, len(vectors))[1]
 
 
 def ideal_piece(param, nu):

@@ -1,19 +1,19 @@
 """Exact linear algebra over a field and over k[T].
 
-Two matrix flavors: ScalarMatrix (field entries) and PolyMatrix, a matrix
-affine in T stored as its scalar parts A_0 + sum_i T_i*A_i (strand maps,
-Sylvester and Bezout matrices, Kravitsky pencils).  Rank, kernel, span
-membership and minor selection are read off the package's one integer row
-reduction, `arith._rref` (with the checked kernel `rref_kernel_data`),
+One matrix type, PolyMatrix, a matrix affine in T stored as its scalar parts
+A_0 + sum_i T_i*A_i (strand maps, Sylvester and Bezout matrices, Kravitsky
+pencils).  A matrix of field scalars is a plain list of rows.  Rank, kernel,
+span membership and minor selection are read off the package's one integer
+row reduction, `arith._rref` (with the checked kernel `rref_kernel_data`),
 which lives in `arith` beside the one gcd that reads its cofactor kernels
 off it: Gauss-Jordan elimination on sparse rows, each pivot updating only
 the rows that hold its column.  A vector lies in the span of some rows
 exactly when it is orthogonal to their kernel (the annihilator), so span
-membership needs no loop of its own.  A PolyMatrix is reduced at a
-random point of T, where its value is a combination of the parts' rows.
-Determinants have one elimination loop, `_det_scalar` (fraction-free
-Bareiss elimination; Gaussian mod p), and `det_fraction_free` feeds it by
-the matrix's density: when at least half of the entries are nonzero, integer
+membership needs no loop of its own.  A PolyMatrix is reduced at a random
+point of T, where its value is a combination of the parts' rows.
+Determinants have one elimination loop, `_det_scalar` (fraction-free Bareiss
+elimination; Gaussian mod p), and `det_fraction_free` feeds it by the
+matrix's density: when at least half of the entries are nonzero, integer
 matrices on a grid, whose values are interpolated (`_det_on_grid`);
 otherwise the entries as polynomials, whose products and exact quotients are
 Poly's (`_det_bareiss`).  On the grid, one axis is read off the digits of
@@ -28,13 +28,11 @@ from __future__ import annotations
 
 from math import prod
 
-from .arith import ArithError, Poly, _rref, rational_content, rref_kernel_data
+from .arith import ArithError, Poly, _rref, rational_content
 
 __all__ = [
-    "ScalarMatrix",
     "PolyMatrix",
     "LinalgError",
-    "rank_and_kernel",
     "det_fraction_free",
 ]
 
@@ -46,40 +44,8 @@ class LinalgError(ArithError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# scalar matrices
-
-
-class ScalarMatrix:
-    """Dense field-entry matrix (row major)."""
-
-    __slots__ = ("field", "rows", "cols", "data")
-
-    def __init__(self, field, data, cols=None):
-        self.field = field
-        self.data = [list(r) for r in data]
-        self.rows = len(self.data)
-        if self.rows:
-            self.cols = len(self.data[0])
-            if any(len(r) != self.cols for r in self.data):
-                raise LinalgError("ragged rows")
-        else:
-            self.cols = 0 if cols is None else cols
-
-    def __repr__(self):
-        return "ScalarMatrix(%dx%d over %s)" % (self.rows, self.cols, self.field)
-
-
-def rank_and_kernel(m):
-    """(rank, kernel basis) with deterministic reduced-echelon kernel vectors.
-
-    Over QQ kernel vectors are primitive integer vectors, positive at their
-    own free coordinate; over GF(p) that coordinate is 1.
-    """
-    return rref_kernel_data(m.field, m.data, m.cols)[:2]
-
-
 def scalar_rank(field, data):
+    """Rank of a matrix of field scalars, given as its list of rows."""
     return len(_rref(field.char, data)[1])
 
 

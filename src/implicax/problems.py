@@ -36,13 +36,22 @@ class ProblemFile:
         m = _FIELD_RE.match(self.field_spec)
         if not m:
             raise ParseError("bad field spec %r (use QQ or GF(p))" % self.field_spec)
-        if m.group(2):
+        if not m.group(2):
+            return QQ
+        try:
             return GF(int(m.group(2)))
-        return QQ
+        except ArithError as exc:
+            raise ParseError(str(exc)) from None
+
+    def _ring(self, t_vars):
+        field = self.field()
+        try:
+            return Ring(field, self.x_vars, t_vars)
+        except ArithError as exc:
+            raise ParseError(str(exc)) from None
 
     def parameterization(self):
         """The declared map: three or more forms in one fewer X variable."""
-        field = self.field()
         n = len(self.polys)
         if n < 3:
             raise ParseError("need at least 3 polynomials, got %d" % n)
@@ -53,7 +62,7 @@ class ProblemFile:
             raise ParseError(
                 "have %d polynomials but %d T-variables" % (n, len(t_vars))
             )
-        ring = Ring(field, self.x_vars, t_vars)
+        ring = self._ring(t_vars)
         parsed = []
         degrees = set()
         for i, text in enumerate(self.polys):
@@ -84,14 +93,18 @@ class ProblemFile:
         return param
 
     def binary_ring(self):
-        """Ring for resultant commands: two X variables, three T variables."""
-        field = self.field()
+        """Ring for resultant commands: two X variables, at least three T
+        variables, padded with the first undeclared names T1, T2, ..."""
         if len(self.x_vars) != 2:
             raise ParseError("resultant inputs need exactly two X-variables")
-        t_vars = self.t_vars or ["T1", "T2", "T3"]
-        if len(t_vars) < 3:
-            t_vars = list(t_vars) + ["T%d" % (i + 1) for i in range(len(t_vars), 3)]
-        return Ring(field, self.x_vars, t_vars)
+        t_vars = list(self.t_vars or ())
+        k = 1
+        while len(t_vars) < 3:
+            name = "T%d" % k
+            if name not in t_vars and name not in self.x_vars:
+                t_vars.append(name)
+            k += 1
+        return self._ring(t_vars)
 
 
 def parse_problem(text):
@@ -110,11 +123,14 @@ def parse_problem(text):
             if key in doc and not isinstance(doc[key], kind):
                 what = "a string" if kind is str else "a list"
                 raise ParseError("JSON problem file: %r must be %s" % (key, what))
+        for key in ("x_vars", "t_vars", "polys"):
+            if not all(isinstance(entry, str) for entry in doc.get(key) or ()):
+                raise ParseError("JSON problem file: %r must hold strings only" % key)
         return ProblemFile(
             field_spec=doc["field"],
             x_vars=doc["x_vars"],
             t_vars=doc["t_vars"] if doc.get("t_vars") else None,
-            polys=[str(p) for p in doc["polys"]],
+            polys=doc["polys"],
         )
     field_spec = None
     x_vars = None

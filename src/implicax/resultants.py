@@ -86,68 +86,61 @@ def sylvester_matrix(p, q):
     return PolyMatrix(ring, rows, n)
 
 
+def _bezoutian(p, q):
+    """Rows of the Bezout matrix of two forms of one degree d >= 1 with
+    constant coefficients, in closed form (Cayley).
+
+    With a_m, b_m the coefficients of S^m in p(S,1), q(S,1), the numerator
+    p(S)q(T) - p(T)q(S) is the sum over m > l of w (S^m T^l - S^l T^m), with
+    w = a_m b_l - a_l b_m, and (S^m T^l - S^l T^m) / (S - T) is the sum of
+    S^(l+r) T^(m-1-r) for r = 0 .. m-l-1.
+    """
+    d = p.degree
+    if d < 1:
+        raise ImplicaxError("forms must have degree >= 1")
+    if not all(c.is_constant() for f in (p, q) for c in f.coeffs):
+        raise ImplicaxError("Bezout matrix needs forms with constant coefficients")
+    one = p.ring.one_mono
+    a = [c.terms.get(one, 0) for c in reversed(p.coeffs)]
+    b = [c.terms.get(one, 0) for c in reversed(q.coeffs)]
+    rows = [[0] * d for _ in range(d)]
+    for m in range(1, d + 1):
+        for l in range(m):
+            w = a[m] * b[l] - a[l] * b[m]
+            if w:
+                for r in range(m - l):
+                    rows[l + r][m - 1 - r] += w
+    canon = p.ring.field.canon
+    return [[canon(x) for x in row] for row in rows]
+
+
 def bezout_matrix(p, q):
     """Bezout matrix (c_ij) from (p(S,1)q(T,1) - p(T,1)q(S,1)) / (S - T).
 
     Rows are indexed by the S exponent, columns by the T exponent; the
-    matrix is symmetric.
+    matrix is symmetric.  The forms must have constant coefficients.
     """
     if p.degree != q.degree:
         raise ImplicaxError(
             "Bezout matrix needs equal degrees, got %d and %d" % (p.degree, q.degree)
         )
     d = p.degree
-    if d < 1:
-        raise ImplicaxError("forms must have degree >= 1")
     ring = p.ring
-    # a_m, b_m = coefficients of S^m
-    a = [p.coeffs[d - m] for m in range(d + 1)]
-    b = [q.coeffs[d - m] for m in range(d + 1)]
-    num = {}
-    for i in range(d + 1):
-        for j in range(d + 1):
-            if i == j:
-                continue
-            c = a[i] * b[j]
-            if c.terms:
-                key = (i, j)
-                num[key] = num.get(key, ring.zero) + c
-                key2 = (j, i)
-                num[key2] = num.get(key2, ring.zero) - c
-    num = {k: v for k, v in num.items() if v.terms}
-    # divide by S - T, leading term S under lex S > T
-    quot = [[ring.zero] * d for _ in range(d)]
-    while num:
-        i, j = max(num)
-        c = num.pop((i, j))
-        if not c.terms:
-            continue
-        if i == 0:
-            raise ImplicaxError("Bezout numerator not divisible by S - T")
-        quot[i - 1][j] = quot[i - 1][j] + c
-        key = (i - 1, j + 1)
-        prev = num.get(key, ring.zero)
-        nv = prev + c
-        if nv.terms:
-            num[key] = nv
-        else:
-            num.pop(key, None)
-    return PolyMatrix(ring, quot, d)
+    zero = [[0] * d for _ in range(d)]
+    return PolyMatrix.from_parts(ring, [_bezoutian(p, q)] + [zero] * (ring.nv - ring.nx), d)
 
 
 def kravitsky_pencil(f1, f2, f3):
     """T1*Bez(f2,f3) + T2*Bez(f3,f1) + T3*Bez(f1,f2) as a d x d pencil."""
     if not (f1.degree == f2.degree == f3.degree):
         raise ImplicaxError("pencil needs three forms of one degree")
-    if not all(c.is_constant() for f in (f1, f2, f3) for c in f.coeffs):
-        raise ImplicaxError("pencil needs forms with constant coefficients")
     ring = f1.ring
     k = ring.nv - ring.nx
     if k < 3:
         raise ImplicaxError("ring carries fewer than three T variables")
     d = f1.degree
     zero = [[0] * d for _ in range(d)]
-    bez = [bezout_matrix(a, b).parts[0] for a, b in ((f2, f3), (f3, f1), (f1, f2))]
+    bez = [_bezoutian(a, b) for a, b in ((f2, f3), (f3, f1), (f1, f2))]
     return PolyMatrix.from_parts(ring, [zero] + bez + [zero] * (k - 3), d)
 
 

@@ -38,7 +38,6 @@ from .errors import HypothesisViolation, ImplicaxError, UsageError
 from .linalg import (
     DEFAULT_SEED,
     PolyMatrix,
-    ScalarMatrix,
     _sample_size,
     _sampled_pivots,
     det_fraction_free,
@@ -78,7 +77,7 @@ class KoszulBasis:
 
 
 def koszul_differential_matrix(param, i, nu):
-    """Matrix of contraction against f from exterior degree i to i-1.
+    """Rows of the matrix of contraction against f from exterior degree i to i-1.
 
     Source has A_nu coefficients, target A_{nu+d}; the usual alternating
     signs apply: e_J -> sum_l (-1)^l f_{J[l]} e_{J minus J[l]}.
@@ -100,16 +99,14 @@ def koszul_differential_matrix(param, i, nu):
                 for fm, fc in fpoly.terms.items():
                     r = tgt_sub + dst.mono_index[ring.mono_mul(fm, m)]
                     data[r][col] = data[r][col] + (fc if sign > 0 else -fc)
-    if ring.field.char:
-        p = ring.field.char
-        data = [[x % p for x in row] for row in data]
-    return ScalarMatrix(ring.field, data, src.dim)
+    p = ring.field.char
+    return [[x % p for x in row] for row in data] if p else data
 
 
 def _cycle_data(param, i, nu):
     """(kernel vectors, free column positions) of the degree-nu cycles."""
-    m = koszul_differential_matrix(param, i, nu)
-    return rref_kernel_data(m.field, m.data, m.cols)[1:]
+    width = math.comb(param.n, i) * len(param.ring.x_monomials(nu))
+    return rref_kernel_data(param.ring.field, koszul_differential_matrix(param, i, nu), width)[1:]
 
 
 def cycle_basis(param, i, nu):
@@ -126,8 +123,8 @@ def _koszul_image(param, i, nu):
     degree i-1); empty below degree d."""
     if nu < param.d:
         return []
-    m = koszul_differential_matrix(param, i, nu - param.d)
-    return _rref(param.ring.field.char, [list(col) for col in zip(*m.data)])[0]
+    rows = koszul_differential_matrix(param, i, nu - param.d)
+    return _rref(param.ring.field.char, list(zip(*rows)))[0]
 
 
 def boundary_basis(param, nu):
@@ -241,7 +238,7 @@ def z_strand(param, nu, report=None):
         if i < image:
             vecs, fr = _cycle_data(param, i, nu)
         else:
-            vecs, fr = list(zip(*koszul_differential_matrix(param, i + 1, nu - d).data)), None
+            vecs, fr = list(zip(*koszul_differential_matrix(param, i + 1, nu - d))), None
         bases.append(vecs)
         frees.append(fr)
     dims = [z0] + [len(b) for b in bases]

@@ -135,6 +135,51 @@ def test_parse_error_names_offending_line(capsys, tmp_path):
     assert not out.strip()
 
 
+@pytest.mark.parametrize("command", ["implicitize", "analyze"])
+@pytest.mark.parametrize(
+    "line, message",
+    [("f2 = X1*Y2", "unknown variable 'Y2'"), ("f2 = X1^32768*X2", "exponent 32768 out of range")],
+    ids=["undeclared-variable", "oversized-exponent"],
+)
+def test_bad_polynomial_line_is_parse_error(capsys, tmp_path, command, line, message):
+    f = tmp_path / "bad.txt"
+    f.write_text("field: QQ\nx_vars: X1 X2\nf1 = X1^2\n%s\nf3 = X2^2\n" % line)
+    code, out, err = run_cli(capsys, command, str(f))
+    assert code == 2
+    assert "parse error" in err and line in err and message in err
+    assert not out.strip()
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("field: GF(4)\nx_vars: X1 X2", "not prime"),
+        ("field: GF(1)\nx_vars: X1 X2", "not prime"),
+        ("field: QQ\nx_vars: X1 X1", "duplicate variable names"),
+        ("field: QQ\nx_vars: 1X X2", "bad variable name"),
+        ("field: QQ\nx_vars: X1 X2\nt_vars: T1 X1 T3", "duplicate variable names"),
+    ],
+    ids=["GF4", "GF1", "repeated-x", "bad-name", "t-repeats-x"],
+)
+@pytest.mark.parametrize("command", ["implicitize", "analyze", "resultant"])
+def test_malformed_header_is_parse_error(capsys, tmp_path, header, message, command):
+    f = tmp_path / "header.txt"
+    polys = "f1 = X2^2\nf2 = X2^2\n" + ("" if command == "resultant" else "f3 = X2^2\n")
+    f.write_text(header + "\n" + polys)
+    extra = ["--kind", "bezout"] if command == "resultant" else []
+    code, out, err = run_cli(capsys, command, str(f), *extra)
+    assert code == 2
+    assert "parse error" in err and message in err
+    assert not out.strip()
+
+
+def test_resultant_pads_t_vars_with_undeclared_names(capsys, tmp_path):
+    f = tmp_path / "t3.txt"
+    f.write_text("field: QQ\nx_vars: X1 X2\nt_vars: T3\nf1 = X1^2\nf2 = X2^2\n")
+    code, out, err = run_cli(capsys, "resultant", str(f), "--kind", "bezout")
+    assert code == 0, err
+    assert "determinant: -1" in out
+
 
 @pytest.mark.parametrize("field, coeff", [("QQ", "1/0"), ("GF(101)", "1/101")])
 def test_zero_denominator_is_parse_error(capsys, tmp_path, field, coeff):
@@ -174,8 +219,24 @@ def test_repeated_polynomial_line_is_parse_error(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("field", 5), ("t_vars", 3), ("x_vars", "X1 X2"), ("polys", "X1^2")],
-    ids=["field-int", "t_vars-int", "x_vars-string", "polys-string"],
+    [
+        ("field", 5),
+        ("t_vars", 3),
+        ("x_vars", "X1 X2"),
+        ("polys", "X1^2"),
+        ("x_vars", [1, "X2"]),
+        ("t_vars", ["T1", 2, "T3"]),
+        ("polys", ["X1^2", 5, "X2^2"]),
+    ],
+    ids=[
+        "field-int",
+        "t_vars-int",
+        "x_vars-string",
+        "polys-string",
+        "x_vars-entry-int",
+        "t_vars-entry-int",
+        "polys-entry-int",
+    ],
 )
 def test_wrongly_typed_json_value_is_parse_error(capsys, tmp_path, key, value):
     doc = json.loads((PROBLEMS / "curve_conic.json").read_text())

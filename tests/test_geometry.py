@@ -109,7 +109,7 @@ def test_hilbert_binomial_identity():
             rank = 0
             if nu >= param.d:
                 mult = koszul_differential_matrix(param, 1, nu - param.d)
-                rank = scalar_rank(param.ring.field, mult.data)
+                rank = scalar_rank(param.ring.field, mult)
             assert hilbert_value(param, nu) == comb(nu + nx - 1, nx - 1) - rank
 
 

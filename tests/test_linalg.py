@@ -16,9 +16,7 @@ from implicax.linalg import (
     _RECON_PRIME,
     LinalgError,
     PolyMatrix,
-    ScalarMatrix,
     det_fraction_free,
-    rank_and_kernel,
     scalar_rank,
 )
 from implicax.geometry import analyze_parameterization
@@ -46,14 +44,12 @@ def pm(rows, ring=T_RING):
 
 
 def test_identity_has_no_kernel():
-    m = ScalarMatrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    rank, ker = rank_and_kernel(m)
+    rank, ker, _ = rref_kernel_data(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     assert rank == 3 and ker == []
 
 
 def test_zero_matrix_kernel():
-    m = ScalarMatrix(QQ, [[0, 0], [0, 0]])
-    rank, ker = rank_and_kernel(m)
+    rank, ker, _ = rref_kernel_data(QQ, [[0, 0], [0, 0]], 2)
     assert rank == 0 and len(ker) == 2
 
 
@@ -73,12 +69,11 @@ def brute_multiplication_matrix():
         for mono, coeff in fs[i].items():
             prod = (mono[0] + g[0], mono[1] + g[1])
             data[row_basis.index(prod)][c] += coeff
-    return ScalarMatrix(QQ, data)
+    return data
 
 
 def test_koszul_multiplication_matrix_rank_and_kernel():
-    m = brute_multiplication_matrix()
-    rank, ker = rank_and_kernel(m)
+    rank, ker, _ = rref_kernel_data(QQ, brute_multiplication_matrix(), 6)
     assert rank == 4
     assert len(ker) == 2
     # kernel should span the two linear syzygies (X2, -X1, 0), (0, X2, -X1)
@@ -86,7 +81,6 @@ def test_koszul_multiplication_matrix_rank_and_kernel():
     syz1 = [0, 1, -1, 0, 0, 0]   # X2*f1 - X1*f2
     syz2 = [0, 0, 0, 1, -1, 0]   # X2*f2 - X1*f3
     for target in (syz1, syz2):
-        aug = ScalarMatrix(QQ, [list(col) for col in zip(*ker)])
         assert scalar_rank(QQ, [list(r) for r in zip(*(ker + [target]))]) == 2
 
 
@@ -97,8 +91,7 @@ def test_kernel_vectors_annihilate_randomized():
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             data = [[field.random(rng) for _ in range(cols)] for _ in range(rows)]
-            m = ScalarMatrix(field, data)
-            rank, ker = rank_and_kernel(m)
+            rank, ker, _ = rref_kernel_data(field, data, cols)
             assert rank + len(ker) == cols
 
 
@@ -108,17 +101,16 @@ def test_rank_invariance_random():
     for _ in range(20):
         n = rng.randint(2, 5)
         data = [[field.random(rng) for _ in range(n + 1)] for _ in range(n)]
-        m = ScalarMatrix(field, data)
-        r0 = scalar_rank(field, m.data)
+        r0 = scalar_rank(field, data)
         perm = list(range(n))
         rng.shuffle(perm)
-        assert scalar_rank(field, [m.data[i] for i in perm]) == r0
+        assert scalar_rank(field, [data[i] for i in perm]) == r0
         # multiply by a random invertible matrix on the left
         while True:
             g = [[field.random(rng) for _ in range(n)] for _ in range(n)]
             if scalar_rank(field, g) == n:
                 break
-        prod = [[sum(g[i][k] * m.data[k][j] for k in range(n)) % 65521
+        prod = [[sum(g[i][k] * data[k][j] for k in range(n)) % 65521
                  for j in range(n + 1)] for i in range(n)]
         assert scalar_rank(field, prod) == r0
 
@@ -219,7 +211,7 @@ def test_elimination_core_matches_fraction_gauss():
             if data:
                 vectors.append(data[0] + data[-1])
             residues = [residue(v[:ncols]) + residue(v[ncols:]) for v in vectors]
-            want = rank_and_kernel(ScalarMatrix(field, list(zip(*residues)), len(vectors)))[1]
+            want = rref_kernel_data(field, list(zip(*residues)), len(vectors))[1]
             got = _span_kernel(field, vectors, ncols, rows)
             assert all(type(x) is int for v in got for x in v)
             assert got == want
@@ -257,7 +249,7 @@ def test_rref_equals_the_dense_reference(p, fractions):
         param = load_problem(path).parameterization()
         for i in range(1, param.n + 1):
             for nu in range(3):
-                data = koszul_differential_matrix(param, i, nu).data
+                data = koszul_differential_matrix(param, i, nu)
                 cases += [data, [list(col) for col in zip(*data)]]
     for data in cases:
         data = [[entry(x) if x else 0 for x in row] for row in data]
@@ -287,25 +279,25 @@ def test_det_moving_lines_matrix():
 
 
 def cofactor_det(m):
-    """Cofactor-expansion determinant; independent oracle for small sizes."""
-    n = m.rows
+    """Cofactor-expansion determinant of a PolyMatrix or of scalar rows;
+    independent oracle for small sizes."""
+    poly = isinstance(m, PolyMatrix)
+    data = m.data if poly else m
+    n = len(data)
     if n == 0:
-        return m.ring.one if isinstance(m, PolyMatrix) else 1
+        return m.ring.one if poly else 1
     if n == 1:
-        return m.data[0][0]
-    if isinstance(m, PolyMatrix):
-        total = m.ring.zero
-    else:
-        total = 0
+        return data[0][0]
+    total = m.ring.zero if poly else 0
     for j in range(n):
-        a = m.data[0][j]
+        a = data[0][j]
         if not a:
             continue
         cols = [c for c in range(n) if c != j]
-        if isinstance(m, PolyMatrix):
+        if poly:
             rest = m.submatrix(range(1, n), cols)
         else:
-            rest = ScalarMatrix(m.field, [[m.data[i][c] for c in cols] for i in range(1, n)])
+            rest = [[data[i][c] for c in cols] for i in range(1, n)]
         sub = cofactor_det(rest)
         term = a * sub
         total = total + term if j % 2 == 0 else total - term
@@ -424,7 +416,7 @@ def test_specialize_commutes_with_det():
             data.append(row)
         m = PolyMatrix(ring, data)
         values = [rng.randint(-5, 5) for _ in ring.names]
-        d1 = cofactor_det(ScalarMatrix(QQ, m.evaluate(values)))
+        d1 = cofactor_det(m.evaluate(values))
         d2 = det_fraction_free(m).evaluate(dict(zip(ring.names, values)))
         assert d2.is_constant()
         assert d2.terms.get(ring.one_mono, 0) == d1
@@ -462,27 +454,27 @@ def test_evaluation_matches_the_entries_and_commutes_with_det(field):
             assert scalars == [[e.evaluate(point).terms.get(ring.one_mono, 0) for e in row] for row in m.data]
             det = det_fraction_free(m).evaluate(point)
             assert det.is_constant()
-            assert det.terms.get(ring.one_mono, 0) == field.canon(cofactor_det(ScalarMatrix(field, scalars)))
+            assert det.terms.get(ring.one_mono, 0) == field.canon(cofactor_det(scalars))
 
 
 def test_kernel_check_raises_on_a_wrong_vector(monkeypatch):
-    m = ScalarMatrix(QQ, [[1, 1, 0], [0, 0, 1]])
-    assert rank_and_kernel(m) == (2, [[-1, 1, 0]])
+    m = [[1, 1, 0], [0, 0, 1]]
+    assert rref_kernel_data(QQ, m, 3) == (2, [[-1, 1, 0]], [1])
     monkeypatch.setattr(arith, "_echelon_kernel", lambda p, rows, ncols: ([[1, 1, 0]], [1]))
     with pytest.raises(ConsistencyError):
-        rank_and_kernel(m)
+        rref_kernel_data(QQ, m, 3)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF"])
 def test_kernel_check_raises_when_one_row_fails(monkeypatch, field):
     # A*v is summed by columns over v's support; a vector that fails in the
     # last row only, reached through its last support column, still raises
-    m = ScalarMatrix(field, [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    m = [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     good = [field.canon(-1), 1, 0, 0]
-    assert rank_and_kernel(m) == (3, [good])
+    assert rref_kernel_data(field, m, 4) == (3, [good], [1])
     monkeypatch.setattr(arith, "_echelon_kernel", lambda p, rows, ncols: ([good[:3] + [2]], [1]))
     with pytest.raises(ConsistencyError):
-        rank_and_kernel(m)
+        rref_kernel_data(field, m, 4)
 
 
 def test_bareiss_integer_guard_raises(monkeypatch):

@@ -1,6 +1,7 @@
 """Sylvester/Bezout matrices, the three-form pencil, curve implicitization."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,41 @@ def test_bezout_symmetric():
 def test_bezout_unequal_degrees_rejected():
     with pytest.raises(ImplicaxError):
         bezout_matrix(form("X1"), form("X1^2"))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(65521), GF(7)], ids=["QQ", "GF65521", "GF7"])
+def test_bezout_matrix_meets_its_definition(field):
+    # (S - T) * sum_ij c_ij S^i T^j = p(S)q(T) - p(T)q(S), with p(S) = p(S, 1)
+    rng = random.Random(25)
+    st = Ring(field, ["S", "T"])
+    s, t = st.poly("S"), st.poly("T")
+
+    def coeff():
+        c = field.random(rng)
+        return Fraction(c, rng.randint(1, 6)) if field is QQ and rng.random() < 0.5 else c
+
+    def value(coeffs, x):
+        return sum((st.const(c) * x ** (len(coeffs) - 1 - j) for j, c in enumerate(coeffs)), st.zero)
+
+    ring = Ring(field, ["X1", "X2"], ["T1", "T2", "T3"])
+    for d in range(1, 11):
+        for _ in range(4):
+            a, b = ([coeff() for _ in range(d + 1)] for _ in range(2))
+            p, q = (BinaryForm(ring, [ring.const(x) for x in coeffs]) for coeffs in (a, b))
+            c = bezout_matrix(p, q).parts[0]
+            assert all(type(x) is type(field.canon(x)) and x == field.canon(x) for row in c for x in row)
+            bez = sum((st.const(c[i][j]) * s**i * t**j for i in range(d) for j in range(d)), st.zero)
+            assert (s - t) * bez == value(a, s) * value(b, t) - value(a, t) * value(b, s)
+
+
+def test_bezout_matrix_rejects_t_coefficients():
+    p = BinaryForm(RING, [RING.one, RING.poly("T1")])
+    with pytest.raises(ImplicaxError):
+        bezout_matrix(p, form("X1 + X2"))
+    with pytest.raises(ImplicaxError):
+        bezout_matrix(form("X1 + X2"), p)
+    with pytest.raises(ImplicaxError):
+        kravitsky_pencil(form("X1 + X2"), form("X1"), p)
 
 
 def test_det_bezout_equals_signed_resultant():
