@@ -862,6 +862,11 @@ def normalize(p):
         return p
     field = p.ring.field
     if field.char == 0:
+        if all(map(int.__instancecheck__, p.terms.values())):
+            g = math.gcd(*p.terms.values())
+            if p.terms[max(p.terms)] < 0:
+                g = -g
+            return p if g == 1 else Poly(p.ring, {m: v // g for m, v in p.terms.items()})
         c = rational_content(p.terms.values())
         if p.terms[max(p.terms)] < 0:
             c = -c
@@ -1078,11 +1083,12 @@ def _echelon_kernel(p, rows, ncols):
     return basis, free
 
 
-def rref_kernel_data(field, data, ncols):
+def rref_kernel_data(field, data, ncols, echelon=None):
     """(rank, kernel basis, free columns) of the rows `data`, ncols wide,
-    from one `_rref` pass.  Every kernel vector is checked, A*v = 0, or
+    from one `_rref` pass, or from `echelon` when the caller already holds
+    `_rref(field.char, data)`.  Every kernel vector is checked, A*v = 0, or
     ConsistencyError."""
-    rows, pivots = _rref(field.char, data)
+    rows, pivots = echelon or _rref(field.char, data)
     basis, free = _echelon_kernel(field.char, rows, ncols)
     if basis:
         # A*v by columns over v's support; rows no support column touches are 0

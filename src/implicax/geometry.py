@@ -7,22 +7,25 @@ unless it exceeds that bound), the predicted implicit degree d^(n-2) - e,
 degreewise saturation, and the Koszul-syzygy comparison B_1 vs Z_1
 intersected with the (saturated) ideal times A^n.
 
-Each graded piece I_nu has one route, the echelon basis of `ideal_piece`;
-a Hilbert value is |A_nu| minus its size, and above a full piece (I_(nu+1)
-contains A_1 * I_nu) every piece is full.  Saturation descends one chain
-from I_t, t = `_regularity_bound`: below t a piece holds the g with every
-x_i*g in the piece above, so below a full piece every piece is full.  Z_1 n
+Each graded piece I_nu is an echelon basis, from `ideal_piece` or, at t =
+`_regularity_bound`, from the reduction whose kernel is (Z_1)_(t-d), which
+the report hands to the strand; a Hilbert value is |A_nu| minus its size,
+and above a full piece (I_(nu+1) contains A_1 * I_nu) every piece is full.
+The content gcd is read off the certificate where it can be.  Saturation
+descends one chain from I_t: below t a piece holds the g with every x_i*g
+in the piece above, so below a full piece every piece is full.  Z_1 n
 J.A^n is the kernel of (g_j) -> sum g_j f_j on J^n, so its dimension is
 n * dim J minus one rank; an intersection basis is built only for the
-witness.  Where a proven fact fixes a dimension, no rank is taken: a full
-J_nu maps onto I_(nu+d); I_nu inside I^sat_nu of the same size is equal to
-it; and on an empty base locus with n <= nx + 1 the Koszul homology H_i
-vanishes for i >= 2 (Bruns-Herzog, Cohen-Macaulay Rings, Thm 1.6.17), so
-dim B_1 is an alternating sum of monomial counts.
+witness.  Where a proven fact fixes a dimension, no rank is taken: a
+full J_nu maps onto I_(nu+d); I_nu inside I^sat_nu of the same size is
+equal to it; and on an empty base locus with n <= nx + 1 the Koszul
+homology H_i vanishes for i >= 2 (Bruns-Herzog, Cohen-Macaulay Rings, Thm
+1.6.17), so dim B_1 is an alternating sum of monomial counts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import compress
@@ -30,7 +33,14 @@ from itertools import compress
 from .arith import Poly, _echelon_kernel, _rref, gcd_many, rref_kernel_data
 from .errors import ConsistencyError, ImplicaxError
 from .linalg import scalar_rank
-from .strands import _acyclic_above, _koszul_image, boundary_basis, cycle_basis, vector_to_polys
+from .strands import (
+    _acyclic_above,
+    _koszul_image,
+    boundary_basis,
+    cycle_basis,
+    koszul_differential_matrix,
+    vector_to_polys,
+)
 
 __all__ = [
     "hilbert_value",
@@ -149,19 +159,38 @@ class _Pieces(dict):
     """{nu: echelon basis of I_nu}, each built on first use, so that one
     analysis builds each I_nu once.  I_(nu+1) contains A_1 * I_nu, so above a
     full piece every piece is full: it takes the identity rows, not the rows
-    of `ideal_piece`, whose signs may differ over QQ."""
+    of `ideal_piece`, whose signs may differ over QQ.
+
+    I_t, t = `_regularity_bound`, is the column span of K =
+    `koszul_differential_matrix(param, 1, t - d)`.  It is read off `_rref`
+    of K's rows, the reduction whose kernel is (Z_1)_(t-d): a full rank
+    gives the identity rows, and a short one reduces only K's pivot columns,
+    a basis of the span.  `reduction` keeps (t - d, K, that `_rref`) for
+    the strand (`z_strand`)."""
 
     def __init__(self, param):
         super().__init__()
         self.param = param
+        self.reduction = None
 
     def __missing__(self, nu):
-        monos = self.param.ring.x_monomials
+        param = self.param
+        monos = param.ring.x_monomials
         below = self.get(nu - 1)
         if below and len(below) == len(monos(nu - 1)):
             rows = _identity(len(monos(nu)))
+        elif nu == _regularity_bound(param):
+            p = param.ring.field.char
+            matrix = koszul_differential_matrix(param, 1, nu - param.d)
+            echelon = _rref(p, matrix)
+            self.reduction = (nu - param.d, matrix, echelon)
+            pivots = echelon[1]
+            if len(pivots) == len(monos(nu)):
+                rows = _identity(len(pivots))
+            else:
+                rows = _rref(p, [[row[c] for row in matrix] for c in pivots])[0]
         else:
-            rows = ideal_piece(self.param, nu)
+            rows = ideal_piece(param, nu)
         self[nu] = rows
         return rows
 
@@ -359,6 +388,8 @@ class BasePointReport:
     base_locus_certificate: str  # "empty", "persistence" or "window"
     hilbert_values: dict  # {degree: Hilbert value of A/I} read by the profile
     syzygetic: SyzygeticReport | None = None
+    # (t - d, K, `_rref` of K) from the profile's piece I_t, for `z_strand`
+    _koszul_reduction: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         return {
@@ -386,11 +417,22 @@ def analyze_parameterization(param, run_syzygetic=None):
     nu0 = (n-2)(d-1) - indeg(I^sat) is the sharp strand degree for isolated
     base points; without base points I^sat = A and nu0 = (n-2)(d-1).  Every
     I_nu is built once, and the saturation chain at most once, shared by
-    nu0 and the syzygetic test.
+    nu0 and the syzygetic test.  The report carries the reduction behind
+    I_t (`_Pieces`) to `z_strand`: on a map t - d = nu_bound.
+
+    The content gcd is read off the certificate where it can be: a
+    nonconstant common factor h of forms in nx >= 2 variables has zeros,
+    and V(h), of dimension nx - 2, lies in the base locus.  So "empty"
+    proves the content is 1, and so does "persistence" (a finite base
+    locus) when nx >= 3.  Otherwise it is `gcd_many` of the forms.
     """
-    content = gcd_many(list(param.polys))
     ideal = _Pieces(param)
     dim, e, certificate, values = _certified_profile(param, ideal)
+    nx = param.ring.nx
+    if (certificate == "empty" and nx >= 2) or (certificate == "persistence" and nx >= 3):
+        content = param.ring.one
+    else:
+        content = gcd_many(list(param.polys))
     if dim > 0:
         pdeg = None
         genfin = None
@@ -425,4 +467,5 @@ def analyze_parameterization(param, run_syzygetic=None):
         base_locus_certificate=certificate,
         hilbert_values=values,
         syzygetic=syz,
+        _koszul_reduction=ideal.reduction,
     )

@@ -14,6 +14,7 @@ JSON format: {"field": "QQ", "x_vars": [...], "t_vars": [...], "polys": [...]}.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ class ProblemFile:
             raise ParseError("need at least 3 polynomials, got %d" % n)
         t_vars = self.t_vars
         if t_vars is None:
-            t_vars = ["T%d" % (i + 1) for i in range(n)]
+            t_vars = _default_t_vars(n, self.x_vars)
         if len(t_vars) != n:
             raise ParseError(
                 "have %d polynomials but %d T-variables" % (n, len(t_vars))
@@ -98,13 +99,13 @@ class ProblemFile:
         if len(self.x_vars) != 2:
             raise ParseError("resultant inputs need exactly two X-variables")
         t_vars = list(self.t_vars or ())
-        k = 1
-        while len(t_vars) < 3:
-            name = "T%d" % k
-            if name not in t_vars and name not in self.x_vars:
-                t_vars.append(name)
-            k += 1
-        return self._ring(t_vars)
+        return self._ring(t_vars + _default_t_vars(3 - len(t_vars), self.x_vars + t_vars))
+
+
+def _default_t_vars(count, taken):
+    """The first `count` names T1, T2, ... that are not in `taken`."""
+    names = ("T%d" % k for k in itertools.count(1))
+    return list(itertools.islice((nm for nm in names if nm not in taken), max(count, 0)))
 
 
 def parse_problem(text):
@@ -132,9 +133,7 @@ def parse_problem(text):
             t_vars=doc["t_vars"] if doc.get("t_vars") else None,
             polys=doc["polys"],
         )
-    field_spec = None
-    x_vars = None
-    t_vars = None
+    headers = {}  # header name -> its value text
     polys = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -143,15 +142,11 @@ def parse_problem(text):
         if ":" in line and "=" not in line:
             key, _, value = line.partition(":")
             key = key.strip().lower()
-            value = value.strip()
-            if key == "field":
-                field_spec = value
-            elif key == "x_vars":
-                x_vars = value.split()
-            elif key == "t_vars":
-                t_vars = value.split()
-            else:
+            if key not in ("field", "x_vars", "t_vars"):
                 raise ParseError("line %d: unknown header %r" % (lineno, key))
+            if key in headers:
+                raise ParseError("line %d: header %r is given twice" % (lineno, key))
+            headers[key] = value.strip()
         elif "=" in line:
             name, _, value = line.partition("=")
             m = re.match(r"^f(\d+)$", name.strip())
@@ -163,19 +158,18 @@ def parse_problem(text):
             polys[k] = value.strip()
         else:
             raise ParseError("line %d: cannot parse %r" % (lineno, raw))
-    if field_spec is None:
-        raise ParseError("missing 'field:' header")
-    if x_vars is None:
-        raise ParseError("missing 'x_vars:' header")
+    for key in ("field", "x_vars"):
+        if key not in headers:
+            raise ParseError("missing '%s:' header" % key)
     if not polys:
         raise ParseError("no polynomial lines (f1 = ...)")
     keys = sorted(polys)
     if keys != list(range(1, len(keys) + 1)):
         raise ParseError("polynomial indices must be f1..fn, got %s" % keys)
     return ProblemFile(
-        field_spec=field_spec,
-        x_vars=x_vars,
-        t_vars=t_vars,
+        field_spec=headers["field"],
+        x_vars=headers["x_vars"].split(),
+        t_vars=headers["t_vars"].split() if "t_vars" in headers else None,
         polys=[polys[k] for k in keys],
     )
 

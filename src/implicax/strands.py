@@ -103,10 +103,13 @@ def koszul_differential_matrix(param, i, nu):
     return [[x % p for x in row] for row in data] if p else data
 
 
-def _cycle_data(param, i, nu):
-    """(kernel vectors, free column positions) of the degree-nu cycles."""
+def _cycle_data(param, i, nu, reduced=None):
+    """(kernel vectors, free column positions) of the degree-nu cycles.
+    `reduced`, when given, is (matrix, `_rref` of it) of this same Koszul
+    matrix, and neither is taken again."""
     width = math.comb(param.n, i) * len(param.ring.x_monomials(nu))
-    return rref_kernel_data(param.ring.field, koszul_differential_matrix(param, i, nu), width)[1:]
+    matrix, echelon = reduced or (koszul_differential_matrix(param, i, nu), None)
+    return rref_kernel_data(param.ring.field, matrix, width, echelon)[1:]
 
 
 def cycle_basis(param, i, nu):
@@ -218,6 +221,13 @@ def z_strand(param, nu, report=None):
     T-contraction on the exterior powers over A_(nu-d): entries +-T_j, with
     no kernel and no check.
 
+    Level 1's kernel reuses the analysis's reduction of its Koszul matrix
+    when `report` carries one of degree nu (`BasePointReport`: the Hilbert
+    value at t = nx(d-1)+1 reads the rank of `koszul_differential_matrix(
+    param, 1, t - d)`, and t - d = nu_bound on a map).  Only the `_rref` is
+    shared: the kernel is finished from it and every vector is checked,
+    A*v = 0, as from a fresh reduction, so the bases are the same.
+
     Every map is thus the T-contraction on its bases, and two maps compose
     to sum_(j,l) T_j T_l iota_j iota_l = 0, as the iota_j anticommute: no
     further check.
@@ -234,9 +244,11 @@ def z_strand(param, nu, report=None):
     z0 = len(kbs[0].monos)
     bases = []
     frees = []
+    shared = report and report._koszul_reduction  # (degree, K, `_rref` of K) of level 1
+    level_one = shared[1:] if shared and shared[0] == nu else None
     for i in range(1, n):
         if i < image:
-            vecs, fr = _cycle_data(param, i, nu)
+            vecs, fr = _cycle_data(param, i, nu, level_one if i == 1 else None)
         else:
             vecs, fr = list(zip(*koszul_differential_matrix(param, i + 1, nu - d))), None
         bases.append(vecs)

@@ -75,12 +75,13 @@ def over_field(param, field):
 
 def count_cycle_kernels(monkeypatch):
     """The exterior degrees of the cycle kernels `strands` takes from now on,
-    in order."""
+    in order; a level-1 kernel finished from the analysis's reduction counts
+    too."""
     calls = []
 
-    def counted(param, i, nu, _inner=strands._cycle_data):
+    def counted(param, i, nu, reduced=None, _inner=strands._cycle_data):
         calls.append(i)
-        return _inner(param, i, nu)
+        return _inner(param, i, nu, reduced)
 
     monkeypatch.setattr(strands, "_cycle_data", counted)
     return calls

@@ -392,6 +392,36 @@ def test_perfect_power_scaled_power_has_unit():
     assert e == 3 and root == ring.poly("T1+T2")
 
 
+def fraction_normalize(p):
+    """normalize over QQ the long way: every coefficient divided by the signed
+    rational content as a Fraction."""
+    content = arith.rational_content(p.terms.values())
+    if p.terms[max(p.terms)] < 0:
+        content = -content
+    return Poly(p.ring, QQ.reduce_terms({m: Fraction(c) / content for m, c in p.terms.items()}))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_normalize_equals_the_fraction_path(kind):
+    # integer coefficients divide by their signed gcd with //, and a
+    # polynomial that is already normal comes back as itself
+    ring = xt_ring()
+    rng = random.Random("normalize:%s" % kind)
+    for _ in range(200):
+        p = rand_poly(ring, rng, nterms=rng.randint(1, 6))
+        if not p.terms:
+            continue
+        scale = rng.choice([1, -1, 6, -12]) if kind == "int" else Fraction(rng.choice([1, -3]), rng.choice([2, 7]))
+        p = Poly(ring, QQ.reduce_terms({m: c * scale for m, c in p.terms.items()}))
+        got = normalize(p)
+        want = fraction_normalize(p)
+        assert got == want
+        assert all(type(c) is int for c in got.terms.values())
+        assert normalize(got) is got
+        if kind == "int" and want == p:
+            assert got is p
+
+
 # ---------------------------------------------------------------------------
 # grammar round trips
 

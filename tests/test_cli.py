@@ -173,6 +173,34 @@ def test_malformed_header_is_parse_error(capsys, tmp_path, header, message, comm
     assert not out.strip()
 
 
+@pytest.mark.parametrize(
+    "key, header",
+    [
+        ("field", "field: QQ\nfield: GF(7)\nx_vars: X1 X2"),
+        ("x_vars", "field: QQ\nx_vars: X1 X2\nx_vars: X2 X1"),
+        ("t_vars", "field: QQ\nx_vars: X1 X2\nt_vars: T1 T2 T3\nt_vars: U1 U2 U3"),
+    ],
+    ids=["field", "x_vars", "t_vars"],
+)
+@pytest.mark.parametrize("command", ["implicitize", "analyze"])
+def test_repeated_header_is_parse_error(capsys, tmp_path, key, header, command):
+    # a later header line must not silently override an earlier one
+    f = tmp_path / "twice.txt"
+    f.write_text(header + "\nf1 = X1^2\nf2 = X1*X2\nf3 = X2^2\n")
+    code, out, err = run_cli(capsys, command, str(f))
+    assert code == 2
+    assert "parse error" in err and "header %r is given twice" % key in err
+    assert not out.strip()
+
+
+def test_default_t_vars_skip_declared_x_names(capsys, tmp_path):
+    f = tmp_path / "x_is_t1.txt"
+    f.write_text("field: QQ\nx_vars: T1 X2\nf1 = T1^2\nf2 = T1*X2\nf3 = X2^2\n")
+    code, doc, err = run_json(capsys, "implicitize", str(f), "--format", "json")
+    assert code == 0, err
+    assert doc["reduced"] == "T3^2 - T2*T4"
+
+
 def test_resultant_pads_t_vars_with_undeclared_names(capsys, tmp_path):
     f = tmp_path / "t3.txt"
     f.write_text("field: QQ\nx_vars: X1 X2\nt_vars: T3\nf1 = X1^2\nf2 = X2^2\n")

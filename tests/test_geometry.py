@@ -1,5 +1,6 @@
 """Hilbert values, base locus profiles, saturation, Koszul-syzygy tests."""
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from implicax.arith import (
     make_parameterization,
     unit_multiple_of,
 )
-from implicax import geometry
+from implicax import geometry, strands
 from implicax.errors import ConsistencyError
 from implicax.geometry import (
     _certified_profile,
@@ -27,8 +28,9 @@ from implicax.geometry import (
 )
 from implicax.linalg import scalar_rank
 from implicax.problems import load_problem
-from implicax.strands import boundary_basis, cycle_basis
+from implicax.strands import boundary_basis, cycle_basis, z_strand
 from helpers import (
+    dense_cubic,
     dense_quadric,
     intersection_triples,
     one_shift_saturation,
@@ -561,12 +563,26 @@ CONTENT_FACTORS = {
 }
 
 
+def count_content_gcds(monkeypatch):
+    """The calls to `gcd_many` that analyses make from now on."""
+    calls = []
+
+    def counted(polys, _inner=geometry.gcd_many):
+        calls.append(polys)
+        return _inner(polys)
+
+    monkeypatch.setattr(geometry, "gcd_many", counted)
+    return calls
+
+
 @pytest.mark.parametrize("factor", sorted(CONTENT_FACTORS))
 @pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
-def test_content_gcd_is_the_common_factor(field, factor):
+def test_content_gcd_is_the_common_factor(field, factor, monkeypatch):
     # f_i = h * g_i for seeded dense quadrics g_i, coprime by the reference
     # gcd: the analysis's content gcd, a fold of cofactor kernels over the X
-    # bank, is h up to a unit
+    # bank, is h up to a unit; a nonconstant h puts a curve in the base
+    # locus, so only h = 1 is read off the certificate
+    calls = count_content_gcds(monkeypatch)
     ring = Ring(field, ["X1", "X2", "X3"], ["T1", "T2", "T3", "T4"])
     rng = random.Random("content:%s:%s" % (field, factor))
     monos = ring.x_monomials(2)
@@ -575,6 +591,75 @@ def test_content_gcd_is_the_common_factor(field, factor):
     h = ring.poly(CONTENT_FACTORS[factor])
     rep = analyze_parameterization(Parameterization(ring, [h * g for g in gs]), run_syzygetic=False)
     assert unit_multiple_of(rep.content_gcd, h)
+    assert len(calls) == (factor != "one")
+
+
+def content_inputs():
+    """Every shipped map, every `comparison_inputs()` map, and seeded dense
+    quadric and cubic surfaces and plane curves over QQ and GF(65521)."""
+    yield from (load_problem(path).parameterization() for path in SHIPPED)
+    yield from comparison_inputs()
+    for field in (QQ, GF(65521)):
+        yield from (dense_quadric(field, 1), dense_quadric(field, 2), dense_cubic(field, 1))
+        ring = Ring(field, ["X1", "X2"], ["T1", "T2", "T3"])
+        rng = random.Random("content-curves:%s" % field)
+        for d in (4, 7):
+            forms = [{m: random_nonzero(field, rng) for m in ring.x_monomials(d)} for _ in range(3)]
+            yield Parameterization(ring, [Poly(ring, terms) for terms in forms])
+
+
+def test_content_from_the_certificate_equals_the_gcd(monkeypatch):
+    # "empty" proves the content is 1 in nx >= 2 variables, "persistence"
+    # in nx >= 3; every other analysis takes the gcd
+    calls = count_content_gcds(monkeypatch)
+    read = 0
+    for param in content_inputs():
+        calls.clear()
+        rep = analyze_parameterization(param, run_syzygetic=False)
+        proven = rep.base_locus_certificate == "empty" or (
+            rep.base_locus_certificate == "persistence" and param.ring.nx >= 3
+        )
+        assert len(calls) == (not proven)
+        assert rep.content_gcd == geometry.gcd_many(list(param.polys))
+        read += proven
+    assert read >= 20
+
+
+def test_content_of_forms_in_one_variable_takes_the_gcd():
+    # a nonconstant form in one variable has no zero in P^0, so an empty
+    # base locus proves nothing about the content there
+    ring = Ring(QQ, ["X1"], ["T1", "T2", "T3"])
+    rep = analyze_parameterization(Parameterization(ring, [ring.poly(f) for f in ("X1^2", "2*X1^2", "-X1^2")]))
+    assert rep.base_locus_certificate == "empty"
+    assert rep.content_gcd == ring.poly("X1^2")
+
+
+def test_strand_finishes_level_one_from_the_analysis_reduction(monkeypatch):
+    # the analysis's _rref of K = koszul_differential_matrix(param, 1, t - d)
+    # gives the strand the same level-1 kernel as a fresh reduction, so
+    # every map is unchanged; at nu0 = nu_bound on an empty base locus
+    # the strand takes it
+    shared = []
+
+    def counted(param, i, nu, reduced=None, _inner=strands._cycle_data):
+        shared.append(reduced is not None)
+        return _inner(param, i, nu, reduced)
+
+    monkeypatch.setattr(strands, "_cycle_data", counted)
+    for param in content_inputs():
+        rep = analyze_parameterization(param, run_syzygetic=False)
+        fresh = dataclasses.replace(rep, _koszul_reduction=None)
+        assert rep._koszul_reduction[0] == geometry._regularity_bound(param) - param.d
+        for nu in {rep.nu0, rep._koszul_reduction[0]}:
+            if nu < 0:
+                continue
+            shared.clear()
+            st = z_strand(param, nu, rep)
+            assert shared[0] == (nu == rep._koszul_reduction[0]) and not any(shared[1:])
+            assert [m.parts for m in st.maps] == [m.parts for m in z_strand(param, nu, fresh).maps]
+            assert st.maps[0].parts == z_strand(param, nu).maps[0].parts
+        if param.is_map_shape() and rep.base_locus_certificate == "empty":
+            assert rep.nu0 == rep._koszul_reduction[0]
 
 
 def test_boundary_outside_saturated_intersection_raises(monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from implicax.arith import GF, QQ, Poly, make_parameterization, unit_multiple_of
-from implicax import cli, geometry, pipeline, strands
+from implicax import arith, cli, geometry, pipeline, strands
 from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError, UsageError
 from implicax.linalg import DEFAULT_SEED
 from implicax.pipeline import analyze, implicitize, verify
@@ -290,8 +290,10 @@ def count_calls(monkeypatch, name, log):
 def test_empty_base_locus_skips_the_chain_kernels_and_the_boundaries(name, monkeypatch):
     # the chain starts from a full I_t, so every piece is full without a
     # kernel, the pieces of I above t are full without a rank, and the
-    # Koszul tail counts the boundaries
+    # Koszul tail counts the boundaries; I_t itself is read off the
+    # reduction that the strand finishes as level 1's kernel
     param = load_problem(PROBLEMS / (name + ".txt")).parameterization()
+    calls = count_cycle_kernels(monkeypatch)
     kernels, boundaries, pieces, in_chain = [], [], [], []
     count_calls(monkeypatch, "_span_kernel", kernels)
     count_calls(monkeypatch, "boundary_basis", boundaries)
@@ -308,7 +310,36 @@ def test_empty_base_locus_skips_the_chain_kernels_and_the_boundaries(name, monke
     witness = implicitize(param, run_syzygetic=True).report.syzygetic.witness
     assert in_chain == [0]
     assert [nu for _, nu in boundaries] == ([witness[0]] if witness else [])
-    assert max(nu for _, nu in pieces) == geometry._regularity_bound(param)
+    assert max(nu for _, nu in pieces) < geometry._regularity_bound(param)
+    # the witness search takes Z_1 at its degree, then the strand its level 1
+    assert calls == [1] * (2 if witness else 1)
+
+
+@pytest.mark.parametrize("method", ["det-complex", "gcd-minors"])
+@pytest.mark.parametrize("name", ["curve_conic", "surface_quadric", "surface_cubic", "dense_quadric"])
+def test_empty_base_locus_reduces_the_level_one_koszul_matrix_once(name, method, monkeypatch):
+    # the Hilbert value at t and the strand's (Z_1)_nu0 come from one _rref
+    # of K = koszul_differential_matrix(param, 1, nu_bound), taken on K's
+    # rows or on its columns
+    if name == "dense_quadric":
+        param = dense_quadric(QQ, 1)
+    else:
+        param = load_problem(PROBLEMS / (name + ".txt")).parameterization()
+    report = analyze(param)
+    assert report.base_locus_certificate == "empty" and report.nu0 == report.nu_bound
+    matrix = strands.koszul_differential_matrix(param, 1, report.nu_bound)
+    forms = (tuple(map(tuple, matrix)), tuple(zip(*matrix)))
+    reductions = []
+    for owner in (arith, geometry, strands):
+        inner = owner._rref
+
+        def counted(p, data, _inner=inner):
+            reductions.append(tuple(map(tuple, data)) in forms)
+            return _inner(p, data)
+
+        monkeypatch.setattr(owner, "_rref", counted)
+    assert implicitize(param, method=method, check_eval=2).verified
+    assert reductions.count(True) == 1
 
 
 def test_equal_pieces_take_one_syzygy_rank(monkeypatch):
