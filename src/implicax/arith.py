@@ -16,9 +16,9 @@ int arithmetic.  Exponents must stay below 2**15 and total degrees below
 2**23; far beyond anything this library is used for.
 
 This module also holds the package's one row reduction (`_rref`, with the
-checked kernel `rref_kernel_data` read off it), which `linalg`, `strands`
-and `geometry` take from here, and its one gcd (`multivariate_gcd`), read
-off a cofactor kernel of that row reduction.
+checked kernel `rref_kernel_data` read off it and its check `check_kernel`),
+which `linalg`, `strands` and `geometry` take from here, and its one gcd
+(`multivariate_gcd`), read off a cofactor kernel of that row reduction.
 """
 
 from __future__ import annotations
@@ -1090,17 +1090,24 @@ def rref_kernel_data(field, data, ncols, echelon=None):
     ConsistencyError."""
     rows, pivots = echelon or _rref(field.char, data)
     basis, free = _echelon_kernel(field.char, rows, ncols)
-    if basis:
-        # A*v by columns over v's support; rows no support column touches are 0
-        columns = [[(i, a) for i, a in enumerate(col) if a] for col in zip(*data)] or [[]] * ncols
-        for v in basis:
-            acc = {}
-            for j, x in compress(enumerate(v), v):
-                for i, a in columns[j]:
-                    acc[i] = acc.get(i, 0) + a * x
-            if not all(map(field.is_zero, acc.values())):
-                raise ConsistencyError("kernel vector fails A*v = 0")
+    check_kernel(field, data, ncols, basis)
     return len(pivots), basis, free
+
+
+def check_kernel(field, data, ncols, vectors):
+    """ConsistencyError unless A*v = 0 for every v in `vectors`, A the rows
+    `data`, ncols wide.  A*v is taken by columns over v's support; rows no
+    support column touches are 0."""
+    if not vectors:
+        return
+    columns = [[(i, a) for i, a in enumerate(col) if a] for col in zip(*data)] or [[]] * ncols
+    for v in vectors:
+        acc = {}
+        for j, x in compress(enumerate(v), v):
+            for i, a in columns[j]:
+                acc[i] = acc.get(i, 0) + a * x
+        if not all(map(field.is_zero, acc.values())):
+            raise ConsistencyError("kernel vector fails A*v = 0")
 
 
 _SPARE_ROWS = 4  # rows past the unknowns in a sampled cofactor system

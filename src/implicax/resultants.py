@@ -1,7 +1,14 @@
 """Classical resultant matrices for binary forms: Sylvester, Bezout, and the
 three-form Bezout pencil (Kravitsky).  A plane curve's implicit equation is
-one determinant of the pencil, which also serves as an independent
-cross-check on the strand determinant.
+one determinant of the pencil.
+
+Cayley's closed form `_bezoutian` also serves the strand route on plane
+curves: a nonsingular Bezoutian of two of the forms certifies an empty base
+locus (`geometry`), and the columns of the three cyclic Bezoutians are the
+basis of (Z_1)_(d-1) there (`strands.z_strand`), so on a curve without base
+points the strand's first map is this pencil up to a row permutation.  The
+independent reference for those curves is the kernel route, `z_strand`
+without a report.
 """
 
 from __future__ import annotations
@@ -140,8 +147,13 @@ def kravitsky_pencil(f1, f2, f3):
         raise ImplicaxError("ring carries fewer than three T variables")
     d = f1.degree
     zero = [[0] * d for _ in range(d)]
-    bez = [_bezoutian(a, b) for a, b in ((f2, f3), (f3, f1), (f1, f2))]
-    return PolyMatrix.from_parts(ring, [zero] + bez + [zero] * (k - 3), d)
+    return PolyMatrix.from_parts(ring, [zero] + _cyclic_bezoutians(f1, f2, f3) + [zero] * (k - 3), d)
+
+
+def _cyclic_bezoutians(f1, f2, f3):
+    """[Bez(f2, f3), Bez(f3, f1), Bez(f1, f2)] as scalar rows: the pencil's
+    parts at T1, T2, T3."""
+    return [_bezoutian(a, b) for a, b in ((f2, f3), (f3, f1), (f1, f2))]
 
 
 @dataclass

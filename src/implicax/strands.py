@@ -12,7 +12,10 @@ echelon kernel basis of its Koszul matrix.  Where the base-locus report
 proves the grade of I, the Koszul homology H_i vanishes for i > n - grade
 (Bruns-Herzog, Thm 1.6.17); there, below degree 2d, Z_i is spanned freely
 by the Koszul images of the exterior degree i + 1, a basis in closed form
-(`z_strand`).  The strand determinant (alternating product of nested minors)
+(`z_strand`).  On a plane curve without base points (Z_1)_(d-1) is spanned
+freely by the d Bezoutian moving lines, read off Cayley's closed form
+(`resultants._bezoutian`), so the strand's first map is the Kravitsky
+pencil.  The strand determinant (alternating product of nested minors)
 yields the implicit equation of the closed image raised to the degree of the
 map; the same polynomial arises as the gcd of the maximal minors of the
 rightmost map.
@@ -29,6 +32,7 @@ from .arith import (
     NotDivisibleError,
     Poly,
     _rref,
+    check_kernel,
     exact_divide,
     multivariate_gcd,
     normalize,
@@ -42,6 +46,7 @@ from .linalg import (
     _sampled_pivots,
     det_fraction_free,
 )
+from .resultants import _cyclic_bezoutians, binary_form
 
 __all__ = [
     "KoszulBasis",
@@ -199,6 +204,25 @@ def _acyclic_above(param, locus_dim):
     return param.n - (param.ring.nx - 1 - locus_dim)
 
 
+def _bezout_lines(param, matrix):
+    """The d vectors w_b = (Bez(f2,f3)[:,b], Bez(f3,f1)[:,b], Bez(f1,f2)[:,b])
+    in A_(d-1)^3 of a plane curve, each checked against the Koszul matrix
+    `matrix` of degree d - 1 (ConsistencyError unless K*w = 0); see
+    `z_strand` for why they are a basis of (Z_1)_(d-1).  Row a of a
+    Bezoutian is the coefficient of X1^a X2^(d-1-a)."""
+    ring, d = param.ring, param.d
+    bez = _cyclic_bezoutians(*(binary_form(param, f) for f in param.polys))
+    index = {m: k for k, m in enumerate(ring.x_monomials(d - 1))}
+    rows = [index[ring.pack((a, d - 1 - a) + (0,) * (ring.nv - 2))] for a in range(d)]
+    lines = [[0] * (3 * d) for _ in range(d)]
+    for i, part in enumerate(bez):
+        for a, r in enumerate(rows):
+            for b, x in enumerate(part[a]):
+                lines[b][i * d + r] = x
+    check_kernel(ring.field, matrix, 3 * d, lines)
+    return lines
+
+
 def z_strand(param, nu, report=None):
     """Assemble the degree-nu strand with verified differentials.
 
@@ -228,6 +252,26 @@ def z_strand(param, nu, report=None):
     shared: the kernel is finished from it and every vector is checked,
     A*v = 0, as from a fresh reduction, so the bases are the same.
 
+    On a plane curve (n = 3, nx = 2) with certificate "empty" and nu = d - 1
+    (then image = 2), level 1 takes no kernel: its basis is the d Bezoutian
+    moving lines w_b = (Bez(f2,f3)[:,b], Bez(f3,f1)[:,b], Bez(f1,f2)[:,b]),
+    b < d, read in S = X1/X2 (`_bezout_lines`; Sederberg, Goldman & Du,
+    J. Symbolic Comput. 23, 1997).  They are a basis of (Z_1)_(d-1):
+
+    * syzygies: sum over cyclic (i, j, k) of f_i(S) Bez(f_j,f_k)(S,T) is a
+      determinant with two rows (f1, f2, f3)(S), divided by S - T, so it is
+      0, and its T^b coefficient is sum_i f_i w_b,i;
+    * count: dim (Z_1)_(d-1) = 3d - rank K = 3d - dim I_(2d-1) = d, as
+      I_(2d-1) = A_(2d-1) on an empty base locus;
+    * independence: sum_b c_b w_b = 0 makes the pencil T1 Bez(f2,f3) +
+      T2 Bez(f3,f1) + T3 Bez(f1,f2) singular at every T, but its
+      determinant at T3 = 1 is +-Res(f1 - T1 f3, f2 - T2 f3), nonzero as
+      the forms share no factor.
+    Each line is still checked exactly, K*w = 0, against the report's K
+    when it carries one.  maps[0] is then the Kravitsky pencil with its rows
+    in monomial order.  Every other degree, a curve with base points, and a
+    call without a report keep the kernel, the tests' reference.
+
     Every map is thus the T-contraction on its bases, and two maps compose
     to sum_(j,l) T_j T_l iota_j iota_l = 0, as the iota_j anticommute: no
     further check.
@@ -246,8 +290,13 @@ def z_strand(param, nu, report=None):
     frees = []
     shared = report and report._koszul_reduction  # (degree, K, `_rref` of K) of level 1
     level_one = shared[1:] if shared and shared[0] == nu else None
+    bezout = image == 2 and ring.nx == 2 and nu == d - 1 and report.base_locus_certificate == "empty"
     for i in range(1, n):
-        if i < image:
+        if i == 1 and bezout:
+            # Z_2 is 0 below degree d: no map writes into these lines
+            matrix = level_one[0] if level_one else koszul_differential_matrix(param, 1, nu)
+            vecs, fr = _bezout_lines(param, matrix), []
+        elif i < image:
             vecs, fr = _cycle_data(param, i, nu, level_one if i == 1 else None)
         else:
             vecs, fr = list(zip(*koszul_differential_matrix(param, i + 1, nu - d))), None

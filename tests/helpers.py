@@ -67,6 +67,14 @@ def dense_cubic(field, seed):
     return _dense_surface(field, monos, seed)
 
 
+def dense_curve_text(d, rng):
+    """Three dense binary forms of degree d with random integer coefficients."""
+    monos = ["X1^%d*X2^%d" % (d - j, j) for j in range(d + 1)]
+    return [
+        " ".join("%+d*%s" % (rng.randint(-9, 9) or 1, m) for m in monos) for _ in range(3)
+    ]
+
+
 def over_field(param, field):
     """The map with the same forms, read over `field`."""
     ring = param.ring

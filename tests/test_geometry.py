@@ -31,9 +31,11 @@ from implicax.problems import load_problem
 from implicax.strands import boundary_basis, cycle_basis, z_strand
 from helpers import (
     dense_cubic,
+    dense_curve_text,
     dense_quadric,
     intersection_triples,
     one_shift_saturation,
+    over_field,
     polys_to_vector,
     random_nonzero,
     seeded_surfaces,
@@ -608,6 +610,50 @@ def content_inputs():
             yield Parameterization(ring, [Poly(ring, terms) for terms in forms])
 
 
+# two forms proportional, a curve with fractions, and a map whose three
+# pairs each share a factor though the three forms have no common zero
+PROPORTIONAL = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "2*X1^2", "X2^2"])
+FRACTIONS = make_parameterization(
+    QQ, ["X1", "X2"], ["1/2*X1^3 + X2^3", "2/3*X1^2*X2 - X1*X2^2", "X1^3 - 5/7*X2^3"]
+)
+PAIRWISE_SINGULAR = make_parameterization(
+    QQ, ["X1", "X2"], ["X1*X2", "X1*X2 + X2^2", "X1^2 + X1*X2"]
+)
+
+
+def curve_inputs():
+    """Every plane curve the tests ship: the shipped curves, the curves of
+    `comparison_inputs()` over their own field and over GF(7), seeded dense
+    curves of degree 2 to 10 over QQ and GF(65521), PROPORTIONAL, FRACTIONS
+    and PAIRWISE_SINGULAR."""
+    yield from (load_problem(path).parameterization() for path in SHIPPED if "curve" in path.name)
+    for param in comparison_inputs():
+        if param.ring.nx == 2 and param.n == 3:
+            yield from (param, over_field(param, GF(7)))
+    rng = random.Random("curve-inputs")
+    for d in range(2, 11):
+        texts = dense_curve_text(d, rng)
+        yield from (make_parameterization(field, ["X1", "X2"], texts) for field in (QQ, GF(65521)))
+    yield from (PROPORTIONAL, FRACTIONS, PAIRWISE_SINGULAR)
+
+
+def test_bezoutian_certificate_leaves_the_analysis_unchanged(monkeypatch):
+    # a coprime pair proves I_t = A_t without reducing K, and the report
+    # reads as the one the reduction gives; with base points the reduction
+    # still decides
+    read = [analyze_parameterization(param) for param in curve_inputs()]
+    monkeypatch.setattr(geometry, "_coprime_pair", lambda param: False)
+    reduced = [analyze_parameterization(param) for param in curve_inputs()]
+    for a, b in zip(read, reduced):
+        assert (a.to_dict(), a.nu0, a.hilbert_values) == (b.to_dict(), b.nu0, b.hilbert_values)
+    # the two conic files, the conic over QQ and GF(7), 18 dense curves,
+    # PROPORTIONAL and FRACTIONS
+    assert sum(rep._koszul_reduction is None for rep in read) == 24
+    base_point = load_problem(PROBLEMS / "curve_with_base_point.txt").parameterization()
+    rep = analyze_parameterization(base_point)
+    assert rep.base_locus_certificate == "persistence" and rep._koszul_reduction is not None
+
+
 def test_content_from_the_certificate_equals_the_gcd(monkeypatch):
     # "empty" proves the content is 1 in nx >= 2 variables, "persistence"
     # in nx >= 3; every other analysis takes the gcd
@@ -638,7 +684,9 @@ def test_strand_finishes_level_one_from_the_analysis_reduction(monkeypatch):
     # the analysis's _rref of K = koszul_differential_matrix(param, 1, t - d)
     # gives the strand the same level-1 kernel as a fresh reduction, so
     # every map is unchanged; at nu0 = nu_bound on an empty base locus
-    # the strand takes it
+    # the strand takes it.  A plane curve with a coprime pair of forms
+    # reduces no K: its analysis reads I_t off a Bezoutian, and its strand
+    # at nu0 = d - 1 takes the Bezoutian lines, with no level-1 kernel
     shared = []
 
     def counted(param, i, nu, reduced=None, _inner=strands._cycle_data):
@@ -646,8 +694,17 @@ def test_strand_finishes_level_one_from_the_analysis_reduction(monkeypatch):
         return _inner(param, i, nu, reduced)
 
     monkeypatch.setattr(strands, "_cycle_data", counted)
+    curves = 0
     for param in content_inputs():
         rep = analyze_parameterization(param, run_syzygetic=False)
+        if rep._koszul_reduction is None:
+            assert param.ring.nx == 2 and geometry._coprime_pair(param)
+            assert rep.base_locus_certificate == "empty" and rep.nu0 == param.d - 1
+            shared.clear()
+            z_strand(param, rep.nu0, rep)
+            assert shared == []
+            curves += 1
+            continue
         fresh = dataclasses.replace(rep, _koszul_reduction=None)
         assert rep._koszul_reduction[0] == geometry._regularity_bound(param) - param.d
         for nu in {rep.nu0, rep._koszul_reduction[0]}:
@@ -660,6 +717,8 @@ def test_strand_finishes_level_one_from_the_analysis_reduction(monkeypatch):
             assert st.maps[0].parts == z_strand(param, nu).maps[0].parts
         if param.is_map_shape() and rep.base_locus_certificate == "empty":
             assert rep.nu0 == rep._koszul_reduction[0]
+    # the two shipped conic files, the conic, four seeded dense curves
+    assert curves == 7
 
 
 def test_boundary_outside_saturated_intersection_raises(monkeypatch):

@@ -15,7 +15,7 @@ from implicax.linalg import DEFAULT_SEED
 from implicax.pipeline import analyze, implicitize, verify
 from implicax.problems import load_problem
 
-from helpers import count_cycle_kernels, dense_cubic, dense_quadric, seeded_surfaces
+from helpers import count_cycle_kernels, dense_cubic, dense_curve_text, dense_quadric, seeded_surfaces
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 MAP_PROBLEMS = (
@@ -320,7 +320,8 @@ def test_empty_base_locus_skips_the_chain_kernels_and_the_boundaries(name, monke
 def test_empty_base_locus_reduces_the_level_one_koszul_matrix_once(name, method, monkeypatch):
     # the Hilbert value at t and the strand's (Z_1)_nu0 come from one _rref
     # of K = koszul_differential_matrix(param, 1, nu_bound), taken on K's
-    # rows or on its columns
+    # rows or on its columns; the conic reduces none, as a coprime pair's
+    # Bezoutian proves I_t full and the Bezoutian lines are its (Z_1)_nu0
     if name == "dense_quadric":
         param = dense_quadric(QQ, 1)
     else:
@@ -339,7 +340,7 @@ def test_empty_base_locus_reduces_the_level_one_koszul_matrix_once(name, method,
 
         monkeypatch.setattr(owner, "_rref", counted)
     assert implicitize(param, method=method, check_eval=2).verified
-    assert reductions.count(True) == 1
+    assert reductions.count(True) == (name != "curve_conic")
 
 
 def test_equal_pieces_take_one_syzygy_rank(monkeypatch):
@@ -507,14 +508,6 @@ def test_gcd_minors_equals_det_complex_for_seeds_1_to_10(name):
         assert routes[0].exponent == routes[1].exponent, (name, seed)
 
 
-def dense_curve_text(d, rng):
-    """Three dense binary forms of degree d with random integer coefficients."""
-    monos = ["X1^%d*X2^%d" % (d - j, j) for j in range(d + 1)]
-    return [
-        " ".join("%+d*%s" % (rng.randint(-9, 9) or 1, m) for m in monos) for _ in range(3)
-    ]
-
-
 def dense_maps(name):
     """The maps of one counting case: a shipped problem, or the dense
     quadrics (seeds 1-3) or dense plane curves (degrees 6, 8, 10), each over
@@ -535,13 +528,14 @@ def dense_maps(name):
         ("surface_quadric", 1),
         ("surface_cubic", 1),
         ("dense_quadrics", 1),
-        ("dense_curves", 1),
+        ("dense_curves", 0),
         ("surface_lci", 2),
     ],
 )
 def test_implicitize_takes_cycle_kernels_only_below_the_koszul_images(name, kernels, monkeypatch):
     # H_i(f; A) = 0 for i > n - grade: from Z_2 on without base points and
-    # from Z_3 on with isolated ones, the strand takes Koszul images
+    # from Z_3 on with isolated ones, the strand takes Koszul images; a plane
+    # curve without base points takes its Z_1 off the Bezoutians
     calls = count_cycle_kernels(monkeypatch)
     for param in dense_maps(name):
         calls.clear()

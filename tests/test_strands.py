@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from implicax import arith, pipeline, strands
+from implicax import arith, cli, geometry, pipeline, resultants, strands
 from implicax.arith import (
     GF,
     QQ,
@@ -24,6 +24,7 @@ from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError
 from implicax.geometry import analyze_parameterization
 from implicax.linalg import DEFAULT_SEED, det_fraction_free, scalar_rank
 from implicax.problems import load_problem
+from implicax.resultants import binary_form, kravitsky_pencil
 from implicax.strands import (
     boundary_basis,
     check_rank_profile,
@@ -42,7 +43,7 @@ from helpers import (
     subresultant_gcd,
     subresultant_gcd_many,
 )
-from test_geometry import comparison_inputs
+from test_geometry import PAIRWISE_SINGULAR, comparison_inputs, curve_inputs
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -631,6 +632,19 @@ def first_image_level(param, report, nu):
     return param.n
 
 
+def takes_bezout_lines(param, report, nu):
+    """Whether z_strand(param, nu, report) takes the Bezoutian lines as its
+    (Z_1)_nu: a plane curve with an empty base locus, at nu = d - 1."""
+    return param.ring.nx == 2 and report.base_locus_certificate == "empty" and nu == param.d - 1
+
+
+def pencil_in_monomial_order(param):
+    """The parts of the Kravitsky pencil with its rows read on the A_(d-1)
+    monomials, X1^(d-1) first."""
+    pencil = kravitsky_pencil(*[binary_form(param, f) for f in param.polys])
+    return [part[::-1] for part in pencil.parts]
+
+
 def outcome(route, *args):
     """route(*args), or the type of the ImplicaxError it raises."""
     try:
@@ -663,9 +677,13 @@ def test_image_route_equals_the_kernel_route(name, field):
         answers = [a if isinstance(a, type) else normalize(a.value) for a in answers]
         assert answers[0] == answers[1]
     # the gcd-minors fold reads only maps[0] and the rank profile's first
-    # link, so where those are equal its answers are
+    # link, so where those are equal its answers are; on a curve without
+    # base points maps[0] is the pencil, and the folds are compared below
     kernels, images = strands_at[report.nu0]
-    assert images.maps[0].parts == kernels.maps[0].parts
+    if takes_bezout_lines(param, report, report.nu0):
+        assert images.maps[0].parts == pencil_in_monomial_order(param)
+    else:
+        assert images.maps[0].parts == kernels.maps[0].parts
     links = [outcome(check_rank_profile, st) for st in (kernels, images)]
     if isinstance(links[0], type):
         assert links[1] == links[0]
@@ -679,6 +697,76 @@ def test_image_route_equals_the_kernel_route(name, field):
         if ring.field.char or not name.startswith("dense_cubic"):
             gcds = [outcome(gcd_of_maximal_minors, st, report.predicted_degree) for st in (kernels, images)]
             assert gcds[0] == gcds[1]
+
+
+def test_bezoutian_basis_equals_the_kernel_route():
+    # on a curve without base points (Z_1)_(d-1) is the d Bezoutian lines,
+    # so maps[0] is the pencil; the normalized determinant is the kernel
+    # route's, and the methods agree (the resultant only without base points)
+    lines = 0
+    for param in curve_inputs():
+        report = analyze_parameterization(param)
+        nu = param.d - 1
+        routed = z_strand(param, nu, report)
+        if takes_bezout_lines(param, report, nu):
+            assert routed.maps[0].parts == pencil_in_monomial_order(param)
+            lines += 1
+        answers = [outcome(complex_determinant, st) for st in (z_strand(param, nu), routed)]
+        answers = [a if isinstance(a, type) else normalize(a.value) for a in answers]
+        assert answers[0] == answers[1]
+        methods = ("det-complex", "gcd-minors", "resultant")
+        results = [outcome(pipeline.implicitize, param, None, m) for m in methods]
+        results = [r if isinstance(r, type) else (r.reduced, r.exponent) for r in results]
+        if report.base_locus_certificate != "empty":
+            results.pop()
+        assert results == [results[0]] * len(results)
+    # every curve with an empty base locus; PAIRWISE_SINGULAR among them
+    assert lines == 25
+    report = analyze_parameterization(PAIRWISE_SINGULAR)
+    assert not geometry._coprime_pair(PAIRWISE_SINGULAR)
+    assert report.base_locus_certificate == "empty" and report._koszul_reduction is not None
+
+
+def perturbed_bezoutian(p, q, _inner=resultants._bezoutian):
+    """Cayley's closed form with entry [0][0] off by one."""
+    rows = _inner(p, q)
+    rows[0][0] = p.ring.field.canon(rows[0][0] + 1)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, GF(65521)])
+def test_a_perturbed_bezoutian_fails_the_syzygy_check(field, monkeypatch):
+    param = over_field(CONIC, field)
+    report = analyze_parameterization(param)
+    monkeypatch.setattr(resultants, "_bezoutian", perturbed_bezoutian)
+    with pytest.raises(ConsistencyError, match="A\\*v = 0"):
+        z_strand(param, param.d - 1, report)
+    with pytest.raises(ConsistencyError, match="A\\*v = 0"):
+        pipeline.implicitize(param)
+
+
+def test_a_perturbed_bezoutian_exits_four_on_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(resultants, "_bezoutian", perturbed_bezoutian)
+    assert cli.main(["implicitize", str(PROBLEMS / "curve_conic.txt")]) == 4
+    assert "A*v = 0" in capsys.readouterr().err
+
+
+def test_a_false_empty_claim_on_a_curve_is_refused_by_the_rank_profile(monkeypatch):
+    # the forms share X1, so the Bezoutian lines pass the syzygy check but
+    # the pencil is singular, and the rank profile refuses the strand
+    param = load_problem(PROBLEMS / "curve_with_base_point.txt").parameterization()
+    report = analyze_parameterization(param)
+    nu = param.d - 1
+    false = dataclasses.replace(report, base_locus_dim=-1, base_locus_certificate="empty", nu0=nu)
+    assert false._koszul_reduction[0] == nu
+    st = z_strand(param, nu, false)
+    assert st.maps[0].parts == pencil_in_monomial_order(param)
+    with pytest.raises(HypothesisViolation, match="rank profile"):
+        check_rank_profile(st)
+    monkeypatch.setattr(pipeline, "analyze", lambda param, run_syzygetic=None: false)
+    for method in ("det-complex", "gcd-minors"):
+        with pytest.raises(HypothesisViolation, match="rank profile"):
+            pipeline.implicitize(param, method=method)
 
 
 def test_image_levels_of_the_cubic_are_signed_contractions():
