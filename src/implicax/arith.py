@@ -27,7 +27,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count, islice
 
 __all__ = [
     "QQ",
@@ -1251,21 +1251,20 @@ class Parameterization:
         polys = tuple(polys)
         if len(polys) < 3:
             raise ArithError("need at least 3 polynomials, got %d" % len(polys))
-        degs = set()
-        for i, p in enumerate(polys):
+        degs = []
+        for k, p in enumerate(polys, 1):
             if p.ring != ring:
-                raise ArithError("polynomial %d lives in a different ring" % (i + 1))
+                raise ArithError("f%d lives in a different ring" % k)
             if not p.terms:
-                raise ArithError("polynomial %d is zero" % (i + 1))
+                raise ArithError("f%d is zero" % k)
             if p.t_degree() > 0:
-                raise ArithError("polynomial %d involves T-variables" % (i + 1))
-            d = p.homogeneous_degree(0, ring.nx)
-            if d is None:
-                raise ArithError("polynomial %d is not homogeneous" % (i + 1))
-            degs.add(d)
-        if len(degs) != 1:
-            raise ArithError("polynomials have mixed degrees %s" % sorted(degs))
-        d = degs.pop()
+                raise ArithError("f%d = %s involves T-variables" % (k, p))
+            degs.append(p.homogeneous_degree(0, ring.nx))
+            if degs[-1] is None:
+                raise ArithError("f%d = %s is not homogeneous" % (k, p))
+            if degs[-1] != degs[0]:
+                raise ArithError("mixed degrees: f%d has degree %d, f1 %d" % (k, degs[-1], degs[0]))
+        d = degs[0]
         if d < 1:
             raise ArithError("degree must be >= 1")
         self.ring = ring
@@ -1298,12 +1297,28 @@ class Parameterization:
         )
 
 
+def _default_t_vars(n, taken):
+    """The first `n` names T1, T2, ... that are not in `taken`."""
+    names = ("T%d" % k for k in count(1))
+    return list(islice((nm for nm in names if nm not in taken), max(n, 0)))
+
+
 def make_parameterization(field, x_vars, poly_texts, t_vars=None):
-    """Build a Parameterization from polynomial strings."""
+    """Build a Parameterization from polynomial strings: the one path from
+    text to a map.  `t_vars` defaults to the first n names T1, T2, ... not
+    declared in `x_vars`."""
     n = len(poly_texts)
+    if n < 3:
+        raise ArithError("need at least 3 polynomials, got %d" % n)
     if t_vars is None:
-        t_vars = tuple("T%d" % (i + 1) for i in range(n))
+        t_vars = _default_t_vars(n, x_vars)
     if len(t_vars) != n:
-        raise ArithError("need %d T-variables, got %d" % (n, len(t_vars)))
+        raise ArithError("have %d polynomials but %d T-variables" % (n, len(t_vars)))
     ring = Ring(field, x_vars, t_vars)
-    return Parameterization(ring, [parse_poly(ring, s) for s in poly_texts])
+    polys = []
+    for k, text in enumerate(poly_texts, 1):
+        try:
+            polys.append(parse_poly(ring, text))
+        except ParseError as exc:
+            raise ParseError("f%d = %s: %s" % (k, text, exc)) from None
+    return Parameterization(ring, polys)

@@ -9,10 +9,11 @@ intersected with the (saturated) ideal times A^n.
 
 Each graded piece I_nu is an echelon basis, from `ideal_piece` or, at t =
 `_regularity_bound`, from the reduction whose kernel is (Z_1)_(t-d), which
-the report hands to the strand; in two variables a nonsingular Bezoutian
-of two forms (Cayley's closed form, `resultants._bezoutian`) proves I_t
-full with no reduction.  A Hilbert value is |A_nu| minus its size, and
-above a full piece (I_(nu+1) contains A_1 * I_nu) every piece is full.
+the report hands to the strand; on a plane curve a nonsingular Bezoutian
+of two of the three forms (Cayley's closed form, `resultants._bezoutian`)
+proves I_t full with no reduction.  A Hilbert value is |A_nu| minus its
+size, and above a full piece (I_(nu+1) contains A_1 * I_nu) every piece is
+full.
 The content gcd is read off the certificate where it can be.  Saturation
 descends one chain from I_t: below t a piece holds the g with every x_i*g
 in the piece above, so below a full piece every piece is full.  Z_1 n
@@ -30,12 +31,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import compress
 
 from .arith import Poly, _echelon_kernel, _rref, gcd_many, rref_kernel_data
 from .errors import ConsistencyError, ImplicaxError
 from .linalg import scalar_rank
-from .resultants import _bezoutian, binary_form
+from .resultants import _cyclic_bezoutians, binary_form
 from .strands import (
     _acyclic_above,
     _koszul_image,
@@ -159,28 +160,27 @@ def _identity(size):
 
 
 def _coprime_pair(param):
-    """Whether two of the forms, in two X variables, have a nonsingular
-    Bezoutian (`resultants._bezoutian`, Cayley's closed form).
+    """Whether two of three forms in two X variables have a nonsingular
+    Bezoutian (`resultants._cyclic_bezoutians`, Cayley's closed form).
 
     det Bez(f_i, f_j) = +-Res(f_i, f_j), so such a pair has no common zero
     on P^1, and by Sylvester (g, h) -> g f_i + h f_j maps A_(d-1)^2 onto
     A_(2d-1): I_t = A_t at t = 2d - 1, `_regularity_bound` for nx = 2.
     """
-    if param.ring.nx != 2:
+    if param.ring.nx != 2 or param.n != 3:
         return False
     forms = [binary_form(param, f) for f in param.polys]
-    field = param.ring.field
-    return any(scalar_rank(field, _bezoutian(a, b)) == param.d for a, b in combinations(forms, 2))
+    return any(scalar_rank(param.ring.field, bez) == param.d for bez in _cyclic_bezoutians(*forms))
 
 
 class _Pieces(dict):
     """{nu: echelon basis of I_nu}, each built on first use, so that one
-    analysis builds each I_nu once.  I_(nu+1) contains A_1 * I_nu, so above a
-    full piece every piece is full: it takes the identity rows, not the rows
-    of `ideal_piece`, whose signs may differ over QQ.
+    analysis builds each I_nu once.  I_(nu+1) contains A_1 * I_nu, so every
+    piece above a full piece held here is full: it takes the identity rows,
+    not the rows of `ideal_piece`, whose signs may differ over QQ.
 
     I_t, t = `_regularity_bound`, is the column span of K =
-    `koszul_differential_matrix(param, 1, t - d)`.  In two variables a
+    `koszul_differential_matrix(param, 1, t - d)`.  On a plane curve a
     coprime pair of forms proves it full (`_coprime_pair`), with no
     reduction.  Otherwise it is read off `_rref` of K's rows, the reduction
     whose kernel is (Z_1)_(t-d): a full rank gives the identity rows, and a
@@ -196,9 +196,9 @@ class _Pieces(dict):
     def __missing__(self, nu):
         param = self.param
         monos = param.ring.x_monomials
-        below = self.get(nu - 1)
+        above_full = any(m < nu and len(rows) == len(monos(m)) for m, rows in self.items())
         at_t = nu == _regularity_bound(param)
-        if below and len(below) == len(monos(nu - 1)) or at_t and _coprime_pair(param):
+        if above_full or at_t and _coprime_pair(param):
             rows = _identity(len(monos(nu)))
         elif at_t:
             p = param.ring.field.char

@@ -4,7 +4,8 @@ Text format:
 
     field: QQ            # or GF(65521)
     x_vars: X1 X2
-    t_vars: T1 T2 T3     # optional; defaults to T1..Tn
+    t_vars: T1 T2 T3     # optional; defaults to the first n names
+                         # T1, T2, ... not declared in x_vars
     f1 = X1^2
     f2 = X1*X2
     f3 = X2^2
@@ -14,12 +15,11 @@ JSON format: {"field": "QQ", "x_vars": [...], "t_vars": [...], "polys": [...]}.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
 
-from .arith import GF, QQ, ArithError, Parameterization, ParseError, Ring, parse_poly
+from .arith import GF, QQ, ArithError, ParseError, Ring, _default_t_vars, make_parameterization
 
 __all__ = ["ProblemFile", "load_problem", "parse_problem"]
 
@@ -44,52 +44,16 @@ class ProblemFile:
         except ArithError as exc:
             raise ParseError(str(exc)) from None
 
-    def _ring(self, t_vars):
-        field = self.field()
-        try:
-            return Ring(field, self.x_vars, t_vars)
-        except ArithError as exc:
-            raise ParseError(str(exc)) from None
-
     def parameterization(self):
         """The declared map: three or more forms in one fewer X variable."""
-        n = len(self.polys)
-        if n < 3:
-            raise ParseError("need at least 3 polynomials, got %d" % n)
-        t_vars = self.t_vars
-        if t_vars is None:
-            t_vars = _default_t_vars(n, self.x_vars)
-        if len(t_vars) != n:
-            raise ParseError(
-                "have %d polynomials but %d T-variables" % (n, len(t_vars))
-            )
-        ring = self._ring(t_vars)
-        parsed = []
-        degrees = set()
-        for i, text in enumerate(self.polys):
-            try:
-                p = parse_poly(ring, text)
-                if not p.terms:
-                    raise ParseError("polynomial is zero")
-                if p.t_degree() > 0:
-                    raise ParseError("polynomial uses T-variables")
-                d = p.homogeneous_degree(0, ring.nx)
-                if d is None:
-                    raise ParseError("polynomial is not homogeneous")
-                degrees.add(d)
-            except ParseError as exc:
-                raise ParseError("f%d = %s: %s" % (i + 1, text, exc)) from None
-            parsed.append(p)
-        if len(degrees) > 1:
-            raise ParseError("polynomials have mixed degrees %s" % sorted(degrees))
         try:
-            param = Parameterization(ring, parsed)
+            param = make_parameterization(self.field(), self.x_vars, self.polys, self.t_vars)
         except ArithError as exc:
             raise ParseError(str(exc)) from None
         if not param.is_map_shape():
             raise ParseError(
                 "%d polynomials need %d X-variables, file declares %d"
-                % (n, n - 1, len(self.x_vars))
+                % (param.n, param.n - 1, len(self.x_vars))
             )
         return param
 
@@ -99,13 +63,11 @@ class ProblemFile:
         if len(self.x_vars) != 2:
             raise ParseError("resultant inputs need exactly two X-variables")
         t_vars = list(self.t_vars or ())
-        return self._ring(t_vars + _default_t_vars(3 - len(t_vars), self.x_vars + t_vars))
-
-
-def _default_t_vars(count, taken):
-    """The first `count` names T1, T2, ... that are not in `taken`."""
-    names = ("T%d" % k for k in itertools.count(1))
-    return list(itertools.islice((nm for nm in names if nm not in taken), max(count, 0)))
+        t_vars += _default_t_vars(3 - len(t_vars), self.x_vars + t_vars)
+        try:
+            return Ring(self.field(), self.x_vars, t_vars)
+        except ArithError as exc:
+            raise ParseError(str(exc)) from None
 
 
 def parse_problem(text):

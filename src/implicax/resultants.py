@@ -1,6 +1,10 @@
 """Classical resultant matrices for binary forms: Sylvester, Bezout, and the
 three-form Bezout pencil (Kravitsky).  A plane curve's implicit equation is
-one determinant of the pencil.
+one determinant of the pencil.  A binary form's coefficients are field
+scalars, so every Sylvester and Bezout matrix here is scalar and the pencil
+is linear in T; the T-affine Sylvester matrix of f1 - T1*f3 and f2 - T2*f3,
+an independent reference for the pencil's dehomogenized determinant, lives
+in `tests/helpers.py`.
 
 Cayley's closed form `_bezoutian` also serves the strand route on plane
 curves: a nonsingular Bezoutian of two of the forms certifies an empty base
@@ -32,21 +36,19 @@ __all__ = [
 
 
 class BinaryForm:
-    """Homogeneous binary form: coefficients c_0..c_d of X1^(d-j) X2^j.
-
-    Coefficients are polynomials in the T bank (constants for plain forms),
-    so combinations like f1 - T1*f3 stay in one type.
-    """
+    """Homogeneous binary form: coefficients c_0..c_d of X1^(d-j) X2^j, as
+    canonical field scalars.  The T-affine Sylvester reference for
+    `CurveResultant.dehomogenized` lives in `tests/helpers.py`."""
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        self.coeffs = list(coeffs)
+        self.coeffs = [ring.field.canon(c) for c in coeffs]
         if not self.coeffs:
             raise ImplicaxError("empty coefficient list")
         self.degree = len(self.coeffs) - 1
 
     def is_zero(self):
-        return all(not c.terms for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __repr__(self):
         return "BinaryForm(deg %d; %s)" % (
@@ -56,7 +58,7 @@ class BinaryForm:
 
 
 def binary_form(param_or_ring, p):
-    """Extract the coefficient list of a binary X-form as a BinaryForm."""
+    """The coefficients of a binary X-form, read off the degree-d X monomials."""
     ring = getattr(param_or_ring, "ring", param_or_ring)
     if ring.nx != 2:
         raise ImplicaxError("binary forms need exactly two X variables")
@@ -67,12 +69,15 @@ def binary_form(param_or_ring, p):
     d = p.homogeneous_degree(0, 2)
     if d is None:
         raise ImplicaxError("form %r is not homogeneous" % p)
-    coeffs = []
-    for j in range(d + 1):
-        mono = ring.pack(tuple([d - j, j] + [0] * (ring.nv - 2)))
-        c = p.terms.get(mono, 0)
-        coeffs.append(ring.const(c))
-    return BinaryForm(ring, coeffs)
+    return BinaryForm(ring, [p.terms.get(m, 0) for m in ring.x_monomials(d)])
+
+
+def _scalar_matrix(ring, rows):
+    """The square matrix of field scalars `rows` as a PolyMatrix: its parts
+    at T_1 .. T_k are zero."""
+    n = len(rows)
+    zero = [[0] * n for _ in range(n)]
+    return PolyMatrix.from_parts(ring, [rows] + [zero] * (ring.nv - ring.nx), n)
 
 
 def sylvester_matrix(p, q):
@@ -82,20 +87,14 @@ def sylvester_matrix(p, q):
     dp, dq = p.degree, q.degree
     if dp < 1 or dq < 1:
         raise ImplicaxError("forms must have degree >= 1")
-    ring = p.ring
-    n = dp + dq
-    zero = ring.zero
-    rows = []
-    for i in range(dq):
-        rows.append([zero] * i + list(p.coeffs) + [zero] * (n - dp - 1 - i))
-    for i in range(dp):
-        rows.append([zero] * i + list(q.coeffs) + [zero] * (n - dq - 1 - i))
-    return PolyMatrix(ring, rows, n)
+    rows = [[0] * i + p.coeffs + [0] * (dq - 1 - i) for i in range(dq)]
+    rows += [[0] * i + q.coeffs + [0] * (dp - 1 - i) for i in range(dp)]
+    return _scalar_matrix(p.ring, rows)
 
 
 def _bezoutian(p, q):
-    """Rows of the Bezout matrix of two forms of one degree d >= 1 with
-    constant coefficients, in closed form (Cayley).
+    """Rows of the Bezout matrix of two forms of one degree d >= 1, in
+    closed form (Cayley).
 
     With a_m, b_m the coefficients of S^m in p(S,1), q(S,1), the numerator
     p(S)q(T) - p(T)q(S) is the sum over m > l of w (S^m T^l - S^l T^m), with
@@ -105,11 +104,8 @@ def _bezoutian(p, q):
     d = p.degree
     if d < 1:
         raise ImplicaxError("forms must have degree >= 1")
-    if not all(c.is_constant() for f in (p, q) for c in f.coeffs):
-        raise ImplicaxError("Bezout matrix needs forms with constant coefficients")
-    one = p.ring.one_mono
-    a = [c.terms.get(one, 0) for c in reversed(p.coeffs)]
-    b = [c.terms.get(one, 0) for c in reversed(q.coeffs)]
+    a = p.coeffs[::-1]
+    b = q.coeffs[::-1]
     rows = [[0] * d for _ in range(d)]
     for m in range(1, d + 1):
         for l in range(m):
@@ -125,16 +121,13 @@ def bezout_matrix(p, q):
     """Bezout matrix (c_ij) from (p(S,1)q(T,1) - p(T,1)q(S,1)) / (S - T).
 
     Rows are indexed by the S exponent, columns by the T exponent; the
-    matrix is symmetric.  The forms must have constant coefficients.
+    matrix is symmetric.
     """
     if p.degree != q.degree:
         raise ImplicaxError(
             "Bezout matrix needs equal degrees, got %d and %d" % (p.degree, q.degree)
         )
-    d = p.degree
-    ring = p.ring
-    zero = [[0] * d for _ in range(d)]
-    return PolyMatrix.from_parts(ring, [_bezoutian(p, q)] + [zero] * (ring.nv - ring.nx), d)
+    return _scalar_matrix(p.ring, _bezoutian(p, q))
 
 
 def kravitsky_pencil(f1, f2, f3):
@@ -181,8 +174,6 @@ def curve_implicitize_resultant(param):
     if param.n != 3:
         raise UsageError("resultant implicitization needs exactly 3 polynomials")
     param.require_map_shape()
-    if any(not p.terms for p in param.polys):
-        raise ImplicaxError("zero entry in the parameterization")
     pencil = kravitsky_pencil(*[binary_form(param, p) for p in param.polys])
     det = det_fraction_free(pencil)
     if not det.terms:

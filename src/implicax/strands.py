@@ -209,17 +209,16 @@ def _bezout_lines(param, matrix):
     in A_(d-1)^3 of a plane curve, each checked against the Koszul matrix
     `matrix` of degree d - 1 (ConsistencyError unless K*w = 0); see
     `z_strand` for why they are a basis of (Z_1)_(d-1).  Row a of a
-    Bezoutian is the coefficient of X1^a X2^(d-1-a)."""
-    ring, d = param.ring, param.d
+    Bezoutian is the coefficient of X1^a X2^(d-1-a), the A_(d-1) monomial
+    at index d - 1 - a."""
+    d = param.d
     bez = _cyclic_bezoutians(*(binary_form(param, f) for f in param.polys))
-    index = {m: k for k, m in enumerate(ring.x_monomials(d - 1))}
-    rows = [index[ring.pack((a, d - 1 - a) + (0,) * (ring.nv - 2))] for a in range(d)]
     lines = [[0] * (3 * d) for _ in range(d)]
     for i, part in enumerate(bez):
-        for a, r in enumerate(rows):
-            for b, x in enumerate(part[a]):
-                lines[b][i * d + r] = x
-    check_kernel(ring.field, matrix, 3 * d, lines)
+        for a, row in enumerate(part):
+            for b, x in enumerate(row):
+                lines[b][i * d + d - 1 - a] = x
+    check_kernel(param.ring.field, matrix, 3 * d, lines)
     return lines
 
 

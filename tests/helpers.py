@@ -20,8 +20,8 @@ from implicax.arith import (
     normalize,
 )
 from implicax.geometry import _regularity_bound, _span_kernel, ideal_piece, saturation_piece
-from implicax.linalg import det_fraction_free
-from implicax.resultants import BinaryForm, binary_form, sylvester_matrix
+from implicax.linalg import PolyMatrix, det_fraction_free
+from implicax.resultants import binary_form, sylvester_matrix
 from implicax import strands
 from implicax.strands import boundary_basis, cycle_basis
 
@@ -100,16 +100,26 @@ def sylvester_resultant(p, q):
     return det_fraction_free(sylvester_matrix(p, q))
 
 
+def t_affine_sylvester(f1, f2, f3):
+    """The 2d x 2d Sylvester matrix of f1 - T1*f3 and f2 - T2*f3, for binary
+    forms of one degree d >= 1 with scalar coefficients (T1, T2 the ring's
+    first two T variables).  Its entries are Polys a - T_i*c, split into
+    parts by the PolyMatrix constructor; it shares no code with
+    `resultants.sylvester_matrix`, which builds scalar parts."""
+    ring, d = f1.ring, f1.degree
+    t1, t2 = (ring.poly(name) for name in ring.names[ring.nx : ring.nx + 2])
+    p = [ring.const(a) - t1 * c for a, c in zip(f1.coeffs, f3.coeffs)]
+    q = [ring.const(b) - t2 * c for b, c in zip(f2.coeffs, f3.coeffs)]
+    zero = [ring.zero] * (d - 1)
+    return PolyMatrix(ring, [zero[:i] + coeffs + zero[i:] for coeffs in (p, q) for i in range(d)], 2 * d)
+
+
 def sylvester_dehomogenized(param):
     """normalize(Res(f1 - T1*f3, f2 - T2*f3)) of a plane curve map, by the
     T-affine Sylvester determinant: an independent reference for
     `CurveResultant.dehomogenized`, which is read off the Kravitsky pencil."""
-    ring = param.ring
-    t1, t2 = (ring.poly(t) for t in param.t_names()[:2])
-    f1, f2, f3 = (binary_form(param, p) for p in param.polys)
-    p = BinaryForm(ring, [a - t1 * c for a, c in zip(f1.coeffs, f3.coeffs)])
-    q = BinaryForm(ring, [b - t2 * c for b, c in zip(f2.coeffs, f3.coeffs)])
-    return normalize(sylvester_resultant(p, q))
+    forms = (binary_form(param, p) for p in param.polys)
+    return normalize(det_fraction_free(t_affine_sylvester(*forms)))
 
 
 def one_shift_saturation(param, nu):

@@ -180,8 +180,7 @@ def test_criterion_7_resultant_cross_checks():
                 ]
                 if not (any(coeffs[0]) and any(coeffs[1])):
                     continue
-                p = BinaryForm(ring, [ring.const(c) for c in coeffs[0]])
-                q = BinaryForm(ring, [ring.const(c) for c in coeffs[1]])
+                p, q = (BinaryForm(ring, c) for c in coeffs)
                 sign = -1 if (d * (d - 1) // 2) % 2 else 1
                 assert det_fraction_free(bezout_matrix(p, q)) == sylvester_resultant(p, q) * sign
         # Kravitsky at T3 = 1 vs Sylvester implicitization, 20 cubics

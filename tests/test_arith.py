@@ -26,6 +26,8 @@ from implicax.arith import (
     perfect_power_decompose,
     unit_multiple_of,
 )
+from implicax.problems import parse_problem
+
 from helpers import random_nonzero, subresultant_gcd
 
 
@@ -493,6 +495,15 @@ def test_parameterization_validation():
         make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2 + X1"])
     with pytest.raises(ArithError):
         make_parameterization(QQ, ["X1", "X2"], ["X1^2", "0", "X2^2"])
+
+
+def test_default_t_vars_skip_declared_x_names_in_the_library():
+    # the one builder: files and library callers take the first n names
+    # T1, T2, ... not declared as X
+    param = make_parameterization(QQ, ["T1", "X2"], ["T1^2", "T1*X2", "X2^2"])
+    assert list(param.t_names()) == ["T2", "T3", "T4"]
+    text = "field: QQ\nx_vars: T1 X2\nf1 = T1^2\nf2 = T1*X2\nf3 = X2^2\n"
+    assert parse_problem(text).parameterization().ring == param.ring
 
 
 def test_parameterization_square_shape_allowed():

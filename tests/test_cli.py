@@ -11,6 +11,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from implicax.arith import RationalField
 from implicax.cli import main
+from implicax.problems import load_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -513,3 +514,43 @@ def test_all_shipped_problem_files_parse(capsys):
             continue
         code, doc, _ = run_json(capsys, "analyze", str(path), "--format", "json")
         assert code == 0, path
+
+
+@pytest.mark.parametrize(
+    "f2, reason",
+    [
+        ("0", "is zero"),
+        ("X1*X2 + T1*X2^2", "involves T-variables"),
+        ("X1*X2 + X1", "is not homogeneous"),
+        ("X1^3", "mixed degrees"),
+        ("X1 +* X2", "misplaced '*'"),
+    ],
+    ids=["zero", "t-term", "inhomogeneous", "mixed-degrees", "unparsable"],
+)
+def test_bad_form_is_parse_error_naming_it(capsys, tmp_path, f2, reason):
+    f = tmp_path / "bad_form.txt"
+    f.write_text("field: QQ\nx_vars: X1 X2\nf1 = X1^2\nf2 = %s\nf3 = X2^2\n" % f2)
+    code, out, err = run_cli(capsys, "implicitize", str(f))
+    assert code == 2
+    assert "parse error" in err and "f2" in err and reason in err
+    assert not out.strip()
+
+
+def test_non_lci_a_image_lies_on_its_quadric():
+    # the map of problems/non_lci_a.txt: f1*f2 = f4^2
+    param = load_problem(PROBLEMS / "non_lci_a.txt").parameterization()
+    quadric = param.ring.poly("T1*T2 - T4^2")
+    assert not quadric.evaluate(dict(zip(param.t_names(), param.polys))).terms
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="base points that are not local complete intersections are not"
+    " refused yet: the Hilbert plateau counts length, not multiplicity, so"
+    " these maps get a degree that is too high, which passes the degree"
+    " check and the oracle with exit 0",
+)
+@pytest.mark.parametrize("name", ["non_lci_a.txt", "non_lci_b.txt"])
+def test_non_lci_base_points_exit_three(capsys, name):
+    code, _, _ = run_cli(capsys, "implicitize", str(PROBLEMS / name))
+    assert code == 3

@@ -654,6 +654,48 @@ def test_bezoutian_certificate_leaves_the_analysis_unchanged(monkeypatch):
     assert rep.base_locus_certificate == "persistence" and rep._koszul_reduction is not None
 
 
+class FreshPieces(geometry._Pieces):
+    """`_Pieces` with every I_nu from a fresh `ideal_piece` reduction: the
+    reference for the identity rows above a full piece and for the shared
+    reduction at t."""
+
+    def __missing__(self, nu):
+        self[nu] = rows = ideal_piece(self.param, nu)
+        return rows
+
+
+def count_ideal_pieces(monkeypatch):
+    """The degrees of the `ideal_piece` reductions `geometry` takes from now on."""
+    built = []
+
+    def counted(param, nu, _inner=geometry.ideal_piece):
+        built.append(nu)
+        return _inner(param, nu)
+
+    monkeypatch.setattr(geometry, "ideal_piece", counted)
+    return built
+
+
+def test_no_reduction_above_a_full_piece(monkeypatch):
+    # on a dense curve of degree 10, I_t (t = 19) is full, so the syzygetic
+    # test's I_21, two degrees above it, takes the identity rows too
+    param = make_parameterization(QQ, ["X1", "X2"], dense_curve_text(10, random.Random("above-full")))
+    built = count_ideal_pieces(monkeypatch)
+    rep = analyze_parameterization(param, run_syzygetic=True)
+    t = geometry._regularity_bound(param)
+    assert rep.base_locus_certificate == "empty" and t == 19
+    assert not [nu for nu in built if nu >= t]
+
+
+def test_pieces_read_as_fresh_reductions(monkeypatch):
+    # every shipped, comparison and dense input, with the syzygetic test,
+    # reports as it does when each piece is reduced afresh
+    inputs = list(content_inputs()) + list(curve_inputs())
+    read = [analyze_parameterization(param, run_syzygetic=True).to_dict() for param in inputs]
+    monkeypatch.setattr(geometry, "_Pieces", FreshPieces)
+    assert read == [analyze_parameterization(param, run_syzygetic=True).to_dict() for param in inputs]
+
+
 def test_content_from_the_certificate_equals_the_gcd(monkeypatch):
     # "empty" proves the content is 1 in nx >= 2 variables, "persistence"
     # in nx >= 3; every other analysis takes the gcd

@@ -29,7 +29,7 @@ from implicax.strands import (
     koszul_differential_matrix,
     z_strand,
 )
-from helpers import dense_rref, random_nonzero
+from helpers import dense_rref, random_nonzero, t_affine_sylvester
 
 T_RING = Ring(QQ, [], ["T1", "T2", "T3", "T4"])
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -572,17 +572,13 @@ def test_grid_engine_equals_bareiss_on_linear_forms(field, fractions):
 
 @pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
 def test_grid_engine_equals_bareiss_on_resultant_matrices(field):
-    from implicax.resultants import BinaryForm, kravitsky_pencil, sylvester_matrix
+    from implicax.resultants import BinaryForm, kravitsky_pencil
 
     rng = random.Random(2002)
     ring = Ring(field, ["X1", "X2"], ["T1", "T2", "T3"])
-    t1, t2 = ring.poly("T1"), ring.poly("T2")
     for d in (1, 2, 3, 4, 5):
-        fs = [[random_nonzero(field, rng) for _ in range(d + 1)] for _ in range(3)]
-        forms = [BinaryForm(ring, [ring.const(c) for c in f]) for f in fs]
-        p = BinaryForm(ring, [ring.const(a) - t1 * c for a, c in zip(fs[0], fs[2])])
-        q = BinaryForm(ring, [ring.const(b) - t2 * c for b, c in zip(fs[1], fs[2])])
-        for m in (sylvester_matrix(p, q), kravitsky_pencil(*forms)):
+        forms = [BinaryForm(ring, [random_nonzero(field, rng) for _ in range(d + 1)]) for _ in range(3)]
+        for m in (t_affine_sylvester(*forms), kravitsky_pencil(*forms)):
             grid = linalg._det_on_grid(m)
             assert grid is not None
             assert grid.terms == linalg._det_bareiss(m).terms
@@ -818,17 +814,13 @@ def test_kronecker_lines_on_kravitsky_and_sylvester_matrices(monkeypatch, field)
     # one digit axis leave d + 1 lines; the 2d x 2d Sylvester matrix of
     # f1 - T1*f3 and f2 - T2*f3 is affine, with T1 and T2 in d rows each:
     # d + 1 lines too
-    from implicax.resultants import BinaryForm, kravitsky_pencil, sylvester_matrix
+    from implicax.resultants import BinaryForm, kravitsky_pencil
 
     rng = random.Random(2024)
     ring = Ring(field, ["X1", "X2"], ["T1", "T2", "T3"])
-    t1, t2 = ring.poly("T1"), ring.poly("T2")
     d = 4
-    fs = [[random_nonzero(field, rng) for _ in range(d + 1)] for _ in range(3)]
-    forms = [BinaryForm(ring, [ring.const(c) for c in f]) for f in fs]
-    p = BinaryForm(ring, [ring.const(a) - t1 * c for a, c in zip(fs[0], fs[2])])
-    q = BinaryForm(ring, [ring.const(b) - t2 * c for b, c in zip(fs[1], fs[2])])
-    for m in (kravitsky_pencil(*forms), sylvester_matrix(p, q)):
+    forms = [BinaryForm(ring, [random_nonzero(field, rng) for _ in range(d + 1)]) for _ in range(3)]
+    for m in (kravitsky_pencil(*forms), t_affine_sylvester(*forms)):
         want = linalg._det_bareiss(m)
         calls = counted_dets(monkeypatch)
         assert linalg._det_on_grid(m).terms == want.terms
