@@ -23,6 +23,7 @@ which `linalg`, `strands` and `geometry` take from here, and its one gcd
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -1112,9 +1113,21 @@ def check_kernel(field, data, ncols, vectors):
 
 _SPARE_ROWS = 4  # rows past the unknowns in a sampled cofactor system
 
+# The 32 largest primes below 2^62, spelled as offsets below 2^62 so that
+# import tests none of them (the tests check each with _is_prime).  Over QQ,
+# `multivariate_gcd` takes its images modulo them in this order, and
+# `linalg._sampled_pivots` eliminates modulo the first.
+_PRIMES = tuple(
+    (1 << 62) - k
+    for k in (
+        57, 87, 117, 143, 153, 167, 171, 195, 203, 273, 287, 317, 443, 483, 495, 575,
+        581, 603, 633, 663, 765, 773, 777, 791, 813, 831, 923, 981, 993, 1001, 1007, 1017,
+    )
+)
+
 
 def multivariate_gcd(a, b, degree=0, seed=0):
-    """gcd of two polynomials, normalized, read off an exact cofactor kernel.
+    """gcd of two polynomials, normalized, read off cofactor kernels.
 
     `degree` is a lower bound on the gcd's degree that the caller has proven
     (the minors fold passes the predicted degree).  Write gcd(a, b) = M * h,
@@ -1141,7 +1154,33 @@ def multivariate_gcd(a, b, degree=0, seed=0):
     degree D + e >= deg h, where a second sample is taken: a kernel of
     dimension 1 there whose divisions pass gives a common divisor of degree
     D + e, so deg h = D + e, a proof.  Anything else is redone on every row,
-    so the sample changes the speed, never the answer.
+    so the sample changes the speed, never the answer.  Over GF(p) that is
+    the whole computation.
+
+    Over QQ the same steps run modulo the word-size primes `_PRIMES`, on a'
+    and b' made primitive integer polynomials (the modular gcd: Brown, J.
+    ACM 18, 1971; von zur Gathen & Gerhard, ch. 6).  Each image of h is made
+    monic and scaled by gamma = gcd(lc a', lc b'), which lc(h) divides, so
+    the images of gamma/lc(h) * h, an integer polynomial, are combined by
+    Chinese remaindering into balanced residues.  The primitive part G of
+    the result is accepted only when a' // G and b' // G are exact over QQ.
+    Why that proves G = h up to a unit: the rows are integer rows, so their
+    rank mod p is at most their rank over QQ, and the QQ sample kernel holds
+    the full kernel.  An image read off a kernel of dimension 1 mod p at
+    degree D' therefore gives deg h <= D' <= deg G, and the exact divisions
+    give deg G <= deg h.  For the same reason an empty kernel mod p, or a
+    failed division under a kernel of dimension 1, proves deg h < D, and
+    raises as over QQ.  A prime that divides lc a' or lc b' is skipped, so
+    an image of h leads where h does.  Every image has degree >= deg h, with
+    equality exactly for the images of h, so a higher degree than the least
+    seen is dropped and a lower one restarts the combination.  Images of h
+    recover gamma/lc(h) * h once the product of their primes exceeds
+    2*gamma*H, H = 2^(sum of the degrees of f in each variable) * ||f||_2
+    for f = a' or b', which bounds the coefficients of every integer factor
+    of f (Mignotte's bound, Modern Computer Algebra, sect. 6.6, through the
+    Mahler measure).  A failed candidate past that size, or the end of the
+    prime list, hands the pair to the exact computation over QQ.  A bad
+    prime, like a bad sample, can only cost time.
     """
     _check_same_ring(a, b)
     ring = a.ring
@@ -1168,25 +1207,94 @@ def multivariate_gcd(a, b, degree=0, seed=0):
         return [m for d in degrees for m in ring.monomials_of_degree(d, start, stop)]
 
     sizes = [math.comb(e + k - 1, k - 1) for e in range(top + 1)]
-    rng = random.Random("%s:cofactors" % (seed,))
-    kernel = _cofactors(a1, b1, target, monomials, rng)
-    if len(kernel) > 1 and len(kernel) in sizes:
-        g = _divisor(a1, b1, _cofactors(a1, b1, target + sizes.index(len(kernel)), monomials, rng))
-        if g is not None:
-            return normalize(g * mono)
-    if len(kernel) > 1:
-        kernel = _cofactors(a1, b1, target, monomials)
-    if len(kernel) > 1:
-        if len(kernel) not in sizes:
-            raise ConsistencyError("a cofactor kernel of dimension %d names no degree" % len(kernel))
-        kernel = _cofactors(a1, b1, target + sizes.index(len(kernel)), monomials)
-    g = _divisor(a1, b1, kernel)
+    if ring.field.char:
+        g = _cofactor_gcd(a1, b1, target, monomials, sizes, random.Random("%s:cofactors" % (seed,)))
+    else:
+        g = _gcd_mod_primes(a1, b1, target, monomials, sizes, seed)
     if g is None:
         raise ConsistencyError(
             "two polynomials of degrees %d and %d have a gcd of degree below the "
             "predicted degree %d" % (a.total_degree(), b.total_degree(), degree)
         )
     return normalize(g * mono)
+
+
+def _cofactor_gcd(a, b, target, monomials, sizes, rng):
+    """gcd(a, b), up to a unit, from cofactor kernels over a's field, first on
+    samples drawn from `rng`; None when deg gcd(a, b) < target.  The steps are
+    `multivariate_gcd`'s."""
+    kernel = _cofactors(a, b, target, monomials, rng)
+    if len(kernel) > 1 and len(kernel) in sizes:
+        g = _divisor(a, b, _cofactors(a, b, target + sizes.index(len(kernel)), monomials, rng))
+        if g is not None:
+            return g
+    if len(kernel) > 1:
+        kernel = _cofactors(a, b, target, monomials)
+    if len(kernel) > 1:
+        if len(kernel) not in sizes:
+            raise ConsistencyError("a cofactor kernel of dimension %d names no degree" % len(kernel))
+        kernel = _cofactors(a, b, target + sizes.index(len(kernel)), monomials)
+    return _divisor(a, b, kernel)
+
+
+def _gcd_mod_primes(a, b, target, monomials, sizes, seed):
+    """gcd(a, b) over QQ, up to a unit, from its images mod `_PRIMES`; None
+    when deg gcd(a, b) < target.  See `multivariate_gcd` for the proof."""
+    ring = a.ring
+    a, b = normalize(a), normalize(b)
+    lc_a, lc_b = a.terms[max(a.terms)], b.terms[max(b.terms)]
+    gamma = math.gcd(lc_a, lc_b)
+    rng = random.Random("%s:cofactors" % (seed,))
+    least = bound = None
+    for p in _PRIMES:
+        if not lc_a * lc_b % p:
+            continue
+        ring_p = _ring_mod(p, ring.names[: ring.nx], ring.names[ring.nx :])
+        a_p, b_p = (Poly(ring_p, ring_p.field.reduce_terms(f.terms)) for f in (a, b))
+        image = _cofactor_gcd(a_p, b_p, target, monomials, sizes, rng)
+        if image is None:
+            return None
+        image = normalize(image) * gamma
+        deg = image.total_degree()
+        if least is None or deg < least:
+            least, residues, modulus = deg, image.terms, p
+        elif deg > least:
+            continue
+        else:
+            inv = pow(modulus, -1, p)
+            merged = {}
+            for m in residues.keys() | image.terms.keys():
+                r = residues.get(m, 0)
+                merged[m] = r + modulus * ((image.terms.get(m, 0) - r) * inv % p)
+            residues = merged
+            modulus *= p
+        half = modulus >> 1
+        g = normalize(Poly(ring, {m: r - modulus if r > half else r for m, r in residues.items() if r}))
+        try:
+            a // g
+            b // g
+        except NotDivisibleError:
+            pass
+        else:
+            return g
+        if bound is None:
+            bound = gamma * min(map(_factor_bound, (a, b)))
+        if modulus > 2 * bound:
+            break
+    return _cofactor_gcd(a, b, target, monomials, sizes, random.Random("%s:cofactors" % (seed,)))
+
+
+@functools.lru_cache(maxsize=64)
+def _ring_mod(p, x_vars, t_vars):
+    """The ring over GF(p) with these variables, built once: GF(p) tests p."""
+    return Ring(GF(p), x_vars, t_vars)
+
+
+def _factor_bound(f):
+    """A bound on the coefficients of every integer factor of the integer
+    polynomial f: 2^(sum of f's degrees in each variable) * ||f||_2."""
+    norm = math.isqrt(sum(c * c for c in f.terms.values())) + 1
+    return norm << sum(f.degree_in_var(i) for i in range(f.ring.nv))
 
 
 def _cofactors(a, b, degree, monomials, rng=None):

@@ -205,12 +205,19 @@ def cmd_resultant(args):
         if len(problem.polys) != 2:
             raise ParseError("%s needs exactly two polynomials" % args.kind)
         ring = problem.binary_ring()
-        try:
-            forms = [binary_form(ring, ring.poly(t)) for t in problem.polys]
-        except ImplicaxError as exc:
-            raise ParseError(str(exc)) from None
+        forms = []
+        for k, text in enumerate(problem.polys, 1):
+            try:
+                forms.append(binary_form(ring, ring.poly(text)))
+            except ImplicaxError as exc:
+                raise ParseError("f%d = %s: %s" % (k, text, exc)) from None
         if args.kind == "sylvester":
             matrix = sylvester_matrix(*forms)
+        elif forms[0].degree != forms[1].degree:
+            raise ParseError(
+                "bezout needs two forms of one degree: f1 has degree %d, f2 %d"
+                % (forms[0].degree, forms[1].degree)
+            )
         else:
             matrix = bezout_matrix(*forms)
         det = det_fraction_free(matrix)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .arith import ArithError, Poly, _rref, rational_content
+from .arith import _PRIMES, ArithError, Poly, _rref, rational_content
 
 __all__ = [
     "PolyMatrix",
@@ -456,8 +456,6 @@ def _interpolate(values, k, p):
 # ---------------------------------------------------------------------------
 # minor selection
 
-_RECON_PRIME = (1 << 62) - 57  # prime; over QQ, `_sampled_pivots` eliminates mod it
-
 
 def _sample_size(p):
     """How many values `_sampled_pivots` draws each T from: 1 .. p-1 over GF(p)."""
@@ -467,10 +465,11 @@ def _sample_size(p):
 def _sampled_pivots(m, rng, rows):
     """Pivot columns of m's rows `rows` at a random point of the T variables.
 
-    Over QQ the values are reduced mod one large prime, so no fractions
-    enter the elimination.  The rank found this way can only fall short of
-    the generic rank; callers retry, or check the minor exactly.
+    Over QQ the values are reduced mod one large prime, `arith._PRIMES[0]`,
+    so no fractions enter the elimination.  The rank found this way can only
+    fall short of the generic rank; callers retry, or check the minor
+    exactly.
     """
     p = m.ring.field.char
     point = [rng.randrange(1, p) if p else rng.randint(-_QQ_SAMPLE, _QQ_SAMPLE) for _ in m.parts[1:]]
-    return _rref(p or _RECON_PRIME, m.evaluate(point, rows))[1]
+    return _rref(p or _PRIMES[0], m.evaluate(point, rows))[1]

@@ -522,8 +522,8 @@ def gcd_of_maximal_minors(strand, degree, seed=DEFAULT_SEED):
     prove that g divides every minor.  Only the degree equality does.
 
     Each gcd is `multivariate_gcd` with `degree` as its proven lower bound:
-    the dimension of an exact cofactor kernel gives the pair's gcd degree,
-    and a kernel of dimension 1 gives the gcd by one exact division.  A pair
+    the dimension of a cofactor kernel (over QQ, modulo word-size primes)
+    gives the pair's gcd degree, and exact division proves the gcd.  A pair
     whose gcd falls below `degree` contradicts the theorem and raises
     ConsistencyError.  A target above the truth is caught that way only
     when some pair's gcd falls below it; a common divisor of the folded

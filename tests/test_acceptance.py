@@ -37,7 +37,14 @@ from implicax.strands import (
     gcd_of_maximal_minors,
     z_strand,
 )
-from helpers import polys_to_vector, sylvester_dehomogenized, sylvester_resultant
+from helpers import (
+    dense_cubic,
+    dense_quadric,
+    polys_to_vector,
+    seeded_surfaces,
+    sylvester_dehomogenized,
+    sylvester_resultant,
+)
 
 CONIC = make_parameterization(QQ, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
 CONIC_FAT = make_parameterization(QQ, ["X1", "X2"], ["X1^3", "X1^2*X2", "X1*X2^2"])
@@ -313,3 +320,23 @@ def test_criterion_9_property_suites():
                 gcd_of_maximal_minors(st, analyze(param).predicted_degree),
                 complex_determinant(st).value,
             )
+
+
+# Runtime budgets of QQ gcd-minors solves, about 4x their time on 2 vCPUs
+# with the gcds taken modulo word-size primes: (map, strand degree, budget).
+# The answer must be det-complex's, which is not timed.
+QQ_GCD_MINORS = {
+    "dense_quadric_nu3": (lambda: dense_quadric(QQ, 1), 3, 3.0),
+    "dense_cubic": (lambda: dense_cubic(QQ, 1), None, 12.0),
+    "sparse_cubic_3": (lambda: list(seeded_surfaces())[3], None, 5.0),
+}
+
+
+@pytest.mark.parametrize("name", list(QQ_GCD_MINORS))
+def test_qq_gcd_minors_budget(name):
+    build, nu, budget = QQ_GCD_MINORS[name]
+    param = build()
+    expected = implicitize(param, nu=nu)
+    with criterion("gcd-minors " + name, budget=budget):
+        res = implicitize(param, nu=nu, method="gcd-minors")
+    assert (res.reduced, res.exponent) == (expected.reduced, expected.exponent)

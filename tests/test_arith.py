@@ -11,6 +11,7 @@ from implicax.arith import (
     GF,
     QQ,
     ArithError,
+    ConsistencyError,
     NotDivisibleError,
     ParseError,
     Poly,
@@ -339,6 +340,134 @@ def test_gcd_at_target_zero_reads_the_degree_off_the_kernel_dimension(field, mon
     assert unit_multiple_of(multivariate_gcd(a, b), h)
     assert kernels[0] == (0, math.comb(2 + 2, 2))
     assert kernels[-1] == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# the QQ gcd through word-size primes
+
+
+def big_pair(seed, fractional):
+    """(a, b, g) for seeded forms a = g*u, b = g*v in T1..T3 (u, v coprime
+    for these seeds), every coefficient a 200-bit integer or, with
+    `fractional`, a 200-bit numerator over a denominator (1..4 in g, 200 bits
+    in u and v)."""
+    ring = Ring(QQ, ["X1", "X2"], ["T1", "T2", "T3"])
+    rng = random.Random("big-pair:%s:%s" % (seed, fractional))
+
+    def form(deg, den_bits):
+        terms = {}
+        for m in ring.monomials_of_degree(deg, ring.nx, ring.nv):
+            c = rng.choice((-1, 1)) * (rng.getrandbits(200) | 1 << 199)
+            if fractional:
+                c = Fraction(c, rng.getrandbits(den_bits) | 1)
+            terms[m] = c
+        return Poly(ring, ring.field.reduce_terms(terms))
+
+    g = form(2, 2)
+    return g * form(2, 200), g * form(3, 200), g
+
+
+def count_images(monkeypatch):
+    """[primes, exact]: the gcd images taken mod a prime from now on, and the
+    cofactor gcds taken over QQ (the exact fall-back)."""
+    counts = [0, 0]
+    inner = arith._cofactor_gcd
+
+    def counted(a, *args):
+        counts[a.ring.field.char == 0] += 1
+        return inner(a, *args)
+
+    monkeypatch.setattr(arith, "_cofactor_gcd", counted)
+    return counts
+
+
+def test_every_gcd_prime_is_a_distinct_prime_below_two_to_the_62():
+    assert all(arith._is_prime(p) and p < 1 << 62 for p in arith._PRIMES)
+    assert len(set(arith._PRIMES)) == len(arith._PRIMES)
+    assert arith._PRIMES[0] == (1 << 62) - 57
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["integer", "fraction"])
+@pytest.mark.parametrize("seed", range(3))
+def test_gcd_of_200_bit_pairs_equals_the_reference(seed, fractional, monkeypatch):
+    a, b, g = big_pair(seed, fractional)
+    expected = subresultant_gcd(a, b)
+    assert expected == normalize(g)
+    counts = count_images(monkeypatch)
+    for degree in (0, 2):
+        assert multivariate_gcd(a, b, degree, seed=seed) == expected
+    # the images of g, made monic and scaled by gcd(lc a, lc b), have
+    # coefficients of about 200 bits: four 62-bit primes for each gcd
+    assert counts[0] >= 2 * 3 and counts[1] == 0
+
+
+def test_gcd_over_a_prime_field_takes_no_images(monkeypatch):
+    monkeypatch.setattr(arith, "_gcd_mod_primes", None)  # a call would raise TypeError
+    ring = xt_ring(GF(65521), nx=2, nt=3)
+    g = ring.poly("3*T1^2 - 5*T2*T3 + 7*T3^2")
+    assert multivariate_gcd(g * ring.poly("T1 + T2"), g * ring.poly("T2 - T3"), 2) == normalize(g)
+
+
+def test_gcd_past_the_prime_list_falls_back_to_exact_elimination(monkeypatch):
+    a, b, g = big_pair(0, False)
+    monkeypatch.setattr(arith, "_PRIMES", arith._PRIMES[:2])
+    counts = count_images(monkeypatch)
+    assert multivariate_gcd(a, b, 2) == normalize(g)
+    assert counts == [2, 1]
+
+
+def test_gcd_skips_a_prime_that_divides_a_leading_coefficient(monkeypatch):
+    ring = xt_ring(nx=2, nt=3)
+    primes = arith._PRIMES
+    g = ring.poly("3*T1^2 - 5*T2*T3 + 7*T3^2")
+    a = g * ring.poly("%d*T1 + T2 - 2*T3" % primes[1])
+    b = g * ring.poly("T1^2 + 4*T2*T3 - T3^2")
+    counts = count_images(monkeypatch)
+    monkeypatch.setattr(arith, "_PRIMES", primes[1:2])
+    assert multivariate_gcd(a, b) == normalize(g)
+    assert counts == [0, 1]  # skipped, so the exact fall-back answered
+    monkeypatch.setattr(arith, "_PRIMES", primes[1::-1])
+    assert multivariate_gcd(a, b) == normalize(g)
+    assert counts == [1, 1]
+
+
+def test_gcd_drops_a_prime_under_which_the_cofactor_system_loses_rank(monkeypatch):
+    # u = w mod p, so mod p the gcd is g*u, one degree too high: the
+    # candidate read off that image fails the exact divisions
+    _, _, g = big_pair(0, False)
+    ring = g.ring
+    primes = arith._PRIMES
+    a = g * ring.poly("T1 + T2 - 2*T3")
+    b = g * ring.poly("T1 + %d*T2 - 2*T3" % (primes[1] + 1))
+    counts = count_images(monkeypatch)
+    monkeypatch.setattr(arith, "_PRIMES", primes[1:2])
+    assert multivariate_gcd(a, b) == normalize(g)
+    assert counts == [1, 1]  # the list ran out, so the exact fall-back answered
+    # the next prime's image has the least degree and restarts the combination,
+    # which the unlucky image then no longer enters
+    monkeypatch.setattr(arith, "_PRIMES", primes[1:2] + primes[:1] + primes[2:])
+    assert multivariate_gcd(a, b) == normalize(g)
+    assert counts[0] >= 1 + 3 and counts[1] == 1
+
+
+@pytest.mark.parametrize("primes", ["all", "none"])
+def test_gcd_target_above_the_truth_still_raises(primes, monkeypatch):
+    a, b, g = big_pair(1, True)
+    if primes == "none":
+        monkeypatch.setattr(arith, "_PRIMES", ())
+    with pytest.raises(ConsistencyError, match="below the predicted degree 3"):
+        multivariate_gcd(a, b, 3)
+
+
+def test_factor_bound_bounds_the_coefficients_of_factors():
+    ring = xt_ring(nx=2, nt=3)
+    rng = random.Random("factor-bound")
+    for _ in range(20):
+        f, g = (normalize(rand_poly(ring, rng, nterms=4, maxdeg=3)) for _ in range(2))
+        if f.is_constant() or g.is_constant():
+            continue
+        bound = arith._factor_bound(f * g)
+        assert all(abs(c) <= bound for h in (f, g) for c in h.terms.values())
 
 
 # ---------------------------------------------------------------------------

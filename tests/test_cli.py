@@ -407,6 +407,26 @@ def test_resultant_rejects_t_terms(capsys, tmp_path, kind):
     assert "parse error" in err and "T-variables" in err
 
 
+def test_resultant_bezout_refuses_unequal_degrees(capsys, tmp_path):
+    # a malformed pair is a parse error (exit 2) that names both forms
+    f = tmp_path / "unequal.txt"
+    f.write_text("field: QQ\nx_vars: X1 X2\nf1 = X1^2\nf2 = X1\n")
+    code, out, err = run_cli(capsys, "resultant", str(f), "--kind", "bezout")
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: bezout needs two forms of one degree: f1 has degree 2, f2 1\n"
+
+
+@pytest.mark.parametrize("kind", ["sylvester", "bezout"])
+def test_resultant_zero_form_is_named(capsys, tmp_path, kind):
+    f = tmp_path / "zero.txt"
+    f.write_text("field: QQ\nx_vars: X1 X2\nf1 = X1^2\nf2 = X1*X2 - X1*X2\n")
+    code, out, err = run_cli(capsys, "resultant", str(f), "--kind", kind)
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: f2 = X1*X2 - X1*X2: zero form\n"
+
+
 def test_resultant_sylvester_coordinates(capsys, tmp_path):
     f = tmp_path / "coords.txt"
     f.write_text("field: QQ\nx_vars: X1 X2\nf1 = X1\nf2 = X2\n")

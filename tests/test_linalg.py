@@ -10,10 +10,9 @@ from pathlib import Path
 import pytest
 
 from implicax import arith, linalg
-from implicax.arith import GF, QQ, Poly, Ring, _rref, normalize, rref_kernel_data
+from implicax.arith import _PRIMES, GF, QQ, Poly, Ring, _rref, normalize, rref_kernel_data
 from implicax.errors import ConsistencyError, HypothesisViolation
 from implicax.linalg import (
-    _RECON_PRIME,
     LinalgError,
     PolyMatrix,
     det_fraction_free,
@@ -172,7 +171,7 @@ def test_elimination_core_matches_fraction_gauss():
             assert scalar_rank(field, data) == rank
             if not p:
                 # reduced mod the specialization prime, small QQ data keeps its pivots
-                assert _rref(_RECON_PRIME, data)[1] == want_pivots
+                assert _rref(_PRIMES[0], data)[1] == want_pivots
 
             got_rank, basis, free = rref_kernel_data(field, data, ncols)
             assert got_rank == rank and len(basis) == ncols - rank

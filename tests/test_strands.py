@@ -691,12 +691,10 @@ def test_image_route_equals_the_kernel_route(name, field):
         assert links[1][0] == links[0][0]
         assert [len(c) for _, c in links[1]] == [len(c) for _, c in links[0]]
     # the fold itself runs on the shipped and dense maps; on the comparison
-    # maps and the QQ dense cubic, whose fold does not finish in minutes,
-    # the equal first links stand for it
+    # maps the equal first links stand for it
     if report.predicted_degree and not name.startswith("comparison_"):
-        if ring.field.char or not name.startswith("dense_cubic"):
-            gcds = [outcome(gcd_of_maximal_minors, st, report.predicted_degree) for st in (kernels, images)]
-            assert gcds[0] == gcds[1]
+        gcds = [outcome(gcd_of_maximal_minors, st, report.predicted_degree) for st in (kernels, images)]
+        assert gcds[0] == gcds[1]
 
 
 def test_bezoutian_basis_equals_the_kernel_route():
