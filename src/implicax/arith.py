@@ -123,8 +123,8 @@ class RationalField:
             return str(c)
         return "%d/%d" % (c.numerator, c.denominator)
 
-    def random(self, rng, lo=-9, hi=9):
-        return rng.randint(lo, hi)
+    def random(self, rng):
+        return rng.randint(-9, 9)
 
     def nth_root(self, c, e):
         """Exact e-th root of c, or None."""
@@ -218,7 +218,7 @@ class PrimeField:
     def format(self, c):
         return str(c % self.p)
 
-    def random(self, rng, lo=None, hi=None):
+    def random(self, rng):
         return rng.randrange(self.p)
 
     def __repr__(self):
@@ -1150,12 +1150,10 @@ def multivariate_gcd(a, b, degree=0, seed=0):
 
     The kernel is first taken on a row sample seeded by `seed`, whose kernel
     holds the full one.  So a sample kernel of dimension 1 holds the true
-    vector, and a failed division means dimension 0.  A larger one names a
-    degree D + e >= deg h, where a second sample is taken: a kernel of
-    dimension 1 there whose divisions pass gives a common divisor of degree
-    D + e, so deg h = D + e, a proof.  Anything else is redone on every row,
-    so the sample changes the speed, never the answer.  Over GF(p) that is
-    the whole computation.
+    vector, and a failed division means dimension 0.  A larger one is redone
+    on every row, where the dimension is exact and names deg h, so the
+    sample changes the speed, never the answer.  Over GF(p) that is the
+    whole computation.
 
     Over QQ the same steps run modulo the word-size primes `_PRIMES`, on a'
     and b' made primitive integer polynomials (the modular gcd: Brown, J.
@@ -1221,13 +1219,9 @@ def multivariate_gcd(a, b, degree=0, seed=0):
 
 def _cofactor_gcd(a, b, target, monomials, sizes, rng):
     """gcd(a, b), up to a unit, from cofactor kernels over a's field, first on
-    samples drawn from `rng`; None when deg gcd(a, b) < target.  The steps are
-    `multivariate_gcd`'s."""
+    a sample drawn from `rng`; None when deg gcd(a, b) < target.  The steps
+    are `multivariate_gcd`'s."""
     kernel = _cofactors(a, b, target, monomials, rng)
-    if len(kernel) > 1 and len(kernel) in sizes:
-        g = _divisor(a, b, _cofactors(a, b, target + sizes.index(len(kernel)), monomials, rng))
-        if g is not None:
-            return g
     if len(kernel) > 1:
         kernel = _cofactors(a, b, target, monomials)
     if len(kernel) > 1:

@@ -2,8 +2,8 @@
 
 Everything here is exact linear algebra on graded pieces: Hilbert values of
 A/I, the eventual (stable) value as the total multiplicity of the base
-locus (proven stable from one or two values past the regularity bound
-unless it exceeds that bound), the predicted implicit degree d^(n-2) - e,
+locus (proven stable by Gotzmann's persistence theorem from at most four
+values past the regularity bound), the predicted implicit degree d^(n-2) - e,
 degreewise saturation, and the Koszul-syzygy comparison B_1 vs Z_1
 intersected with the (saturated) ideal times A^n.
 
@@ -14,16 +14,16 @@ of two of the three forms (Cayley's closed form, `resultants._bezoutian`)
 proves I_t full with no reduction.  A Hilbert value is |A_nu| minus its
 size, and above a full piece (I_(nu+1) contains A_1 * I_nu) every piece is
 full.
-The content gcd is read off the certificate where it can be.  Saturation
-descends one chain from I_t: below t a piece holds the g with every x_i*g
-in the piece above, so below a full piece every piece is full.  Z_1 n
-J.A^n is the kernel of (g_j) -> sum g_j f_j on J^n, so its dimension is
-n * dim J minus one rank; an intersection basis is built only for the
-witness.  Where a proven fact fixes a dimension, no rank is taken: a
-full J_nu maps onto I_(nu+d); I_nu inside I^sat_nu of the same size is
-equal to it; and on an empty base locus with n <= nx + 1 the Koszul
-homology H_i vanishes for i >= 2 (Bruns-Herzog, Cohen-Macaulay Rings, Thm
-1.6.17), so dim B_1 is an alternating sum of monomial counts.
+The content gcd is read off the base-locus dimension where it can be.
+Saturation descends one chain from I_t: below t a piece holds the g with
+every x_i*g in the piece above, so below a full piece every piece is full.
+Z_1 n J.A^n is the kernel of (g_j) -> sum g_j f_j on J^n, so its dimension
+is n * dim J minus one rank; an intersection basis is built only for the
+witness.  Where a proven fact fixes a dimension, no rank is taken: a full
+J_nu maps onto I_(nu+d); I_nu inside I^sat_nu of the same size is equal to
+it; and on an empty base locus with n <= nx + 1 the Koszul homology H_i
+vanishes for i >= 2 (Bruns-Herzog, Cohen-Macaulay Rings, Thm 1.6.17), so
+dim B_1 is an alternating sum of monomial counts.
 """
 
 from __future__ import annotations
@@ -77,38 +77,36 @@ def _certified_profile(param, pieces=None):
     """(dim flag, total multiplicity, certificate, {degree: Hilbert value read}).
 
     The dim flag is -1 for an empty base locus, 0 for a finite one and 1 for
-    one of positive dimension.  Reads H, the Hilbert function of A/I, from
-    t = nx(d-1)+1, the classical regularity bound ((n-1)(d-1)+1 on a map),
-    on, and stops as soon as a proof decides; the certificate names what
-    decided:
+    one of positive dimension; each is proven.  Reads H, the Hilbert
+    function of A/I, from t = nx(d-1)+1, the classical regularity bound
+    ((n-1)(d-1)+1 on a map), on, and stops as soon as a value decides; the
+    certificate names what decided:
 
     * "empty", H(t) = 0: I_t = A_t, and I_(nu+1) contains A_1 * I_nu, so
       I_nu = A_nu for every nu >= t and the base locus is empty: (-1, 0).
-    * "persistence", H(t+1) = H(t) = e with 0 < e <= t: I is generated in
-      degree d <= t, and e <= t makes the Macaulay bound e^<t> equal to e,
-      so by Gotzmann's persistence theorem (Math. Z. 158, 1978;
-      Bruns-Herzog, Cohen-Macaulay Rings, Thm 4.3.3) H stays at e for good;
-      e is the total multiplicity of the finite base locus: (0, e).
-    * "window", H(t+1) != H(t): H has no plateau at t, which signals a base
-      locus of dimension >= 1: (1, None).  Only when H(t+1) = H(t) > t does
-      a window of max(n, d) + 1 values from t decide: a constant plateau is
-      e, anything else signals dimension >= 1.
+    * "persistence", H = e > 0 at t, t + 1, t' and t' + 1 for t' = max(t, e):
+      I is generated in degree d <= t', and e <= t' makes the Macaulay bound
+      e^<t'> equal to e, so by Gotzmann's persistence theorem (Math. Z. 158,
+      1978; Bruns-Herzog, Cohen-Macaulay Rings, Thm 4.3.3) H stays at e from
+      t' on; e is the total multiplicity of the finite base locus: (0, e).
+      When e <= t that is two values, at t and t + 1.
+    * "window", any of those values differs from H(t): (1, None).  On a
+      finite base locus I agrees with its saturation from t on, and the
+      Hilbert function of A/I^sat, once level, stays level, so H would keep
+      its value at t for good.
     """
-    n, d = param.n, param.d
     t = _regularity_bound(param)
     e = hilbert_value(param, t, pieces)
     values = {t: e}
     if e == 0:
         return -1, 0, "empty", values
-    values[t + 1] = hilbert_value(param, t + 1, pieces)
-    if values[t + 1] == e:
-        if e <= t:
-            return 0, e, "persistence", values
-        for nu in range(t + 2, t + max(n, d) + 1):
+    top = max(t, e)
+    for nu in (t + 1, top, top + 1):
+        if nu not in values:
             values[nu] = hilbert_value(param, nu, pieces)
-        if all(v == e for v in values.values()):
-            return 0, e, "window", values
-    return 1, None, "window", values
+            if values[nu] != e:
+                return 1, None, "window", values
+    return 0, e, "persistence", values
 
 
 def nu_bound(n, d):
@@ -161,7 +159,8 @@ def _identity(size):
 
 def _coprime_pair(param):
     """Whether two of three forms in two X variables have a nonsingular
-    Bezoutian (`resultants._cyclic_bezoutians`, Cayley's closed form).
+    Bezoutian (`resultants._cyclic_bezoutians`, Cayley's closed form), each
+    built and ranked in turn up to the first nonsingular one.
 
     det Bez(f_i, f_j) = +-Res(f_i, f_j), so such a pair has no common zero
     on P^1, and by Sylvester (g, h) -> g f_i + h f_j maps A_(d-1)^2 onto
@@ -406,7 +405,7 @@ class BasePointReport:
     generically_finite: bool | None
     nu_bound: int
     nu0: int  # the strand degree implicitize uses by default
-    base_locus_certificate: str  # "empty", "persistence" or "window"
+    base_locus_certificate: str  # "empty", "persistence" or "window": dim -1, 0 or 1
     hilbert_values: dict  # {degree: Hilbert value of A/I} read by the profile
     syzygetic: SyzygeticReport | None = None
     # (t - d, K, `_rref` of K) from the profile's piece I_t, for `z_strand`
@@ -441,16 +440,16 @@ def analyze_parameterization(param, run_syzygetic=None):
     nu0 and the syzygetic test.  The report carries the reduction behind
     I_t (`_Pieces`) to `z_strand`: on a map t - d = nu_bound.
 
-    The content gcd is read off the certificate where it can be: a
-    nonconstant common factor h of forms in nx >= 2 variables has zeros,
-    and V(h), of dimension nx - 2, lies in the base locus.  So "empty"
-    proves the content is 1, and so does "persistence" (a finite base
-    locus) when nx >= 3.  Otherwise it is `gcd_many` of the forms.
+    The content gcd is read off the base-locus dimension where it can be:
+    a nonconstant common factor h of forms in nx >= 2 variables has zeros,
+    and V(h), of dimension nx - 2, lies in the base locus.  So an empty
+    base locus proves the content is 1, and so does a finite one when
+    nx >= 3.  Otherwise it is `gcd_many` of the forms.
     """
     ideal = _Pieces(param)
     dim, e, certificate, values = _certified_profile(param, ideal)
     nx = param.ring.nx
-    if (certificate == "empty" and nx >= 2) or (certificate == "persistence" and nx >= 3):
+    if (dim == -1 and nx >= 2) or (dim == 0 and nx >= 3):
         content = param.ring.one
     else:
         content = gcd_many(list(param.polys))

@@ -230,15 +230,16 @@ def _det_on_grid(m):
     degree bound raises LinalgError.  The coefficient of x^e has total
     degree at most total - e, so it is kept at heads of coordinate sum up
     to that, and the other axes are interpolated (`_interpolate`) with the
-    exponent of x carried along.  The T set to 1 and the digit axis are the
-    pair leaving the fewest lines (`_lower_set_size`); any choice gives the
-    same polynomial.
+    exponent of x carried along.  The T of largest degree bound is set to 1
+    (when A_0 = 0) and the T of the next-largest is the digit axis, ties
+    going to the first T, so the lower set left has the smallest bounds.
+    Any choice gives the same polynomial; the choice only sets the count.
 
     Gate: B is taken once per matrix, before any determinant, at the largest
     head coordinates, so it holds for every line.  When n*B exceeds
     `_KRONECKER_WIDTH`, or there is no axis, the matrix takes one
-    determinant per point of the whole grid instead, with the T set to 1
-    that leaves the fewest points, and every axis is interpolated.
+    determinant per point of the whole grid instead, with the same T set to
+    1, and every axis is interpolated.
     """
     ring = m.ring
     field = ring.field
@@ -250,29 +251,16 @@ def _det_on_grid(m):
         return ring.zero
     used = sorted(set().union(*live) - {0})
     deg = {a: sum(a in ts for ts in live) for a in used}
-
-    def plan(one, kron=None):
-        # (lines or points, one, axes with kron last, degree bounds, total degree bound)
-        axes = [a for a in used if a not in (one, kron)] + ([kron] if kron else [])
-        degs = [deg[a] for a in axes]
-        total = sum(not ts.isdisjoint(axes) for ts in live)
-        return _lower_set_size(degs[:-1] if kron else degs, total), one, axes, degs, total
-
-    def fewest(plans):
-        return min(plans, key=lambda plan: plan[0], default=None)
-
-    ones = used if used and not any(0 in ts for ts in live) else [None]
-    # a lower set only grows with each bound, so the digit axis that leaves
-    # the fewest lines is the one of largest degree bound
-    chosen = fewest(
-        plan(t, max((a for a in used if a != t), key=deg.get)) for t in ones if set(used) - {t}
-    )
-    kron = None
-    if chosen:
-        _, one, axes, degs, total = chosen
+    ranked = sorted(used, key=deg.get, reverse=True)
+    one = ranked.pop(0) if ranked and not any(0 in ts for ts in live) else None
+    kron = ranked[0] if ranked else None
+    axes = [a for a in used if a not in (one, kron)] + ([kron] if kron else [])
+    degs = [deg[a] for a in axes]
+    total = sum(not ts.isdisjoint(axes) for ts in live)
+    if kron:
         if p:  # balanced residues
             parts = [[[c - p if 2 * c > p else c for c in row] for row in part] for part in parts]
-        base, digit = parts[0 if one is None else one], parts[axes[-1]]
+        base, digit = parts[0 if one is None else one], parts[kron]
         # |a_ij| at any head, whose coordinates reach min(bound, total)
         weighted = [(min(b, total), parts[a]) for b, a in zip(degs, axes[:-1])]
         sizes = []
@@ -283,10 +271,8 @@ def _det_on_grid(m):
                 size += (min(a, p // 2) if p else a) + abs(digit[i][j])
             sizes.append(size)
         bits = _digit_bits(sizes)
-        if n * bits <= _KRONECKER_WIDTH:
-            kron = axes[-1]
-    if kron is None:
-        _, one, axes, degs, total = fewest(plan(t) for t in ones)
+        if n * bits > _KRONECKER_WIDTH:
+            kron = None
     if p and any(b >= p for b in degs):
         return None
     base = parts[0 if one is None else one]
@@ -345,14 +331,6 @@ def _digit_bits(sizes):
     sum_j (|a_ij| + |c_ij|) <= sizes[i]: 2^(B-2) exceeds the coefficient
     bound prod(sizes) (proof in `_det_on_grid`)."""
     return prod(sizes).bit_length() + 2
-
-
-def _lower_set_size(bounds, total):
-    """The number of points of `_grid(bounds, total)`, counted by coordinate sum."""
-    ways = [1] + [0] * total
-    for b in bounds:
-        ways = [sum(ways[max(0, s - b):s + 1]) for s in range(total + 1)]
-    return sum(ways)
 
 
 def _grid(bounds, total):

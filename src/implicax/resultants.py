@@ -140,13 +140,13 @@ def kravitsky_pencil(f1, f2, f3):
         raise ImplicaxError("ring carries fewer than three T variables")
     d = f1.degree
     zero = [[0] * d for _ in range(d)]
-    return PolyMatrix.from_parts(ring, [zero] + _cyclic_bezoutians(f1, f2, f3) + [zero] * (k - 3), d)
+    return PolyMatrix.from_parts(ring, [zero, *_cyclic_bezoutians(f1, f2, f3)] + [zero] * (k - 3), d)
 
 
 def _cyclic_bezoutians(f1, f2, f3):
-    """[Bez(f2, f3), Bez(f3, f1), Bez(f1, f2)] as scalar rows: the pencil's
-    parts at T1, T2, T3."""
-    return [_bezoutian(a, b) for a, b in ((f2, f3), (f3, f1), (f1, f2))]
+    """Bez(f2, f3), Bez(f3, f1), Bez(f1, f2) as scalar rows, the pencil's
+    parts at T1, T2, T3, each built when it is reached."""
+    return (_bezoutian(a, b) for a, b in ((f2, f3), (f3, f1), (f1, f2)))
 
 
 @dataclass

@@ -231,9 +231,9 @@ def z_strand(param, nu, report=None):
     vector in that kernel basis, checked exactly by `_combination_matches`,
     so it is the T-contraction on the chosen bases too.
 
-    When `report` proves the base-locus dimension (certificate "empty" or
-    "persistence"; "window" proves nothing) and nu < 2d, I has grade
-    g = nx - 1 - base_locus_dim, and H_i(f; A) = 0 for i > n - g
+    When `report` gives the base locus as empty or finite (base_locus_dim
+    -1 or 0, each proven by `geometry._certified_profile`) and nu < 2d, I
+    has grade g = nx - 1 - base_locus_dim, and H_i(f; A) = 0 for i > n - g
     (`_acyclic_above`).  There Z_i = B_i, so every level i >= image =
     max(2, n - g + 1) takes the Koszul images d_f(e_J m), |J| = i + 1,
     m in A_(nu-d): the columns of `koszul_differential_matrix(param, i + 1,
@@ -251,7 +251,7 @@ def z_strand(param, nu, report=None):
     shared: the kernel is finished from it and every vector is checked,
     A*v = 0, as from a fresh reduction, so the bases are the same.
 
-    On a plane curve (n = 3, nx = 2) with certificate "empty" and nu = d - 1
+    On a plane curve (n = 3, nx = 2) with an empty base locus and nu = d - 1
     (then image = 2), level 1 takes no kernel: its basis is the d Bezoutian
     moving lines w_b = (Bez(f2,f3)[:,b], Bez(f3,f1)[:,b], Bez(f1,f2)[:,b]),
     b < d, read in S = X1/X2 (`_bezout_lines`; Sederberg, Goldman & Du,
@@ -281,7 +281,7 @@ def z_strand(param, nu, report=None):
     field = ring.field
     n, d = param.n, param.d
     image = n
-    if report is not None and report.base_locus_certificate in ("empty", "persistence") and nu < 2 * d:
+    if report is not None and report.base_locus_dim <= 0 and nu < 2 * d:
         image = max(2, _acyclic_above(param, report.base_locus_dim) + 1)
     kbs = [KoszulBasis(param, i, nu) for i in range(n)]
     z0 = len(kbs[0].monos)
@@ -289,7 +289,7 @@ def z_strand(param, nu, report=None):
     frees = []
     shared = report and report._koszul_reduction  # (degree, K, `_rref` of K) of level 1
     level_one = shared[1:] if shared and shared[0] == nu else None
-    bezout = image == 2 and ring.nx == 2 and nu == d - 1 and report.base_locus_certificate == "empty"
+    bezout = image == 2 and ring.nx == 2 and nu == d - 1 and report.base_locus_dim == -1
     for i in range(1, n):
         if i == 1 and bezout:
             # Z_2 is 0 below degree d: no map writes into these lines

@@ -373,3 +373,34 @@ def _gcd_primitive(a, b):
     pp_cont = subresultant_gcd_many(pp)
     pp = [exact_divide(c, pp_cont) for c in pp]
     return cont * _from_univariate(pp, v)
+
+
+# ---------------------------------------------------------------------------
+# every grid plan `linalg._det_on_grid` could take: the reference for its rule
+
+
+def lower_set_size(bounds, total):
+    """The number of points of `linalg._grid(bounds, total)`, counted by
+    coordinate sum."""
+    ways = [1] + [0] * total
+    for b in bounds:
+        ways = [sum(ways[max(0, s - b):s + 1]) for s in range(total + 1)]
+    return sum(ways)
+
+
+def grid_plan_search(m):
+    """(least lines, least points) that `linalg._det_on_grid` can take on m,
+    over every choice of the T set to 1 (when A_0 = 0) and of the digit
+    axis; least lines is None when no digit axis is left."""
+    live = [{t for t, part in enumerate(m.parts) if any(part[i])} for i in range(m.rows)]
+    used = sorted(set().union(*live) - {0})
+    deg = {a: sum(a in ts for ts in live) for a in used}
+    ones = used if used and not any(0 in ts for ts in live) else [None]
+
+    def size(one, kron=None):
+        axes = [a for a in used if a not in (one, kron)]
+        total = sum(not ts.isdisjoint(axes + [kron]) for ts in live)
+        return lower_set_size([deg[a] for a in axes], total)
+
+    lines = [size(one, kron) for one in ones for kron in used if kron != one]
+    return min(lines, default=None), min(size(one) for one in ones)

@@ -342,6 +342,26 @@ def test_gcd_at_target_zero_reads_the_degree_off_the_kernel_dimension(field, mon
     assert kernels[-1] == (2, 1)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
+def test_a_sample_kernel_that_names_a_degree_is_redone_on_every_row(field, monkeypatch):
+    # the sample kernel at target 0 has dimension 6 > 1: the full system at
+    # target 0 names deg h = 2, and the kernel there is taken on every row
+    ring = Ring(field, ["X1", "X2", "X3"], ["T1", "T2"])
+    h = ring.poly("X1^2 + X2*X3 - 3*X3^2")
+    a = h * ring.poly("2*X1 - X2 + 5*X3")
+    b = h * ring.poly("X1^2 - 4*X2^2 + X1*X3 + 7*X3^2")
+    calls = []
+    cofactors = arith._cofactors
+
+    def recorded(a, b, degree, monomials, rng=None):
+        calls.append((degree, rng is not None))
+        return cofactors(a, b, degree, monomials, rng)
+
+    monkeypatch.setattr(arith, "_cofactors", recorded)
+    assert unit_multiple_of(multivariate_gcd(a, b), h)
+    assert calls[:3] == [(0, True), (0, False), (2, False)]
+
+
 # ---------------------------------------------------------------------------
 # the QQ gcd through word-size primes
 

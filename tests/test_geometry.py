@@ -65,7 +65,8 @@ CUBES = [
     make_parameterization(field, ["X1", "X2", "X3"], ["X1^3", "X2^3", "X3^3"] + extra)
     for field, extra in ((QQ, []), (GF(101), []), (QQ, ["X1*X2*X3"]))
 ]
-# (X1^3, X2^3): nine base points, more than t = 7, so only the window decides
+# (X1^3, X2^3): nine base points, more than t = 7, so persistence is read at
+# t' = 9 and 10 after the plateau at t = 7 and 8
 NINE_POINTS = make_parameterization(
     QQ, ["X1", "X2", "X3"], ["X1^3", "X2^3", "X1^3", "X2^3"]
 )
@@ -230,12 +231,60 @@ def test_certified_profile_reads_two_values_at_finite_base_loci(monkeypatch):
         assert calls == [t, t + 1]
 
 
+def scripted_profile(monkeypatch, script):
+    """`_certified_profile(LCI_SURF)` with H(nu) = script(nu, t), t = 7, and
+    the degrees it read, in order."""
+    t = geometry._regularity_bound(LCI_SURF)
+    calls = []
+
+    def scripted(param, nu, pieces=None):
+        calls.append(nu)
+        return script(nu, t)
+
+    monkeypatch.setattr(geometry, "hilbert_value", scripted)
+    return t, geometry._certified_profile(LCI_SURF), calls
+
+
+def test_profile_reads_persistence_at_t_when_e_is_at_most_t(monkeypatch):
+    t, profile, calls = scripted_profile(monkeypatch, lambda nu, t: t - 1)
+    assert calls == [t, t + 1]
+    assert profile == (0, t - 1, "persistence", {t: t - 1, t + 1: t - 1})
+
+
+def test_profile_reads_persistence_at_e_when_e_exceeds_t(monkeypatch):
+    e = 12
+    t, profile, calls = scripted_profile(monkeypatch, lambda nu, t: e)
+    assert t < e and calls == [t, t + 1, e, e + 1]
+    assert profile == (0, e, "persistence", {nu: e for nu in calls})
+
+
+def test_profile_plateau_breaking_at_e_plus_one_is_positive_dimensional(monkeypatch):
+    e = 12
+    t, profile, calls = scripted_profile(monkeypatch, lambda nu, t: e if nu <= e else e + 1)
+    assert calls == [t, t + 1, e, e + 1]
+    assert profile[:3] == (1, None, "window")
+    assert profile[3] == {t: e, t + 1: e, e: e, e + 1: e + 1}
+
+
+def test_profile_growth_at_t_plus_one_is_positive_dimensional(monkeypatch):
+    t, profile, calls = scripted_profile(monkeypatch, lambda nu, t: nu - 2)
+    assert calls == [t, t + 1]
+    assert profile == (1, None, "window", {t: t - 2, t + 1: t - 1})
+
+
+def test_nine_points_read_persistence_at_e(monkeypatch):
+    # e = 9 > t = 7: the plateau at 7 and 8, then Gotzmann at 9 and 10
+    calls = count_hilbert_calls(monkeypatch)
+    assert _certified_profile(NINE_POINTS) == (0, 9, "persistence", {nu: 9 for nu in range(7, 11)})
+    assert calls == [7, 8, 9, 10]
+
+
 def test_report_names_the_certificate_and_the_values_read():
     cases = (
         (CONIC, "empty", {3: 0}),
         (CONIC_FAT, "persistence", {5: 1, 6: 1}),
         (LCI_SURF, "persistence", {7: 6, 8: 6}),
-        (NINE_POINTS, "window", {nu: 9 for nu in range(7, 12)}),
+        (NINE_POINTS, "persistence", {nu: 9 for nu in range(7, 11)}),
     )
     for param, certificate, values in cases:
         rep = analyze_parameterization(param, run_syzygetic=False)

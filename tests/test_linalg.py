@@ -28,7 +28,14 @@ from implicax.strands import (
     koszul_differential_matrix,
     z_strand,
 )
-from helpers import dense_rref, random_nonzero, t_affine_sylvester
+from helpers import (
+    dense_cubic,
+    dense_rref,
+    grid_plan_search,
+    lower_set_size,
+    random_nonzero,
+    t_affine_sylvester,
+)
 
 T_RING = Ring(QQ, [], ["T1", "T2", "T3", "T4"])
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -134,13 +141,18 @@ def fraction_rref(field, data, ncols):
     return rows[: len(pivots)], pivots
 
 
+def small_entry(field, rng):
+    """A draw from -3 .. 3 over QQ, of any residue over GF(p)."""
+    return field.random(rng) if field.char else rng.randint(-3, 3)
+
+
 def _random_matrix(rng, field, nrows, ncols, rank_cap, fractions):
     """Random matrix of rank at most rank_cap (a product through rank_cap)."""
 
     def entry():
         if fractions:
             return field.canon(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-        return field.random(rng, -3, 3)
+        return small_entry(field, rng)
 
     left = [[entry() for _ in range(rank_cap)] for _ in range(nrows)]
     right = [[entry() for _ in range(ncols)] for _ in range(rank_cap)]
@@ -199,14 +211,14 @@ def test_elimination_core_matches_fraction_gauss():
                 return w
 
             for _ in range(3):
-                w = [field.random(rng, -3, 3) for _ in range(ncols)]
+                w = [small_entry(field, rng) for _ in range(ncols)]
                 inside = scalar_rank(field, data + [w]) == rank
                 assert bool(_span_kernel(field, [w], ncols, rows)) == inside
             # two blocks: the combinations whose blocks both lie in the span
             # are the kernel of the blocks' residues (drawn from their own rng,
             # so that the seeded matrices do not depend on this check)
             count = pair_rng.randint(1, 5)
-            vectors = [[field.random(pair_rng, -3, 3) for _ in range(2 * ncols)] for _ in range(count)]
+            vectors = [[small_entry(field, pair_rng) for _ in range(2 * ncols)] for _ in range(count)]
             if data:
                 vectors.append(data[0] + data[-1])
             residues = [residue(v[:ncols]) + residue(v[ncols:]) for v in vectors]
@@ -837,6 +849,72 @@ def test_a_digit_past_the_degree_bound_raises(monkeypatch):
         linalg._det_on_grid(m)
 
 
-def test_lower_set_size_counts_the_grid():
+class _Planned(Exception):
+    pass
+
+
+def grid_plan_counts(m, monkeypatch):
+    """[lines, points]: the size of the grid `linalg._det_on_grid` takes on
+    m with the gate open (points when no digit axis is left), then shut;
+    no determinant is taken."""
+    counts = []
+
+    def planned(bounds, total, _inner=linalg._grid):
+        counts.append(len(_inner(bounds, total)))
+        raise _Planned
+
+    monkeypatch.setattr(linalg, "_grid", planned)
+    for width in (1 << 30, 0):
+        monkeypatch.setattr(linalg, "_KRONECKER_WIDTH", width)
+        with pytest.raises(_Planned):
+            linalg._det_on_grid(m)
+    monkeypatch.undo()
+    return counts
+
+
+def grid_matrices(monkeypatch, run):
+    """The matrices that reach `linalg._det_on_grid` while `run()` runs."""
+    seen = []
+    inner = linalg._det_on_grid
+
+    def recorded(m):
+        seen.append(m)
+        return inner(m)
+
+    monkeypatch.setattr(linalg, "_det_on_grid", recorded)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def test_grid_plan_rule_takes_the_fewest_lines_and_points(monkeypatch):
+    # the T of largest degree bound set to 1 and the next the digit axis
+    # leave as few lines, and as few points, as the best choice of
+    # `grid_plan_search`, on the Kravitsky pencils of degree 6 .. 10, the
+    # gcd-minors fold of the three shipped surfaces and the links of the
+    # dense cubic's strand, over QQ and GF(65521)
+    from implicax.resultants import BinaryForm, kravitsky_pencil
+
     for bounds, total in (([], 0), ([3], 2), ([2, 5], 4), ([4, 4, 4], 4), ([1, 0, 6], 9), ([6, 6], 0)):
-        assert linalg._lower_set_size(bounds, total) == len(linalg._grid(bounds, total))
+        assert lower_set_size(bounds, total) == len(linalg._grid(bounds, total))
+    rng = random.Random(2030)
+    matrices = []
+    for field in (QQ, GF(65521)):
+        ring = Ring(field, ["X1", "X2"], ["T1", "T2", "T3"])
+        for d in range(6, 11):
+            forms = [BinaryForm(ring, [random_nonzero(field, rng) for _ in range(d + 1)]) for _ in range(3)]
+            matrices.append(kravitsky_pencil(*forms))
+        for name in ("surface_quadric", "surface_cubic", "surface_lci"):
+            text = (PROBLEMS / (name + ".txt")).read_text()
+            param = parse_problem(text.replace("field: QQ", "field: %s" % field.name)).parameterization()
+            report = analyze_parameterization(param)
+            st = z_strand(param, report.nu0, report)
+            fold = grid_matrices(monkeypatch, lambda: gcd_of_maximal_minors(st, report.predicted_degree))
+            assert fold
+            matrices += fold
+        param = dense_cubic(field, 1)
+        st = z_strand(param, analyze_parameterization(param).nu0)
+        matrices += [m.submatrix(rows, cols) for m, (rows, cols) in zip(st.maps, check_rank_profile(st)) if rows]
+    for m in matrices:
+        lines, points = grid_plan_search(m)
+        assert grid_plan_counts(m, monkeypatch) == [lines or points, points]

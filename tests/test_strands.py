@@ -801,7 +801,7 @@ def test_unproven_hypotheses_keep_a_kernel_at_every_level(variant, monkeypatch):
     report = analyze_parameterization(QUADRIC)
     nu = 2 * QUADRIC.d if variant == "nu_at_2d" else report.nu0
     if variant == "window":
-        report = dataclasses.replace(report, base_locus_certificate="window")
+        report = dataclasses.replace(report, base_locus_dim=1)
     elif variant == "no_report":
         report = None
     kernels = z_strand(QUADRIC, nu)
