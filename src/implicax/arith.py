@@ -18,7 +18,8 @@ int arithmetic.  Exponents must stay below 2**15 and total degrees below
 This module also holds the package's one row reduction (`_rref`, with the
 checked kernel `rref_kernel_data` read off it and its check `check_kernel`),
 which `linalg`, `strands` and `geometry` take from here, and its one gcd
-(`multivariate_gcd`), read off a cofactor kernel of that row reduction.
+(`multivariate_gcd`), read off cofactor kernels of that row reduction over
+prime fields only, over QQ in images modulo primes.
 """
 
 from __future__ import annotations
@@ -57,12 +58,14 @@ class NotDivisibleError(ArithError):
 
 
 class SmallCharacteristicError(ArithError):
-    """Operation needs characteristic 0 or larger than the degree at hand."""
+    """Operation needs characteristic 0 or larger than the degree at hand,
+    or a field with more values to draw than a strand map's side."""
 
 
 class ConsistencyError(ArithError):
     """An internal cross-check failed: a degree mismatch, the evaluation
-    oracle, a kernel vector with A*v != 0, or the gcd's dimension rule."""
+    oracle, a kernel vector with A*v != 0, or a gcd image whose cofactor
+    kernel is empty below the proven degree or names no degree."""
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +155,13 @@ def _int_nth_root(n, e):
             return None
         r = _int_nth_root(-n, e)
         return None if r is None else -r
-    if n in (0, 1):
+    if n < 2:
         return n
-    r = round(n ** (1.0 / e))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**e == n:
-            return cand
-    # float guess can be off for big n; fall back to bisection
-    lo, hi = 0, 1 << (n.bit_length() // e + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = mid**e
-        if v == n:
-            return mid
-        if v < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    # Newton's iteration from 2^ceil(bits/e) >= the root falls to floor(n^(1/e))
+    x = 1 << -(-n.bit_length() // e)
+    while (y := ((e - 1) * x + n // x ** (e - 1)) // e) < x:
+        x = y
+    return x if x**e == n else None
 
 
 class PrimeField:
@@ -1152,32 +1144,31 @@ def multivariate_gcd(a, b, degree=0, seed=0):
     holds the full one.  So a sample kernel of dimension 1 holds the true
     vector, and a failed division means dimension 0.  A larger one is redone
     on every row, where the dimension is exact and names deg h, so the
-    sample changes the speed, never the answer.  Over GF(p) that is the
-    whole computation.
+    sample changes the speed, never the answer.
 
-    Over QQ the same steps run modulo the word-size primes `_PRIMES`, on a'
-    and b' made primitive integer polynomials (the modular gcd: Brown, J.
-    ACM 18, 1971; von zur Gathen & Gerhard, ch. 6).  Each image of h is made
-    monic and scaled by gamma = gcd(lc a', lc b'), which lc(h) divides, so
-    the images of gamma/lc(h) * h, an integer polynomial, are combined by
-    Chinese remaindering into balanced residues.  The primitive part G of
-    the result is accepted only when a' // G and b' // G are exact over QQ.
-    Why that proves G = h up to a unit: the rows are integer rows, so their
-    rank mod p is at most their rank over QQ, and the QQ sample kernel holds
-    the full kernel.  An image read off a kernel of dimension 1 mod p at
-    degree D' therefore gives deg h <= D' <= deg G, and the exact divisions
-    give deg G <= deg h.  For the same reason an empty kernel mod p, or a
-    failed division under a kernel of dimension 1, proves deg h < D, and
-    raises as over QQ.  A prime that divides lc a' or lc b' is skipped, so
-    an image of h leads where h does.  Every image has degree >= deg h, with
-    equality exactly for the images of h, so a higher degree than the least
-    seen is dropped and a lower one restarts the combination.  Images of h
-    recover gamma/lc(h) * h once the product of their primes exceeds
-    2*gamma*H, H = 2^(sum of the degrees of f in each variable) * ||f||_2
-    for f = a' or b', which bounds the coefficients of every integer factor
-    of f (Mignotte's bound, Modern Computer Algebra, sect. 6.6, through the
-    Mahler measure).  A failed candidate past that size, or the end of the
-    prime list, hands the pair to the exact computation over QQ.  A bad
+    The kernels only ever run over a prime field, in one loop of images.
+    Over GF(p) the loop's one prime is p, and its one image is h.  Over QQ
+    the images are taken modulo the primes of `_primes()`, on a' and b'
+    made primitive integer polynomials (the modular gcd: Brown, J. ACM 18,
+    1971; von zur Gathen & Gerhard, ch. 6).  Each image of h is made monic
+    and scaled by gamma = gcd(lc a', lc b'), which lc(h) divides, so the
+    images of gamma/lc(h) * h, an integer polynomial, are combined by
+    Chinese remaindering into balanced residues, until the primitive part G
+    of the result divides a' and b' exactly.  Why that proves G = h up to a
+    unit: the rows are integer rows, so their rank mod p is at most their
+    rank over QQ, and the QQ sample kernel holds the full kernel.  An image
+    read off a kernel of dimension 1 mod p at degree D' therefore gives
+    deg h <= D' <= deg G, and the exact divisions give deg G <= deg h.  For
+    the same reason an empty kernel mod p, or a failed division under a
+    kernel of dimension 1, proves deg h < D, and raises as over GF(p).  A
+    prime that divides lc a' or lc b' is skipped, so an image of h leads
+    where h does.  Every image has degree >= deg h, with equality exactly
+    for the images of h, so a higher degree than the least seen is dropped
+    and a lower one restarts the combination.  Why the loop ends: a prime
+    lowers the rank of the full systems at degrees D .. deg h only when it
+    divides one of finitely many nonzero minors, so all but finitely many
+    primes give images of h, and their combination is gamma/lc(h) * h once
+    the primes' product exceeds twice its largest coefficient.  A bad
     prime, like a bad sample, can only cost time.
     """
     _check_same_ring(a, b)
@@ -1205,49 +1196,38 @@ def multivariate_gcd(a, b, degree=0, seed=0):
         return [m for d in degrees for m in ring.monomials_of_degree(d, start, stop)]
 
     sizes = [math.comb(e + k - 1, k - 1) for e in range(top + 1)]
-    if ring.field.char:
-        g = _cofactor_gcd(a1, b1, target, monomials, sizes, random.Random("%s:cofactors" % (seed,)))
-    else:
-        g = _gcd_mod_primes(a1, b1, target, monomials, sizes, seed)
-    if g is None:
-        raise ConsistencyError(
-            "two polynomials of degrees %d and %d have a gcd of degree below the "
-            "predicted degree %d" % (a.total_degree(), b.total_degree(), degree)
-        )
-    return normalize(g * mono)
-
-
-def _cofactor_gcd(a, b, target, monomials, sizes, rng):
-    """gcd(a, b), up to a unit, from cofactor kernels over a's field, first on
-    a sample drawn from `rng`; None when deg gcd(a, b) < target.  The steps
-    are `multivariate_gcd`'s."""
-    kernel = _cofactors(a, b, target, monomials, rng)
-    if len(kernel) > 1:
-        kernel = _cofactors(a, b, target, monomials)
-    if len(kernel) > 1:
-        if len(kernel) not in sizes:
-            raise ConsistencyError("a cofactor kernel of dimension %d names no degree" % len(kernel))
-        kernel = _cofactors(a, b, target + sizes.index(len(kernel)), monomials)
-    return _divisor(a, b, kernel)
-
-
-def _gcd_mod_primes(a, b, target, monomials, sizes, seed):
-    """gcd(a, b) over QQ, up to a unit, from its images mod `_PRIMES`; None
-    when deg gcd(a, b) < target.  See `multivariate_gcd` for the proof."""
-    ring = a.ring
-    a, b = normalize(a), normalize(b)
-    lc_a, lc_b = a.terms[max(a.terms)], b.terms[max(b.terms)]
+    char = ring.field.char
+    if not char:
+        a1, b1 = normalize(a1), normalize(b1)
+    lc_a, lc_b = a1.leading()[1], b1.leading()[1]
     gamma = math.gcd(lc_a, lc_b)
     rng = random.Random("%s:cofactors" % (seed,))
-    least = bound = None
-    for p in _PRIMES:
+    least = None
+    for p in (char,) if char else _primes():
         if not lc_a * lc_b % p:
             continue
-        ring_p = _ring_mod(p, ring.names[: ring.nx], ring.names[ring.nx :])
-        a_p, b_p = (Poly(ring_p, ring_p.field.reduce_terms(f.terms)) for f in (a, b))
-        image = _cofactor_gcd(a_p, b_p, target, monomials, sizes, rng)
-        if image is None:
-            return None
+        if char:
+            a_p, b_p = a1, b1
+        else:
+            ring_p = _ring_mod(p, ring.names[: ring.nx], ring.names[ring.nx :])
+            a_p, b_p = (Poly(ring_p, ring_p.field.reduce_terms(f.terms)) for f in (a1, b1))
+        kernel = _cofactors(a_p, b_p, target, monomials, rng)
+        if len(kernel) > 1:
+            kernel = _cofactors(a_p, b_p, target, monomials)
+        if len(kernel) > 1:
+            if len(kernel) not in sizes:
+                raise ConsistencyError("a cofactor kernel of dimension %d names no degree" % len(kernel))
+            kernel = _cofactors(a_p, b_p, target + sizes.index(len(kernel)), monomials)
+        try:
+            image = a_p // kernel[0]
+            b_p // image
+        except (IndexError, NotDivisibleError):  # an empty kernel or a failed division: deg h < D
+            raise ConsistencyError(
+                "two polynomials of degrees %d and %d have a gcd of degree below the "
+                "predicted degree %d" % (a.total_degree(), b.total_degree(), degree)
+            ) from None
+        if char:
+            return normalize(image * mono)
         image = normalize(image) * gamma
         deg = image.total_degree()
         if least is None or deg < least:
@@ -1265,30 +1245,25 @@ def _gcd_mod_primes(a, b, target, monomials, sizes, seed):
         half = modulus >> 1
         g = normalize(Poly(ring, {m: r - modulus if r > half else r for m, r in residues.items() if r}))
         try:
-            a // g
-            b // g
+            a1 // g
+            b1 // g
         except NotDivisibleError:
-            pass
-        else:
-            return g
-        if bound is None:
-            bound = gamma * min(map(_factor_bound, (a, b)))
-        if modulus > 2 * bound:
-            break
-    return _cofactor_gcd(a, b, target, monomials, sizes, random.Random("%s:cofactors" % (seed,)))
+            continue
+        return normalize(g * mono)
+    raise ArithError("the primes ran out before their images proved a gcd")
+
+
+def _primes():
+    """`_PRIMES`, then every prime below the last of them, descending and
+    each tested when reached: the primes of the QQ gcd's images."""
+    yield from _PRIMES
+    yield from filter(_is_prime, range(min(_PRIMES, default=1 << 62) - 1, 1, -1))
 
 
 @functools.lru_cache(maxsize=64)
 def _ring_mod(p, x_vars, t_vars):
     """The ring over GF(p) with these variables, built once: GF(p) tests p."""
     return Ring(GF(p), x_vars, t_vars)
-
-
-def _factor_bound(f):
-    """A bound on the coefficients of every integer factor of the integer
-    polynomial f: 2^(sum of f's degrees in each variable) * ||f||_2."""
-    norm = math.isqrt(sum(c * c for c in f.terms.values())) + 1
-    return norm << sum(f.degree_in_var(i) for i in range(f.ring.nv))
 
 
 def _cofactors(a, b, degree, monomials, rng=None):
@@ -1310,19 +1285,6 @@ def _cofactors(a, b, degree, monomials, rng=None):
     rows = [[col.get(r, 0) for col in cols] for r in keys]
     _, basis, _ = rref_kernel_data(ring.field, rows, len(cols))
     return [Poly(ring, {m: c for m, c in zip(vs, vec[len(us) :]) if c}) for vec in basis]
-
-
-def _divisor(a, b, kernel):
-    """a // v for the one vector v of a cofactor kernel, when that division
-    and b's by the quotient are exact; otherwise None."""
-    if len(kernel) != 1:
-        return None
-    try:
-        g = a // kernel[0]
-        b // g
-    except NotDivisibleError:
-        return None
-    return g
 
 
 def gcd_many(polys):

@@ -21,7 +21,8 @@ class HypothesisViolation(ImplicaxError):
     Raised for positive-dimensional base loci, maps that are not generically
     finite, and strands whose chain of nested minors cannot be completed:
     some level stays short of full rank at every draw the 2^-40 bound of
-    `strands._profile_draws` asks for, or the chain leaves rows over.
+    `strands._profile_draws` asks for, or the chain leaves rows over.  A
+    field too small for that bound raises SmallCharacteristicError instead.
     """
 
 

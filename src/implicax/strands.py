@@ -38,7 +38,7 @@ from .arith import (
     normalize,
     rref_kernel_data,
 )
-from .errors import HypothesisViolation, ImplicaxError, UsageError
+from .errors import HypothesisViolation, ImplicaxError, SmallCharacteristicError, UsageError
 from .linalg import (
     DEFAULT_SEED,
     PolyMatrix,
@@ -408,12 +408,13 @@ def _profile_draws(strand):
     most the map's smaller side, k draws at every level all fall short at
     some level with probability <= sum over maps of (r/N)^k.  This returns
     the least k that makes that sum <= 2^-40.  When some r >= N no k bounds
-    it, and two draws are taken.
+    it: this returns None, two draws are taken, and a short one raises
+    SmallCharacteristicError, since it proves nothing.
     """
     size = _sample_size(strand.param.ring.field.char)
     sides = [min(m.rows, m.cols) for m in strand.maps]
     if max(sides) >= size:
-        return 2
+        return None
     k = 1
     while sum((r / size) ** k for r in sides) > 2.0**-40:
         k += 1
@@ -431,7 +432,9 @@ def check_rank_profile(strand, seed=DEFAULT_SEED):
     nonsingular at a point is nonsingular over k(T), and the maps compose
     to zero (`z_strand`), so a chain through every map that leaves no rows
     over proves the strand exact over k(T) off the zeroth spot.  Raises
-    HypothesisViolation otherwise.  The draws are seeded "<seed>:chain:0".
+    HypothesisViolation otherwise, or SmallCharacteristicError when a level
+    stays short and the field is too small for `_profile_draws` to bound
+    the draws.  The draws are seeded "<seed>:chain:0".
     """
     rng = random.Random("%s:chain:0" % seed)
     draws = _profile_draws(strand)
@@ -439,12 +442,20 @@ def check_rank_profile(strand, seed=DEFAULT_SEED):
     rows = list(range(strand.dims[0]))
     for m in strand.maps:
         cols = []
-        for _ in range(draws):
+        for _ in range(draws or 2):
             if len(cols) == len(rows):
                 break
             cols = _sampled_pivots(m, rng, rows)
         links.append((rows, cols))
         if len(cols) < len(rows):
+            if draws is None:
+                field = strand.param.ring.field
+                side = max(min(m.rows, m.cols) for m in strand.maps)
+                raise SmallCharacteristicError(
+                    "too few values (%d) to draw each T from in %s for a strand map of side %d, "
+                    "so a rank of %d on %d rows proves nothing"
+                    % (_sample_size(field.char), field, side, len(cols), len(rows))
+                )
             break
         taken = set(cols)
         rows = [c for c in range(m.cols) if c not in taken]

@@ -1,5 +1,6 @@
 """Polynomial arithmetic: ring ops, parsing, gcd, perfect powers."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -264,6 +265,21 @@ def test_exact_divide_raises_on_a_remainder_randomized():
 # gcd
 
 
+@pytest.fixture(autouse=True)
+def cofactor_kernels_over_prime_fields(monkeypatch):
+    """Every cofactor kernel this module's tests take runs over a prime
+    field: over QQ the gcd takes images modulo primes, and no kernel is
+    taken over QQ itself."""
+    cofactors = arith._cofactors
+
+    def checked(a, *args):
+        if not a.ring.field.char:
+            pytest.fail("a cofactor kernel over QQ")
+        return cofactors(a, *args)
+
+    monkeypatch.setattr(arith, "_cofactors", checked)
+
+
 def test_gcd_monomials():
     ring = xt_ring()
     g = multivariate_gcd(ring.poly("X1^2*X2"), ring.poly("X1*X2^2"))
@@ -363,42 +379,44 @@ def test_a_sample_kernel_that_names_a_degree_is_redone_on_every_row(field, monke
 
 
 # ---------------------------------------------------------------------------
-# the QQ gcd through word-size primes
+# the gcd's images modulo primes
 
 
-def big_pair(seed, fractional):
+def big_pair(seed, fractional, bits=200):
     """(a, b, g) for seeded forms a = g*u, b = g*v in T1..T3 (u, v coprime
-    for these seeds), every coefficient a 200-bit integer or, with
-    `fractional`, a 200-bit numerator over a denominator (1..4 in g, 200 bits
-    in u and v)."""
+    for these seeds), every coefficient a `bits`-bit integer or, with
+    `fractional`, a `bits`-bit numerator over a denominator (1..4 in g,
+    `bits` bits in u and v)."""
     ring = Ring(QQ, ["X1", "X2"], ["T1", "T2", "T3"])
     rng = random.Random("big-pair:%s:%s" % (seed, fractional))
 
     def form(deg, den_bits):
         terms = {}
         for m in ring.monomials_of_degree(deg, ring.nx, ring.nv):
-            c = rng.choice((-1, 1)) * (rng.getrandbits(200) | 1 << 199)
+            c = rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
             if fractional:
                 c = Fraction(c, rng.getrandbits(den_bits) | 1)
             terms[m] = c
         return Poly(ring, ring.field.reduce_terms(terms))
 
     g = form(2, 2)
-    return g * form(2, 200), g * form(3, 200), g
+    return g * form(2, bits), g * form(3, bits), g
 
 
-def count_images(monkeypatch):
-    """[primes, exact]: the gcd images taken mod a prime from now on, and the
-    cofactor gcds taken over QQ (the exact fall-back)."""
-    counts = [0, 0]
-    inner = arith._cofactor_gcd
+def record_images(monkeypatch):
+    """[(prime, degree)] of every gcd image taken from now on: an image's
+    kernel steps start on a row sample and end at the kernel it is read off."""
+    images = []
+    cofactors = arith._cofactors
 
-    def counted(a, *args):
-        counts[a.ring.field.char == 0] += 1
-        return inner(a, *args)
+    def recorded(a, b, degree, monomials, rng=None):
+        if rng is not None:
+            images.append(None)
+        images[-1] = (a.ring.field.char, degree)
+        return cofactors(a, b, degree, monomials, rng)
 
-    monkeypatch.setattr(arith, "_cofactor_gcd", counted)
-    return counts
+    monkeypatch.setattr(arith, "_cofactors", recorded)
+    return images
 
 
 def test_every_gcd_prime_is_a_distinct_prime_below_two_to_the_62():
@@ -407,33 +425,58 @@ def test_every_gcd_prime_is_a_distinct_prime_below_two_to_the_62():
     assert arith._PRIMES[0] == (1 << 62) - 57
 
 
+def test_gcd_primes_run_on_below_the_list_in_descending_order(monkeypatch):
+    listed = arith._PRIMES
+    head = list(itertools.islice(arith._primes(), len(listed) + 8))
+    assert head[: len(listed)] == list(listed)
+    assert head[len(listed) - 1 :] == [p for p in range(listed[-1], head[-1] - 1, -1) if arith._is_prime(p)]
+    # the list is read at each call, and every prime below its last one follows
+    monkeypatch.setattr(arith, "_PRIMES", (101, 97))
+    assert list(arith._primes()) == [101, 97] + [n for n in range(96, 1, -1) if all(n % q for q in range(2, n))]
+
+
 @pytest.mark.parametrize("fractional", [False, True], ids=["integer", "fraction"])
 @pytest.mark.parametrize("seed", range(3))
 def test_gcd_of_200_bit_pairs_equals_the_reference(seed, fractional, monkeypatch):
     a, b, g = big_pair(seed, fractional)
     expected = subresultant_gcd(a, b)
     assert expected == normalize(g)
-    counts = count_images(monkeypatch)
+    images = record_images(monkeypatch)
     for degree in (0, 2):
         assert multivariate_gcd(a, b, degree, seed=seed) == expected
     # the images of g, made monic and scaled by gcd(lc a, lc b), have
     # coefficients of about 200 bits: four 62-bit primes for each gcd
-    assert counts[0] >= 2 * 3 and counts[1] == 0
+    assert len(images) >= 2 * 3
+
+
+def test_gcd_needing_more_primes_than_the_list_equals_the_reference(monkeypatch):
+    # 2,100-bit coefficients take more than the 32 listed 62-bit primes
+    a, b, g = big_pair(0, False, bits=2100)
+    images = record_images(monkeypatch)
+    assert multivariate_gcd(a, b, 2) == subresultant_gcd(a, b) == normalize(g)
+    assert len(images) > len(arith._PRIMES)
+    assert [p for p, _ in images] == list(itertools.islice(arith._primes(), len(images)))
 
 
 def test_gcd_over_a_prime_field_takes_no_images(monkeypatch):
-    monkeypatch.setattr(arith, "_gcd_mod_primes", None)  # a call would raise TypeError
+    # the loop's one prime is p, on the input ring: no prime list, no ring copy
+    monkeypatch.setattr(arith, "_primes", None)  # a call would raise TypeError
+    monkeypatch.setattr(arith, "_ring_mod", None)
     ring = xt_ring(GF(65521), nx=2, nt=3)
     g = ring.poly("3*T1^2 - 5*T2*T3 + 7*T3^2")
+    images = record_images(monkeypatch)
     assert multivariate_gcd(g * ring.poly("T1 + T2"), g * ring.poly("T2 - T3"), 2) == normalize(g)
+    assert images == [(65521, 2)]
 
 
-def test_gcd_past_the_prime_list_falls_back_to_exact_elimination(monkeypatch):
+def test_gcd_past_the_prime_list_takes_the_primes_below_it(monkeypatch):
     a, b, g = big_pair(0, False)
-    monkeypatch.setattr(arith, "_PRIMES", arith._PRIMES[:2])
-    counts = count_images(monkeypatch)
+    primes = arith._PRIMES
+    monkeypatch.setattr(arith, "_PRIMES", primes[:2])
+    images = record_images(monkeypatch)
     assert multivariate_gcd(a, b, 2) == normalize(g)
-    assert counts == [2, 1]
+    # the listed primes are consecutive, so the primes below them are the rest
+    assert len(images) > 2 and [p for p, _ in images] == list(primes[: len(images)])
 
 
 def test_gcd_skips_a_prime_that_divides_a_leading_coefficient(monkeypatch):
@@ -442,52 +485,51 @@ def test_gcd_skips_a_prime_that_divides_a_leading_coefficient(monkeypatch):
     g = ring.poly("3*T1^2 - 5*T2*T3 + 7*T3^2")
     a = g * ring.poly("%d*T1 + T2 - 2*T3" % primes[1])
     b = g * ring.poly("T1^2 + 4*T2*T3 - T3^2")
-    counts = count_images(monkeypatch)
+    images = record_images(monkeypatch)
     monkeypatch.setattr(arith, "_PRIMES", primes[1:2])
     assert multivariate_gcd(a, b) == normalize(g)
-    assert counts == [0, 1]  # skipped, so the exact fall-back answered
+    assert images == [(primes[2], 2)]  # skipped, so the next prime below answered
     monkeypatch.setattr(arith, "_PRIMES", primes[1::-1])
     assert multivariate_gcd(a, b) == normalize(g)
-    assert counts == [1, 1]
+    assert images[1:] == [(primes[0], 2)]
 
 
 def test_gcd_drops_a_prime_under_which_the_cofactor_system_loses_rank(monkeypatch):
     # u = w mod p, so mod p the gcd is g*u, one degree too high: the
-    # candidate read off that image fails the exact divisions
+    # candidate read off that image fails the exact divisions, and the next
+    # prime's image has the least degree and restarts the combination, which
+    # the unlucky image then no longer enters
     _, _, g = big_pair(0, False)
     ring = g.ring
     primes = arith._PRIMES
     a = g * ring.poly("T1 + T2 - 2*T3")
     b = g * ring.poly("T1 + %d*T2 - 2*T3" % (primes[1] + 1))
-    counts = count_images(monkeypatch)
-    monkeypatch.setattr(arith, "_PRIMES", primes[1:2])
+    images = record_images(monkeypatch)
+    # a finite supply, so that a broken restart rule fails instead of running on
+    monkeypatch.setattr(arith, "_primes", lambda: iter(primes[1:]))
     assert multivariate_gcd(a, b) == normalize(g)
-    assert counts == [1, 1]  # the list ran out, so the exact fall-back answered
-    # the next prime's image has the least degree and restarts the combination,
-    # which the unlucky image then no longer enters
-    monkeypatch.setattr(arith, "_PRIMES", primes[1:2] + primes[:1] + primes[2:])
-    assert multivariate_gcd(a, b) == normalize(g)
-    assert counts[0] >= 1 + 3 and counts[1] == 1
+    assert images[0] == (primes[1], 3)
+    assert len(images) >= 1 + 4 and images[1:] == [(p, 2) for p in primes[2 : len(images) + 1]]
 
 
 @pytest.mark.parametrize("primes", ["all", "none"])
 def test_gcd_target_above_the_truth_still_raises(primes, monkeypatch):
+    # with no listed primes the images are taken modulo the primes below
+    # 2^62; either way the first image's empty kernel raises
     a, b, g = big_pair(1, True)
     if primes == "none":
         monkeypatch.setattr(arith, "_PRIMES", ())
+    images = record_images(monkeypatch)
     with pytest.raises(ConsistencyError, match="below the predicted degree 3"):
         multivariate_gcd(a, b, 3)
+    assert [p for p, _ in images] == [(1 << 62) - 57]
 
 
-def test_factor_bound_bounds_the_coefficients_of_factors():
-    ring = xt_ring(nx=2, nt=3)
-    rng = random.Random("factor-bound")
-    for _ in range(20):
-        f, g = (normalize(rand_poly(ring, rng, nterms=4, maxdeg=3)) for _ in range(2))
-        if f.is_constant() or g.is_constant():
-            continue
-        bound = arith._factor_bound(f * g)
-        assert all(abs(c) <= bound for h in (f, g) for c in h.terms.values())
+def test_gcd_raises_when_the_primes_run_out(monkeypatch):
+    a, b, _ = big_pair(0, False)
+    monkeypatch.setattr(arith, "_PRIMES", (7,))
+    with pytest.raises(ArithError, match="primes ran out"):
+        multivariate_gcd(a, b, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +583,20 @@ def test_perfect_power_scaled_power_has_unit():
     p = (ring.poly("2*T1+2*T2")) ** 3  # 8*(T1+T2)^3
     root, e = perfect_power_decompose(p)
     assert e == 3 and root == ring.poly("T1+T2")
+
+
+def test_integer_roots_are_exact_past_the_float_range():
+    # 3,000-bit powers overflow a float; the root is found or refused exactly
+    rng = random.Random("integer-roots")
+    for e in range(1, 6):
+        assert arith._int_nth_root(0, e) == 0 and arith._int_nth_root(1, e) == 1
+        for bits in (2, 61, 1100, 3000):
+            r = rng.getrandbits(bits) | 1 << (bits - 1)
+            assert arith._int_nth_root(r**e, e) == r
+            assert arith._int_nth_root(-(r**e), e) == (-r if e % 2 else None)
+            if e > 1:
+                assert arith._int_nth_root(r**e + 1, e) is None
+                assert arith._int_nth_root(r**e - 1, e) is None
 
 
 def fraction_normalize(p):

@@ -237,6 +237,25 @@ def test_small_field_map_whose_rank_the_first_draws_miss(capsys, tmp_path):
         )
         assert code == 0 and doc["degree"] == 4 and doc["verified"] is True
 
+def test_map_with_a_coefficient_past_the_float_range_exits_zero(capsys, tmp_path):
+    f = tmp_path / "big.txt"
+    f.write_text("field: QQ\nx_vars: X1 X2\nf1 = %d*X1^4\nf2 = X1^2*X2^2\nf3 = X2^4\n" % 3**400)
+    for method in ("det-complex", "gcd-minors", "resultant"):
+        code, doc, _ = run_json(capsys, "implicitize", str(f), "--method", method, "--format", "json")
+        assert code == 0 and doc["exponent"] == 2 and doc["verified"] is True
+
+
+def test_tiny_field_short_draw_exits_five(capsys, tmp_path):
+    # over GF(2) each T is drawn from one value, too few to bound the draws:
+    # the conic's only point T = (1, 1, 1) lies on it, which proves nothing
+    f = tmp_path / "gf2.txt"
+    f.write_text("field: GF(2)\nx_vars: X1 X2\nf1 = X1^2\nf2 = X1*X2\nf3 = X2^2\n")
+    for method in ("det-complex", "gcd-minors"):
+        code, out, err = run_cli(capsys, "implicitize", str(f), "--method", method)
+        assert code == 5 and not out.strip()
+        assert "runtime failure" in err and "GF(2)" in err and "side 2" in err
+
+
 def test_repeated_polynomial_line_is_parse_error(capsys, tmp_path):
     f = tmp_path / "twice.txt"
     f.write_text("field: QQ\nx_vars: X1 X2\nf1 = X1^2\nf2 = X1*X2\nf3 = X2^2\nf1 = X1^2 + X2^2\n")

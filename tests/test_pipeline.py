@@ -561,3 +561,12 @@ def test_random_plane_curves_routes_and_fields_agree(d):
         assert over_qq.reduced.total_degree() * over_qq.exponent == d
         assert unit_multiple_of(residues_mod(over_qq.reduced, over_gf.reduced.ring), over_gf.reduced)
         assert over_qq.exponent == over_gf.exponent
+
+
+@pytest.mark.parametrize("method", ["det-complex", "gcd-minors", "resultant"])
+def test_power_extraction_takes_roots_of_coefficients_past_the_float_range(method):
+    # the equation's square has the coefficient 3^800, past 2^1024
+    param = make_parameterization(QQ, ["X1", "X2"], ["%d*X1^4" % 3**400, "X1^2*X2^2", "X2^4"])
+    res = implicitize(param, method=method)
+    conic = param.ring.poly("%d*T2^2 - T1*T3" % 3**400)
+    assert res.exponent == 2 and unit_multiple_of(res.reduced, conic) and res.verified

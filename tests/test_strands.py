@@ -20,7 +20,7 @@ from implicax.arith import (
     normalize,
     unit_multiple_of,
 )
-from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError
+from implicax.errors import ConsistencyError, HypothesisViolation, ImplicaxError, SmallCharacteristicError
 from implicax.geometry import analyze_parameterization
 from implicax.linalg import DEFAULT_SEED, det_fraction_free, scalar_rank
 from implicax.problems import load_problem
@@ -385,10 +385,37 @@ def test_rank_profile_redraws_until_a_small_field_finds_the_rank(monkeypatch):
     assert strands._profile_draws(st) == 10
 
 
-def test_rank_profile_draw_count_falls_back_to_two_without_a_bound():
+def test_rank_profile_draw_count_has_no_bound_on_a_tiny_field():
     # over GF(3) the conic's 2 x 2 minor has degree 2, as many as the values drawn
     st = z_strand(make_parameterization(GF(3), ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"]), 1)
-    assert strands._profile_draws(st) == 2
+    assert strands._profile_draws(st) is None
+
+
+def test_a_short_draw_without_a_bound_is_a_small_field_not_a_violation(monkeypatch):
+    # over GF(2) the one point drawn, T = (1, 1, 1), lies on the conic: no
+    # bound makes its short rank a proof, so the map is refused as too small
+    conic = make_parameterization(GF(2), ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
+    for method in ("det-complex", "gcd-minors"):
+        with pytest.raises(SmallCharacteristicError, match=r"\(1\) to draw each T from in GF\(2\).* side 2"):
+            pipeline.implicitize(conic, method=method)
+    # where the bound holds, draws that stay short are a violation, as before
+    st = z_strand(GF101_QUADRIC, 2)
+    assert strands._profile_draws(st) == 10
+    count_sampled_pivots(monkeypatch, short=True)
+    with pytest.raises(HypothesisViolation, match="rank profile"):
+        check_rank_profile(st, seed=35)
+
+
+def test_a_full_rank_draw_proves_the_profile_with_or_without_a_bound():
+    # the conics have a bound over GF(5) and GF(7), the quadric's 6 x 9 map
+    # none: its draws find the full rank all the same
+    for field in (GF(5), GF(7)):
+        conic = make_parameterization(field, ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
+        quadric = over_field(QUADRIC, field)
+        assert strands._profile_draws(z_strand(conic, 1)) and strands._profile_draws(z_strand(quadric, 2)) is None
+        for param in (conic, quadric):
+            for method in ("det-complex", "gcd-minors"):
+                assert pipeline.implicitize(param, method=method).verified
 
 
 def test_degenerate_parameterization_gives_degree_zero():
