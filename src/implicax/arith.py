@@ -879,12 +879,10 @@ def unit_multiple_of(a, b):
     return normalize(a) == normalize(b)
 
 
-def _check_characteristic(p):
-    ch = p.ring.field.char
-    if ch and ch <= p.total_degree():
-        raise SmallCharacteristicError(
-            "characteristic %d too small for degree %d" % (ch, p.total_degree())
-        )
+def _check_characteristic(field, degree):
+    ch = field.char
+    if ch and ch <= degree:
+        raise SmallCharacteristicError("characteristic %d too small for degree %d" % (ch, degree))
 
 
 def _divisors_desc(n):
@@ -947,7 +945,7 @@ def perfect_power_decompose(p):
         raise ArithError("perfect power of zero")
     if p.is_constant():
         raise ArithError("perfect power of a constant")
-    _check_characteristic(p)
+    _check_characteristic(p.ring.field, p.total_degree())
     q = normalize(p)
     degs = [q.degree_in_var(v) for v in q.variables()]
     d = q.total_degree()

@@ -21,7 +21,11 @@ one exact integer determinant per line of the grid (Kronecker substitution),
 unless the digits would be too wide; then one determinant per point.  Over
 QQ both engines first make every row a primitive integer row
 (`_integer_parts`) and restore the product of the scales at the end, so
-results are exact, not "up to unit".
+results are exact, not "up to unit".  A symmetric matrix is scaled by one
+content instead, so that its integer values stay symmetric, and on
+symmetric integer rows the elimination updates only the upper triangle:
+every plane-curve determinant (the Kravitsky pencil, and the strand's
+first map on the Bezoutian lines) is one.
 """
 
 from __future__ import annotations
@@ -133,9 +137,16 @@ class PolyMatrix:
 def _integer_parts(m):
     """(s, parts): m's parts with each row made a primitive integer row over
     QQ, and s the product of the rows' rational contents, so det m is s times
-    the determinant of the new parts.  Over GF(p), (1, m.parts)."""
+    the determinant of the new parts.  When every part is symmetric, all are
+    divided by one content c instead, and s = c^n: they stay symmetric, for
+    `_det_scalar`'s symmetric branch.  Over GF(p), (1, m.parts)."""
     if m.ring.field.char:
         return 1, m.parts
+    if all(map(_symmetric, m.parts)):
+        content = rational_content(c for P in m.parts for row in P for c in row if c) or 1
+        num, den = content.numerator, content.denominator
+        parts = m.parts if content == 1 else [[[c * den // num for c in row] for row in P] for P in m.parts]
+        return content ** m.rows, parts
     scale = 1
     parts = [[] for _ in m.parts]
     for i in range(m.rows):
@@ -199,7 +210,10 @@ def _det_bareiss(m):
 # GF(65521) n=6 [672] 2.61 -> 1.36 ms, n=8 [1208] 6.41 -> 4.74 ms, n=10
 # [1910] 13.8 -> 15.7 ms, n=12 [2784] 26.4 -> 55.0 ms; QQ n=10 [1610] 15.2
 # -> 12.8 ms, n=8 [2280] 8.2 -> 9.3 ms, n=10 [3600] 21.1 -> 41.0 ms.  A gate
-# on B alone would send the GF(65521) 12 x 12 (B = 232) to lines.
+# on B alone would send the GF(65521) 12 x 12 (B = 232) to lines.  These
+# pencils were not symmetric, so the times are the general loop's; the
+# symmetric branch of `_det_scalar` makes lines cheaper, and the gate was
+# left where these times put it.
 _KRONECKER_WIDTH = 1800
 
 
@@ -214,7 +228,10 @@ def _det_on_grid(m):
     homogeneous of degree n: one occurring T is set to 1 and restored at the
     end.  Over QQ each row is first made a primitive integer row
     (`_integer_parts`), and the product of the scales is kept, so every
-    value is an integer determinant.
+    value is an integer determinant.  When every part is symmetric, one
+    content divides them all instead, so that they stay symmetric; balanced
+    residues over GF(p) keep them so too, and every line A + 2^B*C is then
+    symmetric and takes `_det_scalar`'s upper-triangle branch.
 
     One axis x is read off Kronecker digits (von zur Gathen & Gerhard, MCA
     8.4): one exact integer determinant per line, not one per point.  At
@@ -353,12 +370,39 @@ def _det_scalar(rows, p, size=None):
     first of least size: on polynomial entries the sparsest pivot keeps the
     fill-in down.  Each step drops the pivot column, so row k holds columns
     k.. only.
+
+    Symmetric integer rows (p = 0, no `size`) keep only their upper
+    triangle, row i holding columns i.. .  By Sylvester's identity, while no
+    rows are swapped, entry (i, j) after the steps on pivots 0..k-1 is the
+    minor of M on rows 0..k-1, i and columns 0..k-1, j; for (j, i) that
+    submatrix is transposed, so every step leaves the block symmetric.  Row
+    i's entry in the pivot column is then row k's entry in column i, and
+    only j >= i is updated: sum (n-k)(n-k+1)/2 updates in place of
+    sum (n-k)^2.  A zero pivot would swap rows, so there the rows left are
+    mirrored back to full rows and the general loop goes on from that step.
     """
-    if p:
-        rows = [[x % p for x in r] for r in rows]
     n = len(rows)
     det = prev = 1
-    for k in range(n):
+    start = 0  # the general loop's first step
+    if p:
+        rows = [[x % p for x in r] for r in rows]
+    elif size is None and _symmetric(rows):
+        rows = [r[i:] for i, r in enumerate(rows)]
+        for start in range(n):
+            top = rows[start]
+            pivot = top[0]
+            if not pivot:
+                rows[start:] = [
+                    [rows[j][i - j] for j in range(start, i)] + rows[i] for i in range(start, n)
+                ]
+                break
+            for i in range(start + 1, n):
+                a = top[i - start]
+                rows[i] = [(pivot * x - a * y) // prev for x, y in zip(rows[i], top[i - start:])]
+            prev = pivot
+        else:
+            return prev
+    for k in range(start, n):
         sel = next((i for i in range(k, n) if rows[i][0]), None)
         if sel is None:
             return 0
@@ -384,6 +428,11 @@ def _det_scalar(rows, p, size=None):
                 ]
         prev = pivot
     return det if p else det * prev
+
+
+def _symmetric(rows):
+    """Whether a square matrix, given as its list of rows, is symmetric."""
+    return all(r == list(c) for r, c in zip(rows, zip(*rows)))
 
 
 def _interpolate(values, k, p):

@@ -9,7 +9,7 @@ import random
 import warnings
 from dataclasses import dataclass
 
-from .arith import Poly, normalize, perfect_power_decompose, unit_multiple_of
+from .arith import Poly, _check_characteristic, normalize, perfect_power_decompose, unit_multiple_of
 from .errors import ConsistencyError, HypothesisViolation, ImplicaxError, UsageError
 from .geometry import BasePointReport, analyze_parameterization
 from .linalg import DEFAULT_SEED
@@ -120,6 +120,8 @@ def implicitize(
     bound for isolated base points ((n-2)(d-1) without base points); smaller
     degrees sometimes work but must be requested with allow_sub_bound.  The
     result carries the full diagnostics report and the verification status.
+    A characteristic at most the predicted degree raises
+    SmallCharacteristicError before any method runs.
     """
     if method not in METHODS:
         raise UsageError("unknown method %r (choose from %s)" % (method, METHODS))
@@ -134,6 +136,9 @@ def implicitize(
         raise HypothesisViolation(
             "map is not generically finite (predicted degree 0)"
         )
+    predicted = report.predicted_degree
+    # the power extraction would refuse the answer, so no route is run
+    _check_characteristic(param.ring.field, predicted)
     bound = report.nu0
     if nu is None:
         nu_used = bound
@@ -165,7 +170,6 @@ def implicitize(
         else:
             det = gcd_of_maximal_minors(strand, report.predicted_degree, seed=seed)
     det = normalize(det)
-    predicted = report.predicted_degree
     if det.total_degree() != predicted:
         raise ConsistencyError(
             "determinant degree %d does not match the predicted degree %d"

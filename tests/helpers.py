@@ -22,7 +22,7 @@ from implicax.arith import (
 from implicax.geometry import _regularity_bound, _span_kernel, ideal_piece, saturation_piece
 from implicax.linalg import PolyMatrix, det_fraction_free
 from implicax.resultants import binary_form, sylvester_matrix
-from implicax import strands
+from implicax import linalg, strands
 from implicax.strands import boundary_basis, cycle_basis
 
 
@@ -404,3 +404,32 @@ def grid_plan_search(m):
 
     lines = [size(one, kron) for one in ones for kron in used if kron != one]
     return min(lines, default=None), min(size(one) for one in ones)
+
+
+class LowerEntry(int):
+    """An entry below the diagonal: it compares as its value, but any
+    arithmetic on it fails the test, as only the general loop reads it."""
+
+    def _read(self, *_):
+        raise AssertionError("an entry below the diagonal entered the elimination")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __floordiv__ = __rfloordiv__ = _read
+
+
+def upper_triangle_only(monkeypatch):
+    """From now on every integer `_det_scalar` call must take the symmetric
+    branch: its rows must be symmetric, and the entries below the diagonal
+    are handed in as `LowerEntry`.  Returns the list of calls' p."""
+    calls = []
+    inner = linalg._det_scalar
+
+    def triangle(rows, p, size=None):
+        calls.append(p)
+        if not p and size is None:
+            if not linalg._symmetric(rows):
+                raise AssertionError("an integer determinant of a non-symmetric matrix")
+            rows = [[LowerEntry(x) if j < i else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
+        return inner(rows, p, size)
+
+    monkeypatch.setattr(linalg, "_det_scalar", triangle)
+    return calls

@@ -246,14 +246,34 @@ def test_map_with_a_coefficient_past_the_float_range_exits_zero(capsys, tmp_path
 
 
 def test_tiny_field_short_draw_exits_five(capsys, tmp_path):
-    # over GF(2) each T is drawn from one value, too few to bound the draws:
-    # the conic's only point T = (1, 1, 1) lies on it, which proves nothing
+    # over GF(3) each T is drawn from two values, too few to bound the draws:
+    # at seed 0 both points drawn lie on the conic, which proves nothing
+    f = tmp_path / "gf3.txt"
+    f.write_text("field: GF(3)\nx_vars: X1 X2\nf1 = X1^2\nf2 = X1*X2\nf3 = X2^2\n")
+    for method in ("det-complex", "gcd-minors"):
+        code, out, err = run_cli(capsys, "implicitize", str(f), "--method", method, "--seed", "0")
+        assert code == 5 and not out.strip()
+        assert "runtime failure" in err and "GF(3)" in err and "side 2" in err
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [
+        "x_vars: X1 X2\nf1 = X1^2\nf2 = X1*X2\nf3 = X2^2\n",
+        "x_vars: X1 X2 X3\nf1 = X1*X3 + X3^2\nf2 = X3^2 + X1*X3 + X2*X3\nf3 = X1*X2\nf4 = X2^2\n",
+    ],
+    ids=["conic", "quadric"],
+)
+def test_characteristic_at_most_the_predicted_degree_exits_five_before_any_route(capsys, tmp_path, forms):
+    # over GF(2) both answers have degree 2, which the power extraction
+    # refuses; the quadric's gcd-minors fold used to stop above that degree
+    # and exit 4 on the degree check
     f = tmp_path / "gf2.txt"
-    f.write_text("field: GF(2)\nx_vars: X1 X2\nf1 = X1^2\nf2 = X1*X2\nf3 = X2^2\n")
+    f.write_text("field: GF(2)\n" + forms)
     for method in ("det-complex", "gcd-minors"):
         code, out, err = run_cli(capsys, "implicitize", str(f), "--method", method)
         assert code == 5 and not out.strip()
-        assert "runtime failure" in err and "GF(2)" in err and "side 2" in err
+        assert err == "runtime failure: characteristic 2 too small for degree 2\n"
 
 
 def test_repeated_polynomial_line_is_parse_error(capsys, tmp_path):

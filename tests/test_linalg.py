@@ -35,6 +35,7 @@ from helpers import (
     lower_set_size,
     random_nonzero,
     t_affine_sylvester,
+    upper_triangle_only,
 )
 
 T_RING = Ring(QQ, [], ["T1", "T2", "T3", "T4"])
@@ -918,3 +919,117 @@ def test_grid_plan_rule_takes_the_fewest_lines_and_points(monkeypatch):
     for m in matrices:
         lines, points = grid_plan_search(m)
         assert grid_plan_counts(m, monkeypatch) == [lines or points, points]
+
+
+# ---------------------------------------------------------------------------
+# the symmetric branch of the elimination
+
+
+def symmetric_matrix(rng, n, bits):
+    """A seeded symmetric n x n integer matrix with entries below 2^bits in
+    absolute value."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(-(2**bits), 2**bits)
+    return rows
+
+
+def general_loop_det(rows):
+    """`_det_scalar` on a copy of rows through its general loop: a `size`
+    keeps the symmetric branch out, and with every size equal the pivots are
+    the general loop's own."""
+    return linalg._det_scalar(copy.deepcopy(rows), 0, lambda e: 0)
+
+
+def test_symmetric_branch_equals_the_general_loop():
+    rng = random.Random("symmetric")
+    cases = [[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[1, 1, 0], [1, 1, 1], [0, 1, 1]], [[0]], []]
+    for n in range(1, 13):
+        for bits in (3, 60):
+            rows = symmetric_matrix(rng, n, bits)
+            cases.append(rows)
+            if n >= 3:  # singular: row and column n-1 the sums of rows and columns 0 and 1
+                sing = [row[:-1] + [row[0] + row[1]] for row in rows]
+                sing[-1] = [a + b for a, b in zip(sing[0], sing[1])]
+                cases.append(sing)
+            # a zero pivot after k steps: the leading (k+1) x (k+1) block is
+            # singular, its last row and column the sums of its first two
+            k = rng.randrange(n)
+            if k >= 2:
+                pinched = copy.deepcopy(rows)
+                for j in range(n):
+                    pinched[k][j] = pinched[j][k] = pinched[0][j] + pinched[1][j] if j < k else pinched[k][j]
+                pinched[k][k] = pinched[0][0] + 2 * pinched[0][1] + pinched[1][1]
+                cases.append(pinched)
+    zero_pivots = 0
+    for rows in cases:
+        assert linalg._symmetric(rows)
+        want = general_loop_det(rows)
+        assert linalg._det_scalar(copy.deepcopy(rows), 0) == want
+        # the exact value, by Gaussian elimination over QQ
+        m = [[Fraction(x) for x in row] for row in rows]
+        det = Fraction(1)
+        for k in range(len(m)):
+            sel = next((i for i in range(k, len(m)) if m[i][k]), None)
+            if sel is None:
+                det = 0
+                break
+            if sel != k:
+                m[k], m[sel], det = m[sel], m[k], -det
+            det *= m[k][k]
+            for i in range(k + 1, len(m)):
+                f = m[i][k] / m[k][k]
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+        assert want == det
+        zero_pivots += any(not general_loop_det([r[:k + 1] for r in rows[:k + 1]]) for k in range(len(rows)))
+    assert zero_pivots >= 20
+
+
+def test_a_symmetric_pencil_over_qq_keeps_one_content_and_equals_bareiss():
+    # row and column 0 carry a factor 5, so the rows' contents differ and
+    # per-row contents would break the symmetry; one content c keeps it,
+    # and the determinant scales by c^n
+    rng = random.Random("symmetric-qq")
+    ring = Ring(QQ, [], ["T1", "T2", "T3"])
+    n = 5
+    weight = [5, 1, 1, 1, 1]
+    parts = [[[0] * n for _ in range(n)]]
+    for _ in range(3):
+        part = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                c = Fraction(weight[i] * weight[j] * rng.randint(-40, 40), rng.choice((3, 6, 14)))
+                part[i][j] = part[j][i] = QQ.canon(c)
+        parts.append(part)
+    m = PolyMatrix.from_parts(ring, parts, n)
+    scale, ints = linalg._integer_parts(m)
+    content = arith.rational_content(c for P in parts for row in P for c in row if c)
+    assert content.denominator > 1 and scale == content**n
+    assert all(map(linalg._symmetric, ints)) and all(type(c) is int for P in ints for row in P for c in row)
+    want = linalg._det_bareiss(m)
+    assert want.terms
+    assert linalg._det_on_grid(m) == want and det_fraction_free(m) == want
+
+
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
+def test_kronecker_lines_of_a_kravitsky_pencil_take_the_symmetric_branch(monkeypatch, field):
+    # every line of the pencil is symmetric, and the elimination never reads
+    # below the diagonal; the lines are d + 1 as before (at d = 10 the
+    # GF(65521) pencil's digits are too wide for lines)
+    from implicax.resultants import BinaryForm, kravitsky_pencil
+
+    rng = random.Random(2032)
+    ring = Ring(field, ["X1", "X2"], ["T1", "T2", "T3"])
+    for d in (2, 5, 8):
+        forms = [BinaryForm(ring, [random_nonzero(field, rng) for _ in range(d + 1)]) for _ in range(3)]
+        m = kravitsky_pencil(*forms)
+        want = linalg._det_bareiss(m)
+        calls = upper_triangle_only(monkeypatch)
+        assert linalg._det_on_grid(m) == want
+        assert calls == [0] * (d + 1)
+        monkeypatch.undo()
+    # a non-symmetric line is refused by the check, so the check is live
+    upper_triangle_only(monkeypatch)
+    with pytest.raises(AssertionError, match="non-symmetric"):
+        linalg._det_scalar([[1, 2], [3, 4]], 0)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from implicax import arith, cli, geometry, pipeline, resultants, strands
+from implicax import arith, cli, geometry, linalg, pipeline, resultants, strands
 from implicax.arith import (
     GF,
     QQ,
@@ -36,12 +36,14 @@ from implicax.strands import (
 )
 from helpers import (
     count_cycle_kernels,
+    dense_curve_text,
     dense_cubic,
     dense_quadric,
     over_field,
     polys_to_vector,
     subresultant_gcd,
     subresultant_gcd_many,
+    upper_triangle_only,
 )
 from test_geometry import PAIRWISE_SINGULAR, comparison_inputs, curve_inputs
 
@@ -392,12 +394,13 @@ def test_rank_profile_draw_count_has_no_bound_on_a_tiny_field():
 
 
 def test_a_short_draw_without_a_bound_is_a_small_field_not_a_violation(monkeypatch):
-    # over GF(2) the one point drawn, T = (1, 1, 1), lies on the conic: no
-    # bound makes its short rank a proof, so the map is refused as too small
-    conic = make_parameterization(GF(2), ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
+    # over GF(3) each T is drawn from two values, and at seed 0 both points
+    # drawn lie on the conic: no bound makes their short rank a proof, so the
+    # map is refused as too small
+    conic = make_parameterization(GF(3), ["X1", "X2"], ["X1^2", "X1*X2", "X2^2"])
     for method in ("det-complex", "gcd-minors"):
-        with pytest.raises(SmallCharacteristicError, match=r"\(1\) to draw each T from in GF\(2\).* side 2"):
-            pipeline.implicitize(conic, method=method)
+        with pytest.raises(SmallCharacteristicError, match=r"\(2\) to draw each T from in GF\(3\).* side 2"):
+            pipeline.implicitize(conic, method=method, seed=0)
     # where the bound holds, draws that stay short are a violation, as before
     st = z_strand(GF101_QUADRIC, 2)
     assert strands._profile_draws(st) == 10
@@ -667,9 +670,10 @@ def takes_bezout_lines(param, report, nu):
 
 def pencil_in_monomial_order(param):
     """The parts of the Kravitsky pencil with its rows read on the A_(d-1)
-    monomials, X1^(d-1) first."""
+    monomials, X1^(d-1) first, and its columns on the Bezoutian lines
+    w_(d-1) .. w_0: J*M*J, still symmetric."""
     pencil = kravitsky_pencil(*[binary_form(param, f) for f in param.polys])
-    return [part[::-1] for part in pencil.parts]
+    return [[row[::-1] for row in part[::-1]] for part in pencil.parts]
 
 
 def outcome(route, *args):
@@ -735,6 +739,7 @@ def test_bezoutian_basis_equals_the_kernel_route():
         routed = z_strand(param, nu, report)
         if takes_bezout_lines(param, report, nu):
             assert routed.maps[0].parts == pencil_in_monomial_order(param)
+            assert all(map(linalg._symmetric, routed.maps[0].parts))
             lines += 1
         answers = [outcome(complex_determinant, st) for st in (z_strand(param, nu), routed)]
         answers = [a if isinstance(a, type) else normalize(a.value) for a in answers]
@@ -750,6 +755,29 @@ def test_bezoutian_basis_equals_the_kernel_route():
     report = analyze_parameterization(PAIRWISE_SINGULAR)
     assert not geometry._coprime_pair(PAIRWISE_SINGULAR)
     assert report.base_locus_certificate == "empty" and report._koszul_reduction is not None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
+def test_a_dense_sextic_builds_each_bezoutian_once_and_eliminates_symmetrically(monkeypatch, field):
+    # the analysis ranks Bez(f2, f3), nonsingular, and hands it to the strand,
+    # which builds the other two; every integer determinant of the three
+    # routes takes the symmetric branch, the pencil's d + 1 lines each
+    param = make_parameterization(field, ["X1", "X2"], dense_curve_text(6, random.Random("sextic")))
+    built = []
+
+    def counted(p, q, _inner=resultants._bezoutian):
+        built.append((p, q))
+        return _inner(p, q)
+
+    monkeypatch.setattr(resultants, "_bezoutian", counted)
+    report = analyze_parameterization(param)
+    assert len(built) == 1 and len(report._bezoutians) == 1
+    del built[:]
+    calls = upper_triangle_only(monkeypatch)
+    results = [pipeline.implicitize(param)]
+    assert len(built) == 3 and calls == [0] * 7
+    results += [pipeline.implicitize(param, method=m) for m in ("gcd-minors", "resultant")]
+    assert calls == [0] * 21 and results[0].reduced == results[1].reduced == results[2].reduced
 
 
 def perturbed_bezoutian(p, q, _inner=resultants._bezoutian):
