@@ -158,23 +158,18 @@ def _identity(size):
 
 
 def _coprime_pair(param):
-    """The cyclic Bezoutians of three forms in two X variables
-    (`resultants._cyclic_bezoutians`, Cayley's closed form), each built and
-    ranked in turn up to the first nonsingular one, as a list ending in it;
-    [] when none is nonsingular (or the map is not a plane curve).
+    """Whether two of three forms in two X variables have a nonsingular
+    Bezoutian (`resultants._cyclic_bezoutians`, Cayley's closed form), each
+    built and ranked in turn up to the first nonsingular one.
 
     det Bez(f_i, f_j) = +-Res(f_i, f_j), so such a pair has no common zero
     on P^1, and by Sylvester (g, h) -> g f_i + h f_j maps A_(d-1)^2 onto
     A_(2d-1): I_t = A_t at t = 2d - 1, `_regularity_bound` for nx = 2.
     """
     if param.ring.nx != 2 or param.n != 3:
-        return []
-    built = []
-    for bez in _cyclic_bezoutians(*(binary_form(param, f) for f in param.polys)):
-        built.append(bez)
-        if scalar_rank(param.ring.field, bez) == param.d:
-            return built
-    return []
+        return False
+    forms = [binary_form(param, f) for f in param.polys]
+    return any(scalar_rank(param.ring.field, bez) == param.d for bez in _cyclic_bezoutians(*forms))
 
 
 class _Pieces(dict):
@@ -189,23 +184,20 @@ class _Pieces(dict):
     reduction.  Otherwise it is read off `_rref` of K's rows, the reduction
     whose kernel is (Z_1)_(t-d): a full rank gives the identity rows, and a
     short one reduces only K's pivot columns, a basis of the span.
-    `reduction` keeps (t - d, K, that `_rref`), and `bezoutians` the
-    Bezoutians `_coprime_pair` built, for the strand (`z_strand`)."""
+    `reduction` keeps (t - d, K, that `_rref`) for the strand
+    (`z_strand`)."""
 
     def __init__(self, param):
         super().__init__()
         self.param = param
         self.reduction = None
-        self.bezoutians = None
 
     def __missing__(self, nu):
         param = self.param
         monos = param.ring.x_monomials
         above_full = any(m < nu and len(rows) == len(monos(m)) for m, rows in self.items())
         at_t = nu == _regularity_bound(param)
-        if at_t and not above_full:
-            self.bezoutians = _coprime_pair(param)
-        if above_full or at_t and self.bezoutians:
+        if above_full or at_t and _coprime_pair(param):
             rows = _identity(len(monos(nu)))
         elif at_t:
             p = param.ring.field.char
@@ -416,10 +408,8 @@ class BasePointReport:
     base_locus_certificate: str  # "empty", "persistence" or "window": dim -1, 0 or 1
     hilbert_values: dict  # {degree: Hilbert value of A/I} read by the profile
     syzygetic: SyzygeticReport | None = None
-    # (t - d, K, `_rref` of K) from the profile's piece I_t, and the
-    # Bezoutians that proved I_t full on a plane curve, for `z_strand`
+    # (t - d, K, `_rref` of K) from the profile's piece I_t, for `z_strand`
     _koszul_reduction: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
-    _bezoutians: list | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         return {
@@ -498,5 +488,4 @@ def analyze_parameterization(param, run_syzygetic=None):
         hilbert_values=values,
         syzygetic=syz,
         _koszul_reduction=ideal.reduction,
-        _bezoutians=ideal.bezoutians,
     )

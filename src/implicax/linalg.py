@@ -21,11 +21,11 @@ one exact integer determinant per line of the grid (Kronecker substitution),
 unless the digits would be too wide; then one determinant per point.  Over
 QQ both engines first make every row a primitive integer row
 (`_integer_parts`) and restore the product of the scales at the end, so
-results are exact, not "up to unit".  A symmetric matrix is scaled by one
-content instead, so that its integer values stay symmetric, and on
-symmetric integer rows the elimination updates only the upper triangle:
-every plane-curve determinant (the Kravitsky pencil, and the strand's
-first map on the Bezoutian lines) is one.
+results are exact, not "up to unit".  On symmetric integer rows the
+elimination updates only the upper triangle.  Every plane-curve
+determinant (the Kravitsky pencil, and the strand's first map on the
+Bezoutian lines) is symmetric, and so are its integer rows over GF(p), and
+over QQ when its rows' contents agree.
 """
 
 from __future__ import annotations
@@ -137,16 +137,9 @@ class PolyMatrix:
 def _integer_parts(m):
     """(s, parts): m's parts with each row made a primitive integer row over
     QQ, and s the product of the rows' rational contents, so det m is s times
-    the determinant of the new parts.  When every part is symmetric, all are
-    divided by one content c instead, and s = c^n: they stay symmetric, for
-    `_det_scalar`'s symmetric branch.  Over GF(p), (1, m.parts)."""
+    the determinant of the new parts.  Over GF(p), (1, m.parts)."""
     if m.ring.field.char:
         return 1, m.parts
-    if all(map(_symmetric, m.parts)):
-        content = rational_content(c for P in m.parts for row in P for c in row if c) or 1
-        num, den = content.numerator, content.denominator
-        parts = m.parts if content == 1 else [[[c * den // num for c in row] for row in P] for P in m.parts]
-        return content ** m.rows, parts
     scale = 1
     parts = [[] for _ in m.parts]
     for i in range(m.rows):
@@ -228,10 +221,10 @@ def _det_on_grid(m):
     homogeneous of degree n: one occurring T is set to 1 and restored at the
     end.  Over QQ each row is first made a primitive integer row
     (`_integer_parts`), and the product of the scales is kept, so every
-    value is an integer determinant.  When every part is symmetric, one
-    content divides them all instead, so that they stay symmetric; balanced
-    residues over GF(p) keep them so too, and every line A + 2^B*C is then
-    symmetric and takes `_det_scalar`'s upper-triangle branch.
+    value is an integer determinant.  Symmetric parts stay symmetric under
+    balanced residues over GF(p), and over QQ when the rows' contents agree;
+    every line A + 2^B*C is then symmetric and takes `_det_scalar`'s
+    upper-triangle branch.
 
     One axis x is read off Kronecker digits (von zur Gathen & Gerhard, MCA
     8.4): one exact integer determinant per line, not one per point.  At

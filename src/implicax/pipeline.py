@@ -121,7 +121,8 @@ def implicitize(
     degrees sometimes work but must be requested with allow_sub_bound.  The
     result carries the full diagnostics report and the verification status.
     A characteristic at most the predicted degree raises
-    SmallCharacteristicError before any method runs.
+    SmallCharacteristicError before any method runs, after the usage checks
+    of nu and of the method.
     """
     if method not in METHODS:
         raise UsageError("unknown method %r (choose from %s)" % (method, METHODS))
@@ -136,9 +137,6 @@ def implicitize(
         raise HypothesisViolation(
             "map is not generically finite (predicted degree 0)"
         )
-    predicted = report.predicted_degree
-    # the power extraction would refuse the answer, so no route is run
-    _check_characteristic(param.ring.field, predicted)
     bound = report.nu0
     if nu is None:
         nu_used = bound
@@ -155,6 +153,12 @@ def implicitize(
                 "may fail or give a wrong-degree result" % (nu_used, bound),
                 stacklevel=2,
             )
+    if method == "resultant" and param.n != 3:
+        # the route's own usage check, ahead of the characteristic's
+        raise UsageError("resultant implicitization needs exactly 3 polynomials")
+    predicted = report.predicted_degree
+    # the power extraction would refuse the answer, so no route is run
+    _check_characteristic(param.ring.field, predicted)
     minor_sizes = None
     dehom = None
     if method == "resultant":

@@ -143,13 +143,10 @@ def kravitsky_pencil(f1, f2, f3):
     return PolyMatrix.from_parts(ring, [zero, *_cyclic_bezoutians(f1, f2, f3)] + [zero] * (k - 3), d)
 
 
-def _cyclic_bezoutians(f1, f2, f3, built=()):
+def _cyclic_bezoutians(f1, f2, f3):
     """Bez(f2, f3), Bez(f3, f1), Bez(f1, f2) as scalar rows, the pencil's
-    parts at T1, T2, T3: the first len(built) taken from `built`, the rest
-    each built when it is reached."""
-    yield from built
-    for a, b in ((f2, f3), (f3, f1), (f1, f2))[len(built):]:
-        yield _bezoutian(a, b)
+    parts at T1, T2, T3, each built when it is reached."""
+    return (_bezoutian(a, b) for a, b in ((f2, f3), (f3, f1), (f1, f2)))
 
 
 @dataclass

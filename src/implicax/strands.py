@@ -204,19 +204,17 @@ def _acyclic_above(param, locus_dim):
     return param.n - (param.ring.nx - 1 - locus_dim)
 
 
-def _bezout_lines(param, matrix, built=()):
+def _bezout_lines(param, matrix):
     """The d vectors w_b = (Bez(f2,f3)[:,b], Bez(f3,f1)[:,b], Bez(f1,f2)[:,b])
     in A_(d-1)^3 of a plane curve, in the order w_(d-1) .. w_0, each checked
     against the Koszul matrix `matrix` of degree d - 1 (ConsistencyError
     unless K*w = 0); see `z_strand` for why they are a basis of
-    (Z_1)_(d-1).  `built` holds the first Bezoutians of the three, as the
-    analysis built them (`geometry._coprime_pair`); the rest are built here.
-    Row a of a Bezoutian is the coefficient of X1^a X2^(d-1-a), the A_(d-1)
-    monomial at index d - 1 - a, so with the basis reversed too, the
-    strand's first map is J*M*J (J the reversal), symmetric as the
-    Bezoutians are."""
+    (Z_1)_(d-1).  Row a of a Bezoutian is the coefficient of
+    X1^a X2^(d-1-a), the A_(d-1) monomial at index d - 1 - a, so with the
+    basis reversed too, the strand's first map is J*M*J (J the reversal),
+    symmetric as the Bezoutians are."""
     d = param.d
-    bez = _cyclic_bezoutians(*(binary_form(param, f) for f in param.polys), built=built)
+    bez = _cyclic_bezoutians(*(binary_form(param, f) for f in param.polys))
     lines = [[0] * (3 * d) for _ in range(d)]
     for i, part in enumerate(bez):
         for a, row in enumerate(part):
@@ -274,10 +272,8 @@ def z_strand(param, nu, report=None):
     when it carries one.  The basis is ordered w_(d-1) .. w_0, so maps[0]
     is the Kravitsky pencil M read as J*M*J, its rows in monomial order and
     J the reversal: symmetric, as M is, for the determinant's symmetric
-    elimination.  The Bezoutians the analysis built to certify the empty
-    base locus come with the report and are not built again.  Every other
-    degree, a curve with base points, and a call without a report keep the
-    kernel, the tests' reference.
+    elimination.  Every other degree, a curve with base points, and a call
+    without a report keep the kernel, the tests' reference.
 
     Every map is thus the T-contraction on its bases, and two maps compose
     to sum_(j,l) T_j T_l iota_j iota_l = 0, as the iota_j anticommute: no
@@ -302,7 +298,7 @@ def z_strand(param, nu, report=None):
         if i == 1 and bezout:
             # Z_2 is 0 below degree d: no map writes into these lines
             matrix = level_one[0] if level_one else koszul_differential_matrix(param, 1, nu)
-            vecs, fr = _bezout_lines(param, matrix, report._bezoutians or ()), []
+            vecs, fr = _bezout_lines(param, matrix), []
         elif i < image:
             vecs, fr = _cycle_data(param, i, nu, level_one if i == 1 else None)
         else:

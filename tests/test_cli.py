@@ -276,6 +276,22 @@ def test_characteristic_at_most_the_predicted_degree_exits_five_before_any_route
         assert err == "runtime failure: characteristic 2 too small for degree 2\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--nu", "0"], ["--method", "resultant"]],
+    ids=["sub-bound-nu", "resultant-of-a-surface"],
+)
+def test_usage_errors_exit_two_before_the_characteristic_check(capsys, tmp_path, argv):
+    # the GF(2) quadric of the test above, asked for a strand degree below
+    # nu0 = 1 or for the curves-only resultant route: a usage mistake is
+    # reported as one, not as the too-small field
+    f = tmp_path / "gf2.txt"
+    f.write_text("field: GF(2)\nx_vars: X1 X2 X3\nf1 = X1*X3 + X3^2\nf2 = X3^2 + X1*X3 + X2*X3\nf3 = X1*X2\nf4 = X2^2\n")
+    code, out, err = run_cli(capsys, "implicitize", str(f), *argv)
+    assert code == 2 and not out.strip()
+    assert "characteristic" not in err
+
+
 def test_repeated_polynomial_line_is_parse_error(capsys, tmp_path):
     f = tmp_path / "twice.txt"
     f.write_text("field: QQ\nx_vars: X1 X2\nf1 = X1^2\nf2 = X1*X2\nf3 = X2^2\nf1 = X1^2 + X2^2\n")

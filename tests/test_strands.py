@@ -758,25 +758,12 @@ def test_bezoutian_basis_equals_the_kernel_route():
 
 
 @pytest.mark.parametrize("field", [QQ, GF(65521)], ids=["QQ", "GF"])
-def test_a_dense_sextic_builds_each_bezoutian_once_and_eliminates_symmetrically(monkeypatch, field):
-    # the analysis ranks Bez(f2, f3), nonsingular, and hands it to the strand,
-    # which builds the other two; every integer determinant of the three
-    # routes takes the symmetric branch, the pencil's d + 1 lines each
+def test_a_dense_sextic_eliminates_symmetrically_on_every_route(monkeypatch, field):
+    # every integer determinant of the three routes takes the symmetric
+    # branch, the pencil's d + 1 lines each
     param = make_parameterization(field, ["X1", "X2"], dense_curve_text(6, random.Random("sextic")))
-    built = []
-
-    def counted(p, q, _inner=resultants._bezoutian):
-        built.append((p, q))
-        return _inner(p, q)
-
-    monkeypatch.setattr(resultants, "_bezoutian", counted)
-    report = analyze_parameterization(param)
-    assert len(built) == 1 and len(report._bezoutians) == 1
-    del built[:]
     calls = upper_triangle_only(monkeypatch)
-    results = [pipeline.implicitize(param)]
-    assert len(built) == 3 and calls == [0] * 7
-    results += [pipeline.implicitize(param, method=m) for m in ("gcd-minors", "resultant")]
+    results = [pipeline.implicitize(param, method=m) for m in ("det-complex", "gcd-minors", "resultant")]
     assert calls == [0] * 21 and results[0].reduced == results[1].reduced == results[2].reduced
 
 
